@@ -23,13 +23,12 @@ from .ingest import (
     parse_positions,
     parse_tracks,
 )
-from .matching import FrameMatchSet, SimilaritySpec, hungarian, match_frame, similarity
+from .matching import FrameMatchSet, SimilaritySpec, hungarian, match_frame
 from .metrics import (
     MetricsReport,
     avg_track_dur,
     class_report,
     detection_ap,
-    hota,
     postprocess_filter,
 )
 from .fpslab import SweepSpec, controlled_window, fps_sweep, stride_subsample
@@ -56,12 +55,10 @@ __all__ = [
     "SimilaritySpec",
     "hungarian",
     "match_frame",
-    "similarity",
     "MetricsReport",
     "avg_track_dur",
     "class_report",
     "detection_ap",
-    "hota",
     "postprocess_filter",
     "SweepSpec",
     "controlled_window",

@@ -3,8 +3,7 @@
 Configuration precedence is built-in defaults < JSON config file < command
 line flags. Exit codes: 0 success, 2 input error (missing or malformed
 files, bad arguments), 1 internal error. Identical inputs and configuration
-produce byte-identical outputs; MTMCEVAL_THREADS may cap worker threads but
-never changes results.
+produce byte-identical outputs.
 """
 
 from __future__ import annotations
@@ -21,6 +20,7 @@ from .fpslab import (
     SweepSpec,
     controlled_window,
     fps_sweep,
+    stride_for,
     sweep_to_json,
     sweep_to_text,
 )
@@ -187,11 +187,8 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
         primary_class=cfg.primary_class,
         class_names=cfg.class_names,
     )
-    text = report_to_text(report)
-    if not args.per_class:
-        sys.stdout.write(text)
-    else:
-        sys.stdout.write(text)
+    sys.stdout.write(report_to_text(report))
+    if args.per_class:
         for c, m in sorted(report.per_class.items()):
             name = cfg.class_names.get(c, str(c))
             sys.stdout.write(
@@ -212,14 +209,6 @@ def cmd_sweep_fps(args: argparse.Namespace) -> int:
         rates = tuple(float(r) for r in args.rates.split(","))
     except ValueError:
         raise InputError(f"bad --rates list: {args.rates!r}") from None
-    gt = _load_tracks(args.gt, cfg.native_fps)
-    pred_dir = Path(args.pred_dir)
-    outputs: dict[float, Sequence] = {}
-    for rate in rates:
-        path = pred_dir / f"{rate:g}fps.csv"
-        if not path.exists():
-            raise InputError(f"missing prediction file for rate {rate:g}: {path}")
-        outputs[rate] = _load_tracks(str(path), cfg.native_fps / round(cfg.native_fps / rate))
     try:
         spec = SweepSpec(
             native_fps=cfg.native_fps,
@@ -230,6 +219,17 @@ def cmd_sweep_fps(args: argparse.Namespace) -> int:
             similarity=cfg.similarity_spec(),
             primary_class=cfg.primary_class,
         )
+    except ValueError as exc:
+        raise InputError(str(exc)) from None
+    gt = _load_tracks(args.gt, cfg.native_fps)
+    pred_dir = Path(args.pred_dir)
+    outputs: dict[float, Sequence] = {}
+    for rate in rates:
+        path = pred_dir / f"{rate:g}fps.csv"
+        if not path.exists():
+            raise InputError(f"missing prediction file for rate {rate:g}: {path}")
+        outputs[rate] = _load_tracks(str(path), cfg.native_fps / stride_for(cfg.native_fps, rate))
+    try:
         rows = fps_sweep(gt, outputs, spec)
     except ValueError as exc:
         raise InputError(str(exc)) from None

@@ -83,13 +83,6 @@ class Sequence:
     def frame_indices(self) -> tuple[int, ...]:
         return tuple(idx for idx, _ in self.frames)
 
-    def detections_at(self, frame_index: int) -> tuple[Detection, ...]:
-        """Detections at a native frame index; empty for absent frames."""
-        for idx, dets in self.frames:
-            if idx == frame_index:
-                return dets
-        return ()
-
     def as_dict(self) -> dict[int, tuple[Detection, ...]]:
         return {idx: dets for idx, dets in self.frames}
 

@@ -18,6 +18,8 @@ from .metrics import (
     DEFAULT_ALPHA_GRID,
     DEFAULT_DUR_ALPHA,
     MetricsReport,
+    _pct,
+    _table,
     class_report,
 )
 
@@ -133,23 +135,6 @@ def sweep_to_text(rows: list[tuple[float, MetricsReport]]) -> str:
     body: list[list[str]] = []
     for rate, report in rows:
         m = report.class_average
-        body.append(
-            [
-                f"{rate:g}",
-                f"{100 * m.hota:.1f}",
-                f"{100 * m.deta:.1f}",
-                f"{100 * m.assa:.1f}",
-                f"{100 * m.loca:.1f}",
-                f"{m.avg_track_dur_seconds:.1f}",
-            ]
-        )
-    widths = [
-        max(len(headers[i]), max((len(r[i]) for r in body), default=0))
-        for i in range(len(headers))
-    ]
-    lines = [
-        "  ".join(h.rjust(widths[i]) for i, h in enumerate(headers)),
-        "  ".join("-" * w for w in widths),
-    ]
-    lines += ["  ".join(r[i].rjust(widths[i]) for i in range(len(r))) for r in body]
-    return "\n".join(lines) + "\n"
+        cells = [_pct(v) for v in (m.hota, m.deta, m.assa, m.loca)]
+        body.append([f"{rate:g}", *cells, f"{m.avg_track_dur_seconds:.1f}"])
+    return "\n".join(_table(headers, body)) + "\n"

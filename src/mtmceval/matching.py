@@ -10,13 +10,12 @@ matching.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.optimize import linear_sum_assignment
 
-from .datamodel import Box3D, Detection
+from .datamodel import Detection
 
 
 @dataclass(frozen=True)
@@ -44,24 +43,6 @@ class FrameMatchSet:
     pairs: tuple[tuple[int, int, float], ...]
     unmatched_gt: tuple[int, ...]
     unmatched_pred: tuple[int, ...]
-
-
-def similarity(a: Box3D, b: Box3D, spec: SimilaritySpec) -> float:
-    """Localization similarity in [0, 1]; symmetric; 1 for identical boxes."""
-    if spec.mode == "bev_iou":
-        ix = min(a.x + a.width / 2, b.x + b.width / 2) - max(
-            a.x - a.width / 2, b.x - b.width / 2
-        )
-        iy = min(a.y + a.length / 2, b.y + b.length / 2) - max(
-            a.y - a.length / 2, b.y - b.length / 2
-        )
-        if ix <= 0 or iy <= 0:
-            return 0.0
-        inter = ix * iy
-        union = a.width * a.length + b.width * b.length - inter
-        return inter / union
-    dist = math.hypot(a.x - b.x, a.y - b.y)
-    return max(0.0, 1.0 - dist / spec.d_max)
 
 
 def similarity_matrix(

@@ -1,9 +1,23 @@
 """HOTA, DetA, AssA, LocA, detection AP, AvgTrackDur and report assembly.
 
-All metrics are computed from per-frame gated Hungarian matchings on a fixed
-evaluation window. Identities are scoped per (sequence, class); classes are
-matched independently and class averages are unweighted over classes present
-in the ground truth.
+All metrics come from one pass per class over the evaluation window
+(``_collect_class_frames``). For every window frame it builds the GT and
+prediction track-id arrays, each sorted by track id, and one similarity
+matrix between them, and it records the AP rank key of every prediction.
+Three consumers read that pass and compute nothing twice:
+
+- ``_score_alphas`` re-matches each frame at every gate alpha (gated
+  Hungarian) and gives HOTA, DetA, AssA and LocA per alpha, plus the matched
+  prediction ids;
+- ``_run_seconds`` counts runs of matched prediction ids: AvgTrackDur;
+- ``_average_precision`` ranks predictions and matches them greedily on the
+  same matrices: AP.
+
+``class_report`` is the only entry point that scores a window;
+``avg_track_dur`` and ``detection_ap`` are thin adapters over the same
+cores. Identities are scoped per (sequence, class); classes are matched
+independently and class averages are unweighted over classes present in the
+ground truth.
 
 Conventions for degenerate windows: an empty-vs-empty scene scores 1.0 on all
 rate metrics; TP = 0 with a nonempty scene scores 0.0; zero runs yield an
@@ -25,7 +39,6 @@ from .matching import (
     FrameMatchSet,
     SimilaritySpec,
     match_arrays,
-    similarity,
     similarity_matrix,
 )
 
@@ -34,211 +47,79 @@ logger = logging.getLogger(__name__)
 DEFAULT_ALPHA_GRID = tuple(round(0.05 * i, 2) for i in range(1, 20))
 DEFAULT_DUR_ALPHA = 0.5
 
-
-# ---------------------------------------------------------------------------
-# match-indicator and run-length primitives
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class RunRecord:
-    """A maximal contiguous span of window positions where one tracker id is
-    present and matched. Positions index the ordered window frame list, so a
-    stride-subsampled window still counts consecutive positions as
-    contiguous."""
-
-    tracker_id: int
-    start: int
-    end: int
-
-    def __post_init__(self) -> None:
-        if self.start > self.end:
-            raise ValueError("run start must not exceed end")
-
-    @property
-    def duration_frames(self) -> int:
-        return self.end - self.start + 1
-
-
-def match_indicator_series(
-    matches: list[FrameMatchSet], tracker_id: int
-) -> list[int]:
-    """M_k(t) over window frames: 1 iff tracker_id is matched at t.
-
-    A tracker id that exists but is unmatched yields 0; false positives never
-    contribute.
-    """
-    return [
-        1 if any(p == tracker_id for _, p, _ in m.pairs) else 0 for m in matches
-    ]
-
-
-def extract_runs(series: list[int], tracker_id: int = 0) -> list[RunRecord]:
-    """Split a binary series into maximal all-ones runs."""
-    runs: list[RunRecord] = []
-    start: int | None = None
-    for pos, bit in enumerate(series):
-        if bit and start is None:
-            start = pos
-        elif not bit and start is not None:
-            runs.append(RunRecord(tracker_id, start, pos - 1))
-            start = None
-    if start is not None:
-        runs.append(RunRecord(tracker_id, start, len(series) - 1))
-    return runs
-
-
-def avg_track_dur(matches: list[FrameMatchSet], f0: float) -> float:
-    """Mean run duration in seconds: sum of run lengths / (#runs * f0).
-
-    Returns 0 when no tracker id is ever matched.
-    """
-    if f0 <= 0:
-        raise ValueError("f0 must be positive")
-    total = 0
-    n_runs = 0
-    prev: set[int] = set()
-    for m in matches:
-        current = {p for _, p, _ in m.pairs}
-        total += len(current)
-        n_runs += len(current - prev)
-        prev = current
-    if n_runs == 0:
-        return 0.0
-    return total / (n_runs * f0)
+_EMPTY_IDS = np.empty(0, dtype=np.int64)
 
 
 # ---------------------------------------------------------------------------
-# association bookkeeping (HOTA layer)
-# ---------------------------------------------------------------------------
-
-
-@dataclass
-class AssociationLedger:
-    """TP/FN/FP totals plus per-pair TPA/FNA/FPA tallies at one gate alpha."""
-
-    tp: int
-    fn: int
-    fp: int
-    tpa: dict[tuple[int, int], int]
-    fna: dict[tuple[int, int], int]
-    fpa: dict[tuple[int, int], int]
-
-
-def association_ledger(matches: list[FrameMatchSet], alpha: float) -> AssociationLedger:
-    """Count detection and association signals from per-frame matchings.
-
-    For each matched pair c = (g, p): TPA(c) counts frames where (g, p) is
-    matched; FNA(c) counts frames where g appears but is not matched to p;
-    FPA(c) counts frames where p appears but is not matched to g.
-    """
-    tp = fn = fp = 0
-    tpa: dict[tuple[int, int], int] = {}
-    gt_seen: dict[int, int] = {}
-    pred_seen: dict[int, int] = {}
-    for m in matches:
-        tp += len(m.pairs)
-        fn += len(m.unmatched_gt)
-        fp += len(m.unmatched_pred)
-        for g, p, _ in m.pairs:
-            tpa[(g, p)] = tpa.get((g, p), 0) + 1
-            gt_seen[g] = gt_seen.get(g, 0) + 1
-            pred_seen[p] = pred_seen.get(p, 0) + 1
-        for g in m.unmatched_gt:
-            gt_seen[g] = gt_seen.get(g, 0) + 1
-        for p in m.unmatched_pred:
-            pred_seen[p] = pred_seen.get(p, 0) + 1
-    fna = {c: gt_seen[c[0]] - n for c, n in tpa.items()}
-    fpa = {c: pred_seen[c[1]] - n for c, n in tpa.items()}
-    return AssociationLedger(tp=tp, fn=fn, fp=fp, tpa=tpa, fna=fna, fpa=fpa)
-
-
-def hota_at_alpha(
-    ledger: AssociationLedger, matches: list[FrameMatchSet]
-) -> tuple[float, float, float, float]:
-    """(HOTA, DetA, AssA, LocA) at a single gate from a ledger.
-
-    AssA and LocA average over TP *instances* (so each pair is weighted by
-    its co-occurrence count).
-    """
-    denom = ledger.tp + ledger.fn + ledger.fp
-    if denom == 0:
-        return 1.0, 1.0, 1.0, 1.0
-    if ledger.tp == 0:
-        return 0.0, 0.0, 0.0, 0.0
-    deta = ledger.tp / denom
-    assa = (
-        sum(
-            n * n / (n + ledger.fna[c] + ledger.fpa[c])
-            for c, n in ledger.tpa.items()
-        )
-        / ledger.tp
-    )
-    sim_total = sum(s for m in matches for _, _, s in m.pairs)
-    loca = sim_total / ledger.tp
-    return math.sqrt(deta * assa), deta, assa, loca
-
-
-# ---------------------------------------------------------------------------
-# fast array pipeline over a window
+# the single per-class pass over the window
 # ---------------------------------------------------------------------------
 
 
 @dataclass
 class _ClassFrames:
-    """Precomputed per-window-frame arrays for one class partition."""
+    """One class's window: per frame the GT ids, prediction ids (each sorted
+    by track id) and the similarity matrix between them; the distinct ids of
+    each side with their detection counts; the AP rank key of every
+    prediction as (key, frame position, column)."""
 
-    frames: list[tuple[np.ndarray, np.ndarray, np.ndarray]]  # gt ids, pred ids, sims
-    total_gt: int
-    total_pred: int
-    gt_counts: dict[int, int]
-    pred_counts: dict[int, int]
+    frames: list[tuple[np.ndarray, np.ndarray, np.ndarray]]
+    gt_ids: np.ndarray
+    gt_counts: np.ndarray
+    pred_ids: np.ndarray
+    pred_counts: np.ndarray
+    ranked: list[tuple[tuple, int, int]]
 
 
-def _require_track_ids(dets: tuple[Detection, ...], kind: str) -> None:
-    for d in dets:
+def _class_dets(
+    dets: tuple[Detection, ...], class_id: int, kind: str
+) -> list[Detection]:
+    out = [d for d in dets if d.class_id == class_id]
+    for d in out:
         if d.track_id is None:
             raise ValueError(f"{kind} detection missing track_id")
+    out.sort(key=lambda d: d.track_id)
+    return out
 
 
 def _collect_class_frames(
-    gt: Sequence,
-    pred: Sequence,
+    gt_by_frame: dict[int, tuple[Detection, ...]],
+    pred_by_frame: dict[int, tuple[Detection, ...]],
     window: EvalWindow,
     spec: SimilaritySpec,
     class_id: int,
 ) -> _ClassFrames:
-    gt_by_frame = gt.as_dict()
-    pred_by_frame = pred.as_dict()
     frames = []
-    gt_counts: dict[int, int] = {}
-    pred_counts: dict[int, int] = {}
-    total_gt = total_pred = 0
-    for fi in window.frame_indices:
-        g = [d for d in gt_by_frame.get(fi, ()) if d.class_id == class_id]
-        p = [d for d in pred_by_frame.get(fi, ()) if d.class_id == class_id]
-        _require_track_ids(tuple(g), "ground-truth")
-        _require_track_ids(tuple(p), "predicted")
-        g.sort(key=lambda d: d.track_id)
-        p.sort(key=lambda d: d.track_id)
-        sim = similarity_matrix(g, p, spec)
+    ranked: list[tuple[tuple, int, int]] = []
+    for t, fi in enumerate(window.frame_indices):
+        g = _class_dets(gt_by_frame.get(fi, ()), class_id, "ground-truth")
+        p = _class_dets(pred_by_frame.get(fi, ()), class_id, "predicted")
         g_ids = np.array([d.track_id for d in g], dtype=np.int64)
         p_ids = np.array([d.track_id for d in p], dtype=np.int64)
-        frames.append((g_ids, p_ids, sim))
-        total_gt += len(g)
-        total_pred += len(p)
-        for d in g:
-            gt_counts[d.track_id] = gt_counts.get(d.track_id, 0) + 1
-        for d in p:
-            pred_counts[d.track_id] = pred_counts.get(d.track_id, 0) + 1
-    return _ClassFrames(frames, total_gt, total_pred, gt_counts, pred_counts)
+        frames.append((g_ids, p_ids, similarity_matrix(g, p, spec)))
+        # confidence first, then a canonical order-independent tie-break
+        ranked += [
+            ((-d.confidence, fi, d.track_id, d.box.x, d.box.y, d.box.z), t, j)
+            for j, d in enumerate(p)
+        ]
+    gt_ids, gt_counts = np.unique(
+        np.concatenate([f[0] for f in frames]), return_counts=True
+    )
+    pred_ids, pred_counts = np.unique(
+        np.concatenate([f[1] for f in frames]), return_counts=True
+    )
+    return _ClassFrames(frames, gt_ids, gt_counts, pred_ids, pred_counts, ranked)
 
 
 def _score_alphas(
     data: _ClassFrames, alphas: tuple[float, ...]
 ) -> tuple[list[tuple[float, float, float, float]], list[list[np.ndarray]]]:
     """Per-alpha (HOTA, DetA, AssA, LocA) plus per-alpha per-frame matched
-    pred-id arrays (for run extraction)."""
+    prediction ids (for run counting).
+
+    AssA weights each (GT id, prediction id) pair by its TP count; pairs are
+    counted on dense indices into each side's distinct ids, so any int64
+    track id is safe.
+    """
     n_a = len(alphas)
     mg: list[list[np.ndarray]] = [[] for _ in range(n_a)]
     mp: list[list[np.ndarray]] = [[] for _ in range(n_a)]
@@ -249,200 +130,69 @@ def _score_alphas(
             mg[ai].append(g_ids[rows])
             mp[ai].append(p_ids[cols])
             ms[ai].append(sim[rows, cols])
+    total_gt = int(data.gt_counts.sum())
+    total_pred = int(data.pred_counts.sum())
+    n_pred = data.pred_ids.size
     scores = []
-    key_base = max(data.pred_counts, default=0) + 1
     for ai in range(n_a):
-        all_g = np.concatenate(mg[ai]) if mg[ai] else np.empty(0, dtype=np.int64)
-        all_p = np.concatenate(mp[ai]) if mp[ai] else np.empty(0, dtype=np.int64)
-        all_s = np.concatenate(ms[ai]) if ms[ai] else np.empty(0)
+        all_g = np.concatenate(mg[ai])
+        all_p = np.concatenate(mp[ai])
         tp = int(all_g.size)
-        fn = data.total_gt - tp
-        fp = data.total_pred - tp
-        if tp + fn + fp == 0:
-            scores.append((1.0, 1.0, 1.0, 1.0))
-            continue
         if tp == 0:
+            # the class has GT in the window, so nothing matched scores 0
             scores.append((0.0, 0.0, 0.0, 0.0))
             continue
-        deta = tp / (tp + fn + fp)
-        keys = all_g * key_base + all_p
-        uniq, counts = np.unique(keys, return_counts=True)
-        g_of = uniq // key_base
-        p_of = uniq % key_base
-        gt_n = np.array([data.gt_counts[int(g)] for g in g_of], dtype=np.int64)
-        pred_n = np.array([data.pred_counts[int(p)] for p in p_of], dtype=np.int64)
+        deta = tp / (total_gt + total_pred - tp)
+        gi = np.searchsorted(data.gt_ids, all_g)
+        pi = np.searchsorted(data.pred_ids, all_p)
+        pairs, counts = np.unique(gi * n_pred + pi, return_counts=True)
+        gt_n = data.gt_counts[pairs // n_pred]
+        pred_n = data.pred_counts[pairs % n_pred]
         a_c = counts / (gt_n + pred_n - counts)
         assa = float((counts * a_c).sum() / tp)
-        loca = float(all_s.mean())
+        loca = float(np.concatenate(ms[ai]).mean())
         scores.append((math.sqrt(deta * assa), deta, assa, loca))
     return scores, mp
 
 
-def _dur_from_matched_ids(per_frame_pred_ids: list[np.ndarray], f0: float) -> float:
-    total = 0
-    n_runs = 0
-    prev: set[int] = set()
-    for arr in per_frame_pred_ids:
-        current = set(arr.tolist())
-        total += len(current)
-        n_runs += len(current - prev)
-        prev = current
-    if n_runs == 0:
+def _run_seconds(matched_pred_ids: list[np.ndarray], f0: float) -> float:
+    """AvgTrackDur from each window frame's matched prediction ids: a run is
+    a maximal span of consecutive window positions where one id is matched;
+    the result is the sum of run lengths / (#runs * f0), 0 with no runs."""
+    if f0 <= 0:
+        raise ValueError("f0 must be positive")
+    ids = np.concatenate([_EMPTY_IDS, *matched_pred_ids])
+    if ids.size == 0:
         return 0.0
-    return total / (n_runs * f0)
+    pos = np.repeat(np.arange(len(matched_pred_ids)), [a.size for a in matched_pred_ids])
+    distinct, dense = np.unique(ids, return_inverse=True)
+    keys = np.unique(pos * distinct.size + dense)
+    # a (position, id) starts a run unless the id was matched one position back
+    n_runs = int(np.count_nonzero(~np.isin(keys - distinct.size, keys)))
+    return keys.size / (n_runs * f0)
 
 
-# ---------------------------------------------------------------------------
-# public whole-window metrics
-# ---------------------------------------------------------------------------
-
-
-def hota(
-    gt: Sequence,
-    pred: Sequence,
-    window: EvalWindow,
-    spec: SimilaritySpec,
-    alpha_grid: tuple[float, ...] = DEFAULT_ALPHA_GRID,
-) -> tuple[float, float, float, float]:
-    """(HOTA, DetA, AssA, LocA) averaged over the alpha grid.
-
-    Matching is partitioned per class; counts are pooled across classes.
-    """
-    if not alpha_grid:
-        raise ValueError("alpha_grid must be nonempty")
-    classes = _classes_present(gt, pred, window)
-    per_alpha = np.zeros((len(alpha_grid), 4))
-    if not classes:
-        return 1.0, 1.0, 1.0, 1.0
-    # pool counts across class partitions by merging per-class frame data
-    datas = [
-        _collect_class_frames(gt, pred, window, spec, c) for c in classes
-    ]
-    merged = _merge_class_frames(datas)
-    scores, _ = _score_alphas(merged, tuple(alpha_grid))
-    per_alpha = np.array(scores)
-    h, d, a, l = per_alpha.mean(axis=0)
-    return float(h), float(d), float(a), float(l)
-
-
-def _merge_class_frames(datas: list[_ClassFrames]) -> _ClassFrames:
-    """Pool class partitions into one stream with disjoint id spaces."""
-    if len(datas) == 1:
-        return datas[0]
-    n_frames = len(datas[0].frames)
-    offset_g = 0
-    offset_p = 0
-    gt_counts: dict[int, int] = {}
-    pred_counts: dict[int, int] = {}
-    total_gt = total_pred = 0
-    parts: list[list[tuple[np.ndarray, np.ndarray, np.ndarray]]] = [
-        [] for _ in range(n_frames)
-    ]
-    frames: list[tuple[np.ndarray, np.ndarray, np.ndarray]] = []
-    for data in datas:
-        for t, (g, p, sim) in enumerate(data.frames):
-            parts[t].append((g + offset_g, p + offset_p, sim))
-        for k, v in data.gt_counts.items():
-            gt_counts[k + offset_g] = v
-        for k, v in data.pred_counts.items():
-            pred_counts[k + offset_p] = v
-        total_gt += data.total_gt
-        total_pred += data.total_pred
-        offset_g += max(data.gt_counts, default=-1) + 1
-        offset_p += max(data.pred_counts, default=-1) + 1
-    for t in range(n_frames):
-        gs = np.concatenate([x[0] for x in parts[t]])
-        ps = np.concatenate([x[1] for x in parts[t]])
-        # block-diagonal similarity: cross-class pairs are never candidates
-        sim = np.zeros((gs.size, ps.size))
-        r = c = 0
-        for g, p, s in parts[t]:
-            sim[r : r + g.size, c : c + p.size] = s
-            r += g.size
-            c += p.size
-        frames.append((gs, ps, sim))
-    return _ClassFrames(frames, total_gt, total_pred, gt_counts, pred_counts)
-
-
-def _classes_present(gt: Sequence, pred: Sequence, window: EvalWindow) -> list[int]:
-    win = set(window.frame_indices)
-    classes: set[int] = set()
-    for fi, dets in gt.frames:
-        if fi in win:
-            classes.update(d.class_id for d in dets)
-    for fi, dets in pred.frames:
-        if fi in win:
-            classes.update(d.class_id for d in dets)
-    return sorted(classes)
-
-
-def detection_ap(
-    gt: Sequence,
-    pred: Sequence,
-    window: EvalWindow,
-    spec: SimilaritySpec,
-    alpha: float,
-    class_id: int | None = None,
-) -> float:
-    """101-point interpolated average precision at gate alpha.
+def _average_precision(data: _ClassFrames, alpha: float) -> float:
+    """101-point interpolated AP at gate alpha.
 
     Predictions are ranked by descending confidence and matched greedily per
-    frame, each ground-truth box consumed at most once.
+    frame, each GT box consumed at most once. A prediction takes the
+    available GT of highest similarity; on an exact tie, the GT with the
+    lower track id.
     """
-    gt_by_frame = gt.as_dict()
-    pred_by_frame = pred.as_dict()
-    # rank key: confidence first, then a canonical order-independent
-    # tie-break so equal-confidence rankings do not depend on input order
-    ranked: list[tuple[tuple, int, int]] = []
-    npos = 0
-    frame_sim: dict[int, np.ndarray] = {}
-    for fi in window.frame_indices:
-        g = [
-            d
-            for d in gt_by_frame.get(fi, ())
-            if class_id is None or d.class_id == class_id
-        ]
-        p = [
-            d
-            for d in pred_by_frame.get(fi, ())
-            if class_id is None or d.class_id == class_id
-        ]
-        sim = similarity_matrix(g, p, spec)
-        if class_id is None:
-            # cross-class pairs are never valid matches
-            g_cls = np.array([d.class_id for d in g], dtype=np.int64)
-            p_cls = np.array([d.class_id for d in p], dtype=np.int64)
-            if sim.size:
-                sim = np.where(g_cls[:, None] == p_cls[None, :], sim, 0.0)
-        frame_sim[fi] = sim
-        npos += len(g)
-        for i, d in enumerate(p):
-            tid = -1 if d.track_id is None else d.track_id
-            key = (
-                -d.confidence,
-                fi,
-                d.class_id,
-                tid,
-                d.box.x,
-                d.box.y,
-                d.box.z,
-            )
-            ranked.append((key, fi, i))
+    npos = int(data.gt_counts.sum())
     if npos == 0:
-        return 1.0 if not ranked else 0.0
-    if not ranked:
+        return 1.0 if not data.ranked else 0.0
+    if not data.ranked:
         return 0.0
-    ranked.sort()
-    available: dict[int, np.ndarray] = {
-        fi: np.ones(s.shape[0], dtype=bool) for fi, s in frame_sim.items()
-    }
+    ranked = sorted(data.ranked)
+    available = [np.ones(g.size, dtype=bool) for g, _, _ in data.frames]
     tps = np.zeros(len(ranked))
-    for rank, (_, fi, pi) in enumerate(ranked):
-        col = frame_sim[fi][:, pi]
-        cand = np.where(available[fi] & (col >= alpha) & (col > 0.0))[0]
+    for rank, (_, t, j) in enumerate(ranked):
+        col = data.frames[t][2][:, j]
+        cand = np.flatnonzero(available[t] & (col >= alpha) & (col > 0.0))
         if cand.size:
-            best_j = int(cand[np.argmax(col[cand])])
-            available[fi][best_j] = False
+            available[t][cand[np.argmax(col[cand])]] = False
             tps[rank] = 1.0
     cum_tp = np.cumsum(tps)
     precision = cum_tp / np.arange(1, len(ranked) + 1)
@@ -452,6 +202,39 @@ def detection_ap(
         mask = recall >= r - 1e-12
         ap += float(precision[mask].max()) if mask.any() else 0.0
     return ap / 101.0
+
+
+# ---------------------------------------------------------------------------
+# public adapters over the cores
+# ---------------------------------------------------------------------------
+
+
+def avg_track_dur(matches: list[FrameMatchSet], f0: float) -> float:
+    """Mean run duration in seconds: sum of run lengths / (#runs * f0).
+
+    Returns 0 when no tracker id is ever matched.
+    """
+    return _run_seconds(
+        [np.array([p for _, p, _ in m.pairs], dtype=np.int64) for m in matches], f0
+    )
+
+
+def detection_ap(
+    gt: Sequence,
+    pred: Sequence,
+    window: EvalWindow,
+    spec: SimilaritySpec,
+    alpha: float,
+    class_id: int,
+) -> float:
+    """101-point interpolated average precision of one class at gate alpha.
+
+    Predictions are ranked by descending confidence and matched greedily per
+    frame, each ground-truth box consumed at most once; an exact similarity
+    tie goes to the GT with the lower track id.
+    """
+    data = _collect_class_frames(gt.as_dict(), pred.as_dict(), window, spec, class_id)
+    return _average_precision(data, alpha)
 
 
 def postprocess_filter(
@@ -589,45 +372,35 @@ def class_report(
     """
     if not alpha_grid:
         raise ValueError("alpha_grid must be nonempty")
-    win = set(window.frame_indices)
-    gt_classes: set[int] = set()
-    for fi, dets in gt.frames:
-        if fi in win:
-            gt_classes.update(d.class_id for d in dets)
-    pred_classes: set[int] = set()
-    for fi, dets in pred.frames:
-        if fi in win:
-            pred_classes.update(d.class_id for d in dets)
+    gt_by_frame = gt.as_dict()
+    pred_by_frame = pred.as_dict()
+
+    def classes(by_frame: dict[int, tuple[Detection, ...]]) -> set[int]:
+        return {d.class_id for fi in window.frame_indices for d in by_frame.get(fi, ())}
+
+    gt_classes = classes(gt_by_frame)
     notes: list[str] = []
-    orphan = sorted(pred_classes - gt_classes)
+    orphan = sorted(classes(pred_by_frame) - gt_classes)
     if orphan:
         logger.warning("dropping predicted classes absent from GT: %s", orphan)
         notes.append(f"dropped predicted classes absent from GT: {orphan}")
 
     alphas = tuple(alpha_grid)
-    dur_index: int
-    if dur_alpha in alphas:
-        all_alphas = alphas
-        dur_index = alphas.index(dur_alpha)
-    else:
-        all_alphas = alphas + (dur_alpha,)
-        dur_index = len(alphas)
+    all_alphas = alphas if dur_alpha in alphas else alphas + (dur_alpha,)
+    dur_index = all_alphas.index(dur_alpha)
 
     per_class: dict[int, ClassMetrics] = {}
     for c in sorted(gt_classes):
-        data = _collect_class_frames(gt, pred, window, spec, c)
+        data = _collect_class_frames(gt_by_frame, pred_by_frame, window, spec, c)
         scores, matched_pred_ids = _score_alphas(data, all_alphas)
-        grid_scores = np.array(scores[: len(alphas)])
-        h, d, a, l = grid_scores.mean(axis=0)
-        dur = _dur_from_matched_ids(matched_pred_ids[dur_index], window.f0)
-        ap = detection_ap(gt, pred, window, spec, dur_alpha, class_id=c)
+        h, d, a, l = np.array(scores[: len(alphas)]).mean(axis=0)
         per_class[c] = ClassMetrics(
             hota=float(h),
             deta=float(d),
             assa=float(a),
             loca=float(l),
-            avg_track_dur_seconds=float(dur),
-            ap=float(ap),
+            avg_track_dur_seconds=_run_seconds(matched_pred_ids[dur_index], window.f0),
+            ap=_average_precision(data, dur_alpha),
         )
 
     if per_class:
@@ -673,47 +446,31 @@ def _pct(v: float) -> str:
     return f"{100.0 * v:.1f}"
 
 
-def report_to_text(report: MetricsReport) -> str:
-    """Aligned table: rate metrics in percent (1 decimal), durations in
-    seconds (1 decimal)."""
-    headers = ["Class", "HOTA", "DetA", "AssA", "LocA", "AP", "AvgTrackDur (s)"]
-    rows: list[list[str]] = []
-    for c, m in sorted(report.per_class.items()):
-        name = report.class_names.get(c, str(c))
-        rows.append(
-            [
-                name,
-                _pct(m.hota),
-                _pct(m.deta),
-                _pct(m.assa),
-                _pct(m.loca),
-                _pct(m.ap),
-                f"{m.avg_track_dur_seconds:.1f}",
-            ]
-        )
-    avg = report.class_average
-    rows.append(
-        [
-            "Average",
-            _pct(avg.hota),
-            _pct(avg.deta),
-            _pct(avg.assa),
-            _pct(avg.loca),
-            _pct(avg.ap),
-            f"{avg.avg_track_dur_seconds:.1f}",
-        ]
-    )
+def _table(headers: list[str], rows: list[list[str]]) -> list[str]:
+    """Right-aligned columns under a dashed rule, two spaces apart."""
     widths = [
-        max(len(headers[i]), max(len(r[i]) for r in rows)) for i in range(len(headers))
+        max(len(headers[i]), max((len(r[i]) for r in rows), default=0))
+        for i in range(len(headers))
     ]
     lines = [
         "  ".join(h.rjust(widths[i]) for i, h in enumerate(headers)),
         "  ".join("-" * w for w in widths),
     ]
-    lines += ["  ".join(r[i].rjust(widths[i]) for i in range(len(r))) for r in rows]
+    return lines + ["  ".join(c.rjust(widths[i]) for i, c in enumerate(r)) for r in rows]
+
+
+def report_to_text(report: MetricsReport) -> str:
+    """Aligned table: rate metrics in percent (1 decimal), durations in
+    seconds (1 decimal)."""
+    headers = ["Class", "HOTA", "DetA", "AssA", "LocA", "AP", "AvgTrackDur (s)"]
+    named = [(report.class_names.get(c, str(c)), m) for c, m in sorted(report.per_class.items())]
+    rows: list[list[str]] = []
+    for name, m in named + [("Average", report.class_average)]:
+        cells = [_pct(v) for v in (m.hota, m.deta, m.assa, m.loca, m.ap)]
+        rows.append([name, *cells, f"{m.avg_track_dur_seconds:.1f}"])
     meta = (
         f"window: {report.window_size} frames "
         f"[{report.first_frame}..{report.last_frame}], f0={report.f0:g} fps, "
         f"dur_alpha={report.dur_alpha:g}, similarity={report.similarity_mode}"
     )
-    return "\n".join(lines + [meta]) + "\n"
+    return "\n".join(_table(headers, rows) + [meta]) + "\n"

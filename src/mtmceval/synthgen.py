@@ -509,7 +509,8 @@ def _oracle_ap(gts, preds, win, spec: SimilaritySpec, alpha: float) -> float:
     for _, fi, j in ranked:
         det = preds[fi][j]
         best_s, best_i = 0.0, -1
-        for i, g in enumerate(gts[fi]):
+        # ascending track id, so an exact tie goes to the lower GT id
+        for i, g in enumerate(sorted(gts[fi], key=lambda d: d.track_id)):
             if i in consumed[fi]:
                 continue
             s = _oracle_sim(g.box, det.box, spec)

@@ -341,6 +341,17 @@ def test_sweep_fps_missing_rate_file(tmp_path, capsys):
     assert "rate 1" in capsys.readouterr().err
 
 
+def test_sweep_fps_rate_above_native_names_rate(tmp_path, capsys):
+    gt_path, pred_dir = make_sweep_dir(tmp_path)
+    (pred_dir / "100fps.csv").write_bytes((pred_dir / "2fps.csv").read_bytes())
+    code = main(
+        ["sweep-fps", "--gt", str(gt_path), "--pred-dir", str(pred_dir),
+         "--rates", "100", "--native-fps", "30", "--eval-fps", "1"]
+    )
+    assert code == 2
+    assert "rate 100" in capsys.readouterr().err
+
+
 def test_sweep_fps_requires_eval_fps(tmp_path, capsys):
     gt_path, pred_dir = make_sweep_dir(tmp_path)
     code = main(

@@ -100,5 +100,6 @@ def test_eval_window_sorts_and_validates():
 
 def test_absent_frames_mean_no_detections():
     seq = make_sequence({0: [_det()], 10: [_det()]}, native_fps=1.0)
-    assert seq.detections_at(5) == ()
-    assert len(seq.detections_at(0)) == 1
+    assert seq.frame_indices == (0, 10)
+    assert seq.as_dict().get(5, ()) == ()
+    assert len(seq.as_dict()[0]) == 1

@@ -75,7 +75,9 @@ def test_subsample_composition():
 def test_subsample_preserves_frame_content():
     seq = gt_sequence(10, 30.0)
     sub = stride_subsample(seq, 5)
-    assert sub.detections_at(5) == seq.detections_at(5)
+    full = seq.as_dict()
+    assert sub.as_dict()[5] == full[5]
+    assert all(dets == full[fi] for fi, dets in sub.frames)
 
 
 # --- controlled window --------------------------------------------------------

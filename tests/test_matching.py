@@ -9,7 +9,7 @@ from mtmceval.matching import (
     SimilaritySpec,
     hungarian,
     match_frame,
-    similarity,
+    similarity_matrix,
 )
 
 BEV = SimilaritySpec(mode="bev_iou")
@@ -22,6 +22,17 @@ def box(x, y, w=2.0, l=2.0):
 
 def det(x, y, track_id, class_id=0, conf=1.0, w=2.0, l=2.0):
     return Detection(box=box(x, y, w, l), class_id=class_id, confidence=conf, track_id=track_id)
+
+
+def similarity(a, b, spec):
+    """Similarity of two boxes, read off a 1 x 1 similarity_matrix."""
+    sim = similarity_matrix(
+        [Detection(box=a, class_id=0, track_id=0)],
+        [Detection(box=b, class_id=0, track_id=0)],
+        spec,
+    )
+    assert sim.shape == (1, 1)
+    return float(sim[0, 0])
 
 
 def brute_force_min_cost(cost):
@@ -79,14 +90,22 @@ def test_center_distance_linear_ramp():
 
 def test_similarity_symmetry():
     rng = np.random.default_rng(1)
-    for _ in range(1000):
-        a = box(*rng.uniform(-5, 5, 2), *rng.uniform(0.5, 3, 2))
-        b = box(*rng.uniform(-5, 5, 2), *rng.uniform(0.5, 3, 2))
-        for spec in (BEV, SimilaritySpec(mode="center_distance", d_max=4.0)):
-            sa = similarity(a, b, spec)
-            sb = similarity(b, a, spec)
-            assert sa == sb
-            assert 0.0 <= sa <= 1.0
+
+    def random_dets():
+        xy = rng.uniform(-5, 5, (1000, 2))
+        wl = rng.uniform(0.5, 3, (1000, 2))
+        return [det(*xy[i], i, w=wl[i, 0], l=wl[i, 1]) for i in range(1000)]
+
+    a, b = random_dets(), random_dets()
+    for spec in (BEV, SimilaritySpec(mode="center_distance", d_max=4.0)):
+        sab = similarity_matrix(a, b, spec)
+        assert sab.shape == (1000, 1000)
+        assert np.array_equal(sab, similarity_matrix(b, a, spec).T)
+        assert np.all((0.0 <= sab) & (sab <= 1.0))
+        # the matrix agrees with pairwise 1 x 1 evaluations
+        for i in range(0, 1000, 97):
+            assert similarity(a[i].box, b[i].box, spec) == sab[i, i]
+    assert np.count_nonzero(similarity_matrix(a, b, BEV)) > 0
 
 
 def test_hungarian_diagonal_optimum():
@@ -149,9 +168,7 @@ def test_match_frame_equals_brute_force(seed):
     spec = SimilaritySpec(mode="center_distance", d_max=4.0)
     alpha = float(rng.uniform(0.1, 0.9))
     result = match_frame(gt, pred, alpha, spec)
-    sim = np.array(
-        [[similarity(g.box, p.box, spec) for p in pred] for g in gt]
-    )
+    sim = similarity_matrix(gt, pred, spec)
     total = sum(s for _, _, s in result.pairs)
     assert total == pytest.approx(brute_force_gated_match(sim, alpha), abs=1e-12)
 

@@ -5,22 +5,20 @@ import pytest
 
 from mtmceval.datamodel import Box3D, Detection, EvalWindow, make_sequence
 from mtmceval.matching import FrameMatchSet, SimilaritySpec
+from mtmceval import metrics
 from mtmceval.metrics import (
     DEFAULT_ALPHA_GRID,
-    association_ledger,
     avg_track_dur,
     class_report,
     detection_ap,
-    extract_runs,
-    hota,
-    hota_at_alpha,
-    match_indicator_series,
     postprocess_filter,
     report_to_json,
     report_to_text,
 )
+from mtmceval.synthgen import oracle_metrics
 
 CD = SimilaritySpec(mode="center_distance", d_max=1.0)
+CD2 = SimilaritySpec(mode="center_distance", d_max=2.0)
 CD4 = SimilaritySpec(mode="center_distance", d_max=4.0)
 
 
@@ -52,17 +50,32 @@ def fms(pairs=(), unmatched_gt=(), unmatched_pred=()):
     )
 
 
-# --- indicator / runs / duration -------------------------------------------
+# --- match indicator / runs / duration ---------------------------------------
+
+
+def series_matches(series_by_id):
+    """Per-frame match sets from {tracker_id: 0/1 series}: a 1 matches the id
+    (to GT 1), a 0 leaves it present but unmatched."""
+    n = len(next(iter(series_by_id.values())))
+    return [
+        fms(
+            pairs=[(1, k, 1.0) for k, s in series_by_id.items() if s[t]],
+            unmatched_pred=[k for k, s in series_by_id.items() if not s[t]],
+        )
+        for t in range(n)
+    ]
 
 
 def test_indicator_all_matched():
     matches = [fms(pairs=[(1, 9, 1.0)])] * 4
-    assert match_indicator_series(matches, 9) == [1, 1, 1, 1]
+    assert avg_track_dur(matches, f0=1.0) == 4.0
+    assert avg_track_dur(matches, f0=2.0) == 2.0
 
 
 def test_indicator_never_present():
-    matches = [fms()] * 3
-    assert match_indicator_series(matches, 9) == [0, 0, 0]
+    assert avg_track_dur([fms()] * 3, f0=1.0) == 0.0
+    unmatched = [fms(unmatched_pred=[9], unmatched_gt=[1])] * 3
+    assert avg_track_dur(unmatched, f0=1.0) == 0.0
 
 
 def test_indicator_present_but_unmatched_counts_zero():
@@ -73,19 +86,17 @@ def test_indicator_present_but_unmatched_counts_zero():
         fms(pairs=[(1, 9, 1.0)]),
         fms(unmatched_pred=[9], unmatched_gt=[1]),
     ]
-    assert match_indicator_series(matches, 9) == [1, 1, 0, 1, 0]
+    # runs [0, 1] and [3]: 3 matched frames over 2 runs
+    assert avg_track_dur(matches, f0=1.0) == 1.5
 
 
 def test_extract_runs_simple():
-    runs = extract_runs([1, 1, 1])
-    assert len(runs) == 1
-    assert runs[0].duration_frames == 3
+    assert avg_track_dur(series_matches({9: [1, 1, 1]}), f0=1.0) == 3.0
 
 
 def test_extract_runs_split():
-    runs = extract_runs([1, 0, 1])
-    assert [r.duration_frames for r in runs] == [1, 1]
-    assert [(r.start, r.end) for r in runs] == [(0, 0), (2, 2)]
+    # two runs of one frame each, not one run of two
+    assert avg_track_dur(series_matches({9: [1, 0, 1]}), f0=1.0) == 1.0
 
 
 def naive_runs(series):
@@ -106,8 +117,10 @@ def naive_runs(series):
 @pytest.mark.parametrize("seed", range(10))
 def test_extract_runs_random_vs_naive(seed):
     rng = np.random.default_rng(seed)
-    series = rng.integers(0, 2, size=50).tolist()
-    assert [(r.start, r.end) for r in extract_runs(series)] == naive_runs(series)
+    series = {k: rng.integers(0, 2, size=50).tolist() for k in (3, 9, 2**40)}
+    runs = [r for s in series.values() for r in naive_runs(s)]
+    total = sum(end - start + 1 for start, end in runs)
+    assert avg_track_dur(series_matches(series), f0=2.0) == total / (len(runs) * 2.0)
 
 
 def test_avg_track_dur_single_run():
@@ -134,55 +147,64 @@ def test_avg_track_dur_perfect_scale():
     assert avg_track_dur(matches, f0=1.0) == 300.0
 
 
-# --- association ledger / per-alpha HOTA ------------------------------------
+# --- association counts / per-alpha HOTA ------------------------------------
+
+
+def single_alpha(gt, pred, f0=1.0, spec=CD):
+    win = EvalWindow(frame_indices=gt.frame_indices, f0=f0)
+    return class_report(gt, pred, win, spec, alpha_grid=(0.5,), dur_alpha=0.5)
 
 
 def test_ledger_perfect_single_object():
-    matches = [fms(pairs=[(1, 9, 1.0)])] * 3
-    led = association_ledger(matches, alpha=0.5)
-    assert (led.tp, led.fn, led.fp) == (3, 0, 0)
-    assert led.tpa == {(1, 9): 3}
-    assert led.fna == {(1, 9): 0}
-    assert led.fpa == {(1, 9): 0}
-    h, d, a, l = hota_at_alpha(led, matches)
-    assert (h, d, a, l) == (1.0, 1.0, 1.0, 1.0)
+    gt = seq_from_positions({f: [(0.0, 0.0, 1)] for f in range(3)})
+    pred = seq_from_positions({f: [(0.0, 0.0, 9)] for f in range(3)})
+    m = single_alpha(gt, pred).per_class[0]
+    assert (m.hota, m.deta, m.assa, m.loca, m.ap) == (1.0, 1.0, 1.0, 1.0, 1.0)
+    assert m.avg_track_dur_seconds == 3.0
 
 
 def test_ledger_identity_split():
-    matches = [fms(pairs=[(10, 100, 1.0)]), fms(pairs=[(10, 101, 1.0)])]
-    led = association_ledger(matches, alpha=0.5)
-    assert led.tp == 2
-    assert led.tpa == {(10, 100): 1, (10, 101): 1}
-    assert led.fna == {(10, 100): 1, (10, 101): 1}
-    assert led.fpa == {(10, 100): 0, (10, 101): 0}
-    h, d, a, l = hota_at_alpha(led, matches)
-    assert d == 1.0
-    assert a == 0.5
-    assert h == pytest.approx(math.sqrt(0.5), abs=1e-15)
+    gt = seq_from_positions({0: [(0.0, 0.0, 10)], 1: [(0.0, 0.0, 10)]})
+    pred = seq_from_positions({0: [(0.0, 0.0, 100)], 1: [(0.0, 0.0, 101)]})
+    m = single_alpha(gt, pred).per_class[0]
+    assert m.deta == 1.0
+    assert m.assa == 0.5
+    assert m.hota == pytest.approx(math.sqrt(0.5), abs=1e-15)
+    assert m.loca == 1.0
+    assert m.avg_track_dur_seconds == 1.0
 
 
 def test_hota_at_alpha_no_predictions():
-    matches = [fms(unmatched_gt=[1, 2])] * 2
-    led = association_ledger(matches, alpha=0.5)
-    assert hota_at_alpha(led, matches) == (0.0, 0.0, 0.0, 0.0)
+    gt = seq_from_positions({f: [(0.0, 0.0, 1), (5.0, 0.0, 2)] for f in range(2)})
+    m = single_alpha(gt, make_sequence({}, native_fps=1.0)).per_class[0]
+    assert (m.hota, m.deta, m.assa, m.loca, m.ap) == (0.0, 0.0, 0.0, 0.0, 0.0)
+    assert m.avg_track_dur_seconds == 0.0
 
 
 def test_hota_at_alpha_empty_scene():
-    matches = [fms()] * 3
-    led = association_ledger(matches, alpha=0.5)
-    assert hota_at_alpha(led, matches) == (1.0, 1.0, 1.0, 1.0)
+    empty = make_sequence({f: [] for f in range(3)}, native_fps=1.0)
+    rep = single_alpha(empty, empty)
+    assert rep.per_class == {}
+    m = rep.class_average
+    assert (m.hota, m.deta, m.assa, m.loca, m.ap) == (1.0, 1.0, 1.0, 1.0, 1.0)
+    assert m.avg_track_dur_seconds == 0.0
 
 
 def test_hota_square_identity():
     rng = np.random.default_rng(3)
     for _ in range(20):
-        matches = []
-        for _ in range(6):
-            pairs = [(int(rng.integers(0, 3)), int(rng.integers(0, 3)), float(rng.uniform(0.5, 1)))]
-            matches.append(fms(pairs=pairs, unmatched_gt=[9], unmatched_pred=[9]))
-        led = association_ledger(matches, alpha=0.5)
-        h, d, a, _ = hota_at_alpha(led, matches)
-        assert h * h == pytest.approx(d * a, abs=1e-12)
+        gt_frames, pred_frames = {}, {}
+        for f in range(6):
+            gt_frames[f] = [det(*rng.uniform(-1, 1, 2), int(k)) for k in rng.permutation(3)]
+            pred_frames[f] = [det(*rng.uniform(-1, 1, 2), int(k)) for k in rng.permutation(3)]
+            # a GT and a prediction that never match anything
+            gt_frames[f].append(det(50.0, 50.0, 9))
+            pred_frames[f].append(det(-50.0, -50.0, 9))
+        gt = make_sequence(gt_frames, native_fps=1.0)
+        pred = make_sequence(pred_frames, native_fps=1.0)
+        m = single_alpha(gt, pred, spec=CD4).per_class[0]
+        assert 0.0 < m.deta < 1.0
+        assert m.hota * m.hota == pytest.approx(m.deta * m.assa, abs=1e-12)
 
 
 # --- grid-integrated HOTA ----------------------------------------------------
@@ -191,7 +213,8 @@ def test_hota_square_identity():
 def test_hota_perfect_tracker():
     gt = seq_from_positions({f: [(0.0, 0.0, 1), (5.0, 5.0, 2)] for f in range(5)})
     win = EvalWindow(frame_indices=gt.frame_indices, f0=1.0)
-    assert hota(gt, gt, win, CD) == (1.0, 1.0, 1.0, 1.0)
+    m = class_report(gt, gt, win, CD).per_class[0]
+    assert (m.hota, m.deta, m.assa, m.loca) == (1.0, 1.0, 1.0, 1.0)
 
 
 def test_hota_uniform_shift_hand_grid():
@@ -199,13 +222,13 @@ def test_hota_uniform_shift_hand_grid():
     gt = seq_from_positions({f: [(0.0, 0.0, 1)] for f in range(4)})
     pred = seq_from_positions({f: [(0.6, 0.0, 1)] for f in range(4)})
     win = EvalWindow(frame_indices=gt.frame_indices, f0=1.0)
-    h, d, a, l = hota(gt, pred, win, CD)
+    m = class_report(gt, pred, win, CD).per_class[0]
     matched = [alpha for alpha in DEFAULT_ALPHA_GRID if 0.4 >= alpha]
     frac = len(matched) / len(DEFAULT_ALPHA_GRID)
-    assert h == pytest.approx(frac, abs=1e-12)
-    assert d == pytest.approx(frac, abs=1e-12)
-    assert a == pytest.approx(frac, abs=1e-12)
-    assert l == pytest.approx(0.4 * frac, abs=1e-12)
+    assert m.hota == pytest.approx(frac, abs=1e-12)
+    assert m.deta == pytest.approx(frac, abs=1e-12)
+    assert m.assa == pytest.approx(frac, abs=1e-12)
+    assert m.loca == pytest.approx(0.4 * frac, abs=1e-12)
 
 
 # --- detection AP ------------------------------------------------------------
@@ -214,14 +237,14 @@ def test_hota_uniform_shift_hand_grid():
 def test_ap_perfect():
     gt = seq_from_positions({0: [(0.0, 0.0, 1)], 1: [(2.0, 0.0, 1)]})
     win = EvalWindow(frame_indices=(0, 1), f0=1.0)
-    assert detection_ap(gt, gt, win, CD, alpha=0.5) == 1.0
+    assert detection_ap(gt, gt, win, CD, alpha=0.5, class_id=0) == 1.0
 
 
 def test_ap_no_predictions():
     gt = seq_from_positions({0: [(0.0, 0.0, 1)]})
     pred = make_sequence({}, native_fps=1.0)
     win = EvalWindow(frame_indices=(0,), f0=1.0)
-    assert detection_ap(gt, pred, win, CD, alpha=0.5) == 0.0
+    assert detection_ap(gt, pred, win, CD, alpha=0.5, class_id=0) == 0.0
 
 
 def test_ap_hand_curve_with_mid_ranked_fp():
@@ -239,7 +262,54 @@ def test_ap_hand_curve_with_mid_ranked_fp():
     win = EvalWindow(frame_indices=(0,), f0=1.0)
     # ranked: TP (p=1, r=.5), FP (p=.5, r=.5), TP (p=2/3, r=1)
     expected = (51 * 1.0 + 50 * (2 / 3)) / 101
-    assert detection_ap(gt, pred, win, CD, alpha=0.5) == pytest.approx(expected, abs=1e-12)
+    assert detection_ap(gt, pred, win, CD, alpha=0.5, class_id=0) == pytest.approx(expected, abs=1e-12)
+
+
+@pytest.mark.parametrize("gt_order", [(2, 1), (1, 2)])
+def test_ap_exact_tie_goes_to_lower_gt_id(gt_order):
+    # A sits exactly between GT 1 and GT 2 (similarity 0.5 to each); only
+    # GT 2 is within reach of B, so A must take GT 1 for both to count
+    where = {1: (-1.0, 0.0), 2: (1.0, 0.0)}
+    gt = make_sequence({0: [det(*where[k], k) for k in gt_order]}, native_fps=1.0)
+    pred = make_sequence(
+        {0: [det(0.0, 0.0, 10, conf=0.9), det(1.9, 0.0, 11, conf=0.8)]}, native_fps=1.0
+    )
+    win = EvalWindow(frame_indices=(0,), f0=1.0)
+    rep = class_report(gt, pred, win, CD2, dur_alpha=0.5)
+    assert rep.per_class[0].ap == 1.0
+    assert detection_ap(gt, pred, win, CD2, alpha=0.5, class_id=0) == 1.0
+    assert oracle_metrics(gt, pred, win, CD2, dur_alpha=0.5).per_class[0].ap == 1.0
+
+
+def test_class_report_large_track_ids():
+    big = 2**40
+    gt = make_sequence(
+        {f: [det(0.0, 0.0, big + 1), det(3.0, 0.0, big + 2)] for f in range(4)},
+        native_fps=2.0,
+    )
+    win = EvalWindow(frame_indices=gt.frame_indices, f0=2.0)
+    m = class_report(gt, gt, win, CD).per_class[0]
+    assert (m.hota, m.deta, m.assa, m.ap) == (1.0, 1.0, 1.0, 1.0)
+    assert m.avg_track_dur_seconds == len(win) / win.f0
+
+
+def test_class_report_builds_each_similarity_matrix_once(monkeypatch):
+    calls = []
+    real = metrics.similarity_matrix
+
+    def counting(gt, pred, spec):
+        calls.append(1)
+        return real(gt, pred, spec)
+
+    monkeypatch.setattr(metrics, "similarity_matrix", counting)
+    frames = {
+        f: [det(0.0, 0.0, 1, class_id=0), det(5.0, 0.0, 2, class_id=1)] for f in range(5)
+    }
+    gt = make_sequence(frames, native_fps=1.0)
+    win = EvalWindow(frame_indices=gt.frame_indices, f0=1.0)
+    rep = class_report(gt, gt, win, CD)
+    assert set(rep.per_class) == {0, 1}
+    assert len(calls) == len(win) * 2
 
 
 # --- post-processing filter --------------------------------------------------
