@@ -10,12 +10,14 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
+import numbers
 import sys
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 from .anchors import collect_centers, emit_anchor_bank, kmeans
-from .datamodel import EvalWindow, Sequence, make_sequence
+from .datamodel import Sequence, make_sequence
 from .fpslab import (
     SweepSpec,
     controlled_window,
@@ -37,6 +39,7 @@ from .matching import SimilaritySpec
 from .metrics import (
     DEFAULT_ALPHA_GRID,
     DEFAULT_DUR_ALPHA,
+    _roi_contains,
     class_report,
     postprocess_filter,
     report_to_json,
@@ -67,8 +70,31 @@ class ToolConfig:
     anchor_k: int = 900
     seed: int = 0
 
+    def __post_init__(self) -> None:
+        self.similarity_spec()
+        if not self.alpha_grid:
+            raise ValueError("alpha_grid must be nonempty")
+        for alpha in self.alpha_grid:
+            _require("alpha_grid entry", alpha, 1.0)
+        _require("dur_alpha", self.dur_alpha, 1.0)
+        _require("native_fps", self.native_fps)
+        if self.eval_fps is not None:
+            _require("eval_fps", self.eval_fps)
+        if self.roi is not None:
+            try:
+                _roi_contains(self.roi)
+            except (TypeError, ValueError) as exc:
+                raise ValueError(f"roi {self.roi!r}: {exc}") from None
+
     def similarity_spec(self) -> SimilaritySpec:
         return SimilaritySpec(mode=self.similarity_mode, d_max=self.d_max)
+
+
+def _require(key: str, value: object, upper: float = math.inf) -> None:
+    """Raise ValueError naming key and value unless 0 < value <= upper."""
+    if not (isinstance(value, numbers.Real) and 0 < value <= upper):
+        rule = "positive" if upper == math.inf else f"in (0, {upper:g}]"
+        raise ValueError(f"{key} must be {rule}, got {value!r}")
 
 
 def load_config(path: str | None) -> ToolConfig:
@@ -93,27 +119,27 @@ def load_config(path: str | None) -> ToolConfig:
         "anchor_k",
         "seed",
     }
-    for key, value in raw.items():
-        if key in simple:
-            kwargs[key] = value
-        elif key == "alpha_grid":
-            kwargs[key] = tuple(value)
-        elif key == "class_names":
-            kwargs[key] = {int(k): str(v) for k, v in value.items()}
-        elif key == "roi":
-            if value is None:
-                kwargs[key] = None
-            elif isinstance(value[0], list):
-                kwargs[key] = [tuple(v) for v in value]
-            else:
-                kwargs[key] = tuple(value)
-        elif key == "grid":
-            kwargs[key] = GridConfig(**value)
-        else:
-            raise InputError(f"config file {path}: unknown key {key!r}")
     try:
+        for key, value in raw.items():
+            if key in simple:
+                kwargs[key] = value
+            elif key == "alpha_grid":
+                kwargs[key] = tuple(value)
+            elif key == "class_names":
+                kwargs[key] = {int(k): str(v) for k, v in value.items()}
+            elif key == "roi":
+                if value is None:
+                    kwargs[key] = None
+                elif value and isinstance(value[0], list):
+                    kwargs[key] = [tuple(v) for v in value]
+                else:
+                    kwargs[key] = tuple(value)
+            elif key == "grid":
+                kwargs[key] = GridConfig(**value)
+            else:
+                raise InputError(f"config file {path}: unknown key {key!r}")
         return replace(cfg, **kwargs)
-    except (TypeError, ValueError) as exc:
+    except (AttributeError, TypeError, ValueError) as exc:
         raise InputError(f"config file {path}: {exc}") from None
 
 
@@ -128,65 +154,46 @@ def _load_tracks(path: str, native_fps: float) -> Sequence:
         raise InputError(f"{path}: {exc}") from None
 
 
-def _limit_frames(seq: Sequence, max_frames: int | None) -> Sequence:
-    if max_frames is None:
-        return seq
-    return Sequence(
-        frames=tuple(f for f in seq.frames if f[0] < max_frames),
-        native_fps=seq.native_fps,
-        scene_name=seq.scene_name,
-    )
-
-
-def _build_window(gt: Sequence, cfg: ToolConfig) -> EvalWindow:
-    if not gt.frames:
-        raise InputError("ground truth has no frames")
-    if cfg.eval_fps is not None:
-        try:
-            return controlled_window(gt, cfg.native_fps, cfg.eval_fps)
-        except ValueError as exc:
-            raise InputError(str(exc)) from None
-    return EvalWindow(frame_indices=gt.frame_indices, f0=cfg.native_fps)
-
-
 def _apply_overrides(cfg: ToolConfig, args: argparse.Namespace) -> ToolConfig:
     updates: dict = {}
     for flag, key in (
         ("native_fps", "native_fps"),
         ("eval_fps", "eval_fps"),
         ("dur_alpha", "dur_alpha"),
-        ("similarity", "similarity_mode"),
-        ("d_max", "d_max"),
-        ("conf_threshold", "conf_threshold"),
         ("seed", "seed"),
         ("k", "anchor_k"),
     ):
         value = getattr(args, flag, None)
         if value is not None:
             updates[key] = value
-    if updates:
-        cfg = replace(cfg, **updates)
-    return cfg
+    try:
+        return replace(cfg, **updates)
+    except ValueError as exc:
+        raise InputError(f"bad flag value: {exc}") from None
 
 
 def cmd_evaluate(args: argparse.Namespace) -> int:
     cfg = _apply_overrides(load_config(args.config), args)
-    gt = _limit_frames(_load_tracks(args.gt, cfg.native_fps), args.max_frames)
-    pred = _limit_frames(_load_tracks(args.pred, cfg.native_fps), args.max_frames)
-    if cfg.roi is not None or cfg.conf_threshold > 0:
-        roi = cfg.roi if cfg.roi is not None else (-1e9, -1e9, 1e9, 1e9)
-        pred = postprocess_filter(pred, roi, cfg.conf_threshold)
-    window = _build_window(gt, cfg)
-    report = class_report(
-        gt,
-        pred,
-        window,
-        cfg.similarity_spec(),
-        alpha_grid=cfg.alpha_grid,
-        dur_alpha=cfg.dur_alpha,
-        primary_class=cfg.primary_class,
-        class_names=cfg.class_names,
-    )
+    gt = _load_tracks(args.gt, cfg.native_fps)
+    pred = _load_tracks(args.pred, cfg.native_fps)
+    pred = postprocess_filter(pred, cfg.roi, cfg.conf_threshold)
+    try:
+        window = controlled_window(gt, cfg.native_fps, cfg.eval_fps or cfg.native_fps)
+        if args.max_frames is not None:
+            kept = [f for f in window.frame_indices if f < args.max_frames]
+            window = replace(window, frame_indices=kept)
+        report = class_report(
+            gt,
+            pred,
+            window,
+            cfg.similarity_spec(),
+            alpha_grid=cfg.alpha_grid,
+            dur_alpha=cfg.dur_alpha,
+            primary_class=cfg.primary_class,
+            class_names=cfg.class_names,
+        )
+    except ValueError as exc:
+        raise InputError(str(exc)) from None
     sys.stdout.write(report_to_text(report))
     if args.per_class:
         for c, m in sorted(report.per_class.items()):
@@ -218,6 +225,7 @@ def cmd_sweep_fps(args: argparse.Namespace) -> int:
             alpha_grid=cfg.alpha_grid,
             similarity=cfg.similarity_spec(),
             primary_class=cfg.primary_class,
+            class_names=cfg.class_names,
         )
     except ValueError as exc:
         raise InputError(str(exc)) from None
@@ -228,7 +236,8 @@ def cmd_sweep_fps(args: argparse.Namespace) -> int:
         path = pred_dir / f"{rate:g}fps.csv"
         if not path.exists():
             raise InputError(f"missing prediction file for rate {rate:g}: {path}")
-        outputs[rate] = _load_tracks(str(path), cfg.native_fps / stride_for(cfg.native_fps, rate))
+        pred = _load_tracks(str(path), cfg.native_fps / stride_for(cfg.native_fps, rate))
+        outputs[rate] = postprocess_filter(pred, cfg.roi, cfg.conf_threshold)
     try:
         rows = fps_sweep(gt, outputs, spec)
     except ValueError as exc:

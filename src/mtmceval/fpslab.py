@@ -1,14 +1,14 @@
-"""Low-FPS robustness protocol: stride subsampling and a fixed controlled
-evaluation window shared by every inference rate.
+"""Low-FPS robustness protocol on the native frame grid.
 
-Subsampling anchors at position 0 of the ordered frame list, so windows at
-different rates nest: the 1 FPS window is contained in every higher-rate
-subsample of the same stream.
+Every frame selection is the grid first + k*s of native frame indices,
+anchored at the first GT frame. The controlled window spans the first to the
+last GT frame at s = native_fps / eval_fps; a frame without rows has no
+detections. Each rate's stride divides the window's, so windows nest.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import json
 
@@ -35,16 +35,15 @@ class SweepSpec:
     alpha_grid: tuple[float, ...] = DEFAULT_ALPHA_GRID
     similarity: SimilaritySpec = SimilaritySpec()
     primary_class: int = 0
+    class_names: dict[int, str] = field(default_factory=dict)
 
     def __post_init__(self) -> None:
         if not self.inference_rates:
             raise ValueError("inference_rates must be nonempty")
+        window_stride = stride_for(self.native_fps, self.eval_fps)
         for rate in self.inference_rates:
-            stride_for(self.native_fps, rate)
-        if self.eval_fps > min(self.inference_rates):
-            raise ValueError(
-                "eval_fps must not exceed the lowest inference rate"
-            )
+            if window_stride % stride_for(self.native_fps, rate):
+                raise ValueError(f"eval_fps {self.eval_fps:g} must divide rate {rate:g}")
 
 
 def stride_for(native_fps: float, rate: float) -> int:
@@ -62,28 +61,30 @@ def stride_for(native_fps: float, rate: float) -> int:
 
 
 def stride_subsample(seq: Sequence, keep_one_of: int) -> Sequence:
-    """Retain positions 0, n, 2n, ... of the ordered frame list.
+    """Keep the frames on the grid first + k*n, where first is the sequence's
+    first frame index; frames between grid points are dropped.
 
     The effective frame rate drops to native_fps / n; retained frames keep
     their native indices.
     """
     if keep_one_of < 1:
         raise ValueError("keep_one_of must be >= 1")
-    kept = [seq.frames[i] for i in range(0, len(seq.frames), keep_one_of)]
+    first = seq.frames[0][0] if seq.frames else 0
     return Sequence(
-        frames=tuple(kept),
+        frames=tuple(f for f in seq.frames if (f[0] - first) % keep_one_of == 0),
         native_fps=seq.native_fps / keep_one_of,
         scene_name=seq.scene_name,
     )
 
 
 def controlled_window(gt: Sequence, native_fps: float, eval_fps: float) -> EvalWindow:
-    """The fixed evaluation subset: positions 0, s, 2s, ... of the GT frame
-    list with s = native_fps / eval_fps; f0 = eval_fps."""
+    """The fixed evaluation window: native frames first, first + s, ... up to
+    the last GT frame, with s = native_fps / eval_fps and first the first GT
+    frame; f0 = eval_fps. Grid frames without GT rows stay in the window."""
     s = stride_for(native_fps, eval_fps)
-    indices = [gt.frames[i][0] for i in range(0, len(gt.frames), s)]
-    if not indices:
+    if not gt.frames:
         raise ValueError("ground truth has no frames to window")
+    indices = range(gt.frames[0][0], gt.frames[-1][0] + 1, s)
     return EvalWindow(frame_indices=tuple(indices), f0=eval_fps)
 
 
@@ -94,8 +95,9 @@ def fps_sweep(
 ) -> list[tuple[float, MetricsReport]]:
     """Score each rate's tracker output on the identical controlled window.
 
-    Rows come back ordered by descending rate. A tracker output missing any
-    window frame is rejected, naming the rate and the missing frames.
+    Rows come back ordered by descending rate. A window frame without rows
+    has no detections; rows off the rate's grid (first GT frame + k *
+    native_fps / rate) are rejected, naming the rate and the frames.
     """
     window = controlled_window(gt, spec.native_fps, spec.eval_fps)
     rows: list[tuple[float, MetricsReport]] = []
@@ -103,11 +105,12 @@ def fps_sweep(
         if rate not in tracker_outputs:
             raise ValueError(f"no tracker output supplied for rate {rate}")
         out = tracker_outputs[rate]
-        missing = sorted(set(window.frame_indices) - set(out.frame_indices))
-        if missing:
+        s = stride_for(spec.native_fps, rate)
+        off = [fi for fi in out.frame_indices if (fi - window.frame_indices[0]) % s]
+        if off:
             raise ValueError(
-                f"tracker output at rate {rate} is missing window frames "
-                f"{missing[:10]}{'...' if len(missing) > 10 else ''}"
+                f"tracker output at rate {rate} has rows off its frame grid: "
+                f"frames {off[:10]}{'...' if len(off) > 10 else ''}"
             )
         report = class_report(
             gt,
@@ -117,6 +120,7 @@ def fps_sweep(
             alpha_grid=spec.alpha_grid,
             dur_alpha=spec.dur_alpha,
             primary_class=spec.primary_class,
+            class_names=spec.class_names,
         )
         rows.append((rate, report))
     return rows

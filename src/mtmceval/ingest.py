@@ -138,6 +138,8 @@ def parse_tracks(
                 line_no, "row", f"expected 11 or 13 columns, got {len(parts)}"
             )
         frame = _parse_int(parts[0], line_no, "frame")
+        if frame < 0:
+            raise ParseError(line_no, "frame", "must be non-negative")
         if last_frame is not None and frame < last_frame:
             raise ParseError(
                 line_no, "frame", f"frame regression: {frame} after {last_frame}"
@@ -171,18 +173,17 @@ def parse_tracks(
         )
         if last_frame != frame:
             frames.append((frame, []))
+            seen_ids: set[tuple[int, int]] = set()
             last_frame = frame
         if track_id is not None:
-            if any(
-                d.track_id == track_id and d.class_id == class_id
-                for d in frames[-1][1]
-            ):
+            if (track_id, class_id) in seen_ids:
                 raise ParseError(
                     line_no,
                     "track_id",
                     f"duplicate (track_id={track_id}, class_id={class_id}) in "
                     f"frame {frame}",
                 )
+            seen_ids.add((track_id, class_id))
         frames[-1][1].append(det)
     return make_sequence(frames, native_fps=native_fps, scene_name=scene_name)
 

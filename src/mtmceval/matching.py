@@ -10,6 +10,7 @@ matching.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -32,8 +33,8 @@ class SimilaritySpec:
     def __post_init__(self) -> None:
         if self.mode not in ("bev_iou", "center_distance"):
             raise ValueError(f"unknown similarity mode {self.mode!r}")
-        if self.mode == "center_distance" and self.d_max <= 0:
-            raise ValueError("d_max must be positive for center_distance")
+        if not (isinstance(self.d_max, numbers.Real) and self.d_max > 0):
+            raise ValueError(f"d_max must be positive, got {self.d_max!r}")
 
 
 @dataclass(frozen=True)

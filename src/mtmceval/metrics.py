@@ -30,6 +30,7 @@ import json
 import logging
 import math
 from dataclasses import dataclass, field
+from typing import Callable
 
 import numpy as np
 
@@ -237,47 +238,53 @@ def detection_ap(
     return _average_precision(data, alpha)
 
 
-def postprocess_filter(
-    seq: Sequence,
+def _roi_contains(
     roi: tuple[float, float, float, float] | list[tuple[float, float]],
-    conf_threshold: float,
-) -> Sequence:
-    """Keep detections whose (x, y) center lies inside the ROI and whose
-    confidence clears the threshold; frame structure is preserved.
-
-    ROI is either an axis-aligned (xmin, ymin, xmax, ymax) rectangle or a
-    convex polygon given as a vertex list.
-    """
+) -> Callable[[float, float], bool]:
+    """The point-in-ROI test for an axis-aligned (xmin, ymin, xmax, ymax)
+    rectangle or a convex polygon given as a vertex list; a malformed or
+    degenerate ROI raises ValueError or TypeError."""
     if isinstance(roi, tuple) and len(roi) == 4 and not isinstance(roi[0], tuple):
-        xmin, ymin, xmax, ymax = roi
+        xmin, ymin, xmax, ymax = (float(v) for v in roi)
         if xmax <= xmin or ymax <= ymin:
             raise ValueError("degenerate ROI rectangle")
+        return lambda x, y: xmin <= x <= xmax and ymin <= y <= ymax
 
-        def inside(x: float, y: float) -> bool:
-            return xmin <= x <= xmax and ymin <= y <= ymax
+    verts = [(float(x), float(y)) for x, y in roi]
+    if len(verts) < 3:
+        raise ValueError("ROI polygon needs at least 3 vertices")
+    area2 = sum(
+        verts[i][0] * verts[(i + 1) % len(verts)][1]
+        - verts[(i + 1) % len(verts)][0] * verts[i][1]
+        for i in range(len(verts))
+    )
+    if area2 == 0:
+        raise ValueError("degenerate ROI polygon (zero area)")
+    orient = 1.0 if area2 > 0 else -1.0
 
-    else:
-        verts = list(roi)  # type: ignore[arg-type]
-        if len(verts) < 3:
-            raise ValueError("ROI polygon needs at least 3 vertices")
-        area2 = sum(
-            verts[i][0] * verts[(i + 1) % len(verts)][1]
-            - verts[(i + 1) % len(verts)][0] * verts[i][1]
-            for i in range(len(verts))
-        )
-        if area2 == 0:
-            raise ValueError("degenerate ROI polygon (zero area)")
-        orient = 1.0 if area2 > 0 else -1.0
+    def inside(x: float, y: float) -> bool:
+        for i in range(len(verts)):
+            x1, y1 = verts[i]
+            x2, y2 = verts[(i + 1) % len(verts)]
+            cross = (x2 - x1) * (y - y1) - (y2 - y1) * (x - x1)
+            if orient * cross < 0:
+                return False
+        return True
 
-        def inside(x: float, y: float) -> bool:
-            for i in range(len(verts)):
-                x1, y1 = verts[i]
-                x2, y2 = verts[(i + 1) % len(verts)]
-                cross = (x2 - x1) * (y - y1) - (y2 - y1) * (x - x1)
-                if orient * cross < 0:
-                    return False
-            return True
+    return inside
 
+
+def postprocess_filter(
+    seq: Sequence,
+    roi: tuple[float, float, float, float] | list[tuple[float, float]] | None,
+    conf_threshold: float,
+) -> Sequence:
+    """Keep detections whose (x, y) center lies inside the ROI (if any) and
+    whose confidence clears the threshold; frame structure is preserved, and
+    with no ROI and no positive threshold the input comes back unchanged."""
+    if roi is None and conf_threshold <= 0:
+        return seq
+    inside = _roi_contains(roi) if roi is not None else lambda x, y: True
     frames = [
         (
             fi,

@@ -5,7 +5,7 @@ import pytest
 from mtmceval.anchors import parse_anchor_bank
 from mtmceval.cli import build_parser, main
 from mtmceval.datamodel import Box3D, Detection, make_sequence
-from mtmceval.ingest import emit_tracks
+from mtmceval.ingest import emit_tracks, parse_tracks
 
 
 def write_tracks(path, n_frames=6, fps_step=0.1, n_objects=2):
@@ -135,6 +135,84 @@ def test_evaluate_max_frames(tmp_path, capsys):
     main(["evaluate", "--gt", str(gt), "--pred", str(gt),
           "--max-frames", "3", "--out", str(out)])
     assert json.loads(out.read_text())["window"]["size"] == 3
+
+
+def test_evaluate_default_window_counts_frames_without_gt(tmp_path, capsys):
+    # GT on frames 0 and 2 only; the prediction adds a far false positive on 1
+    box = Box3D(0.0, 0.0, 0.9, 0.6, 0.6, 1.8)
+    far = Detection(box=Box3D(50.0, 50.0, 0.9, 0.6, 0.6, 1.8), class_id=0, track_id=9)
+    gt = make_sequence({f: [Detection(box=box, class_id=0, track_id=1)] for f in (0, 2)},
+                       native_fps=2.0)
+    pred = make_sequence({**gt.as_dict(), 1: (far,)}, native_fps=2.0)
+    paths = []
+    for name, seq in (("gt", gt), ("pred", pred)):
+        paths.append(tmp_path / f"{name}.csv")
+        with paths[-1].open("w", newline="\n") as fh:
+            emit_tracks(seq, fh)
+    out = tmp_path / "r.json"
+    code = main(["evaluate", "--gt", str(paths[0]), "--pred", str(paths[1]),
+                 "--native-fps", "2", "--out", str(out)])
+    assert code == 0
+    payload = json.loads(out.read_text())
+    assert payload["window"]["size"] == 3
+    assert payload["class_average"]["deta"] == pytest.approx(2 / 3, abs=1e-12)
+
+
+def test_evaluate_confidence_filter_keeps_far_detections(tmp_path, capsys):
+    gt = tmp_path / "gt.csv"
+    seq = make_sequence(
+        {f: [Detection(box=Box3D(2e9, 0.0, 0.9, 0.6, 0.6, 1.8), class_id=0,
+                       confidence=0.9, track_id=1)] for f in range(3)},
+        native_fps=2.0,
+    )
+    with gt.open("w", newline="\n") as fh:
+        emit_tracks(seq, fh)
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"conf_threshold": 0.5}))
+    out = tmp_path / "r.json"
+    code = main(["evaluate", "--gt", str(gt), "--pred", str(gt), "--native-fps", "2",
+                 "--config", str(cfg), "--out", str(out)])
+    assert code == 0
+    assert json.loads(out.read_text())["class_average"]["hota"] == 1.0
+
+
+def test_evaluate_detector_only_prediction_exits_2(tmp_path, capsys):
+    gt = tmp_path / "gt.csv"
+    write_tracks(gt)
+    pred = tmp_path / "det.csv"
+    pred.write_text("0,,0,0,0,0.9,0.6,0.6,1.8,0,0.5\n")
+    code = main(["evaluate", "--gt", str(gt), "--pred", str(pred)])
+    assert code == 2
+    assert "track_id" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "config, flags, named",
+    [
+        ({"similarity_mode": "foo"}, [], "similarity mode"),
+        ({"roi": []}, [], "roi"),
+        ({"roi": [0, 0, 0, 0]}, [], "roi"),
+        ({"alpha_grid": [0]}, [], "alpha_grid"),
+        ({"alpha_grid": [1.5]}, [], "alpha_grid"),
+        ({"alpha_grid": []}, [], "alpha_grid"),
+        ({"alpha_grid": 0.5}, [], "float"),
+        ({"dur_alpha": 0}, [], "dur_alpha"),
+        ({"d_max": "x"}, [], "d_max"),
+        ({"eval_fps": 0}, [], "eval_fps"),
+        ({}, ["--dur-alpha", "0"], "dur_alpha"),
+        ({}, ["--native-fps", "0"], "native_fps"),
+    ],
+)
+def test_bad_config_or_flag_exits_2(tmp_path, capsys, config, flags, named):
+    gt = tmp_path / "gt.csv"
+    write_tracks(gt)
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(config))
+    code = main(["evaluate", "--gt", str(gt), "--pred", str(gt),
+                 "--config", str(cfg), *flags])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and named in err
 
 
 def test_evaluate_per_class_lines(tmp_path, capsys):
@@ -350,6 +428,32 @@ def test_sweep_fps_rate_above_native_names_rate(tmp_path, capsys):
     )
     assert code == 2
     assert "rate 100" in capsys.readouterr().err
+
+
+def test_sweep_fps_applies_config_like_evaluate(tmp_path, capsys):
+    gt_path, pred_dir = make_sweep_dir(tmp_path)
+    seq = parse_tracks(gt_path.read_text(), native_fps=2.0)
+    # low-confidence false positives far from any GT box
+    noisy = make_sequence(
+        [(f, [*d, Detection(box=Box3D(40.0, 40.0 + f, 0.9, 0.6, 0.6, 1.8), class_id=0,
+                            confidence=0.2, track_id=7)]) for f, d in seq.frames],
+        native_fps=2.0,
+    )
+    with (pred_dir / "2fps.csv").open("w", newline="\n") as fh:
+        emit_tracks(noisy, fh)
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"conf_threshold": 0.5, "class_names": {"0": "person"},
+                               "native_fps": 2, "eval_fps": 1}))
+    sweep_out, eval_out = tmp_path / "sweep.json", tmp_path / "report.json"
+    assert main(["sweep-fps", "--gt", str(gt_path), "--pred-dir", str(pred_dir),
+                 "--rates", "2", "--config", str(cfg), "--out", str(sweep_out)]) == 0
+    assert main(["evaluate", "--gt", str(gt_path), "--pred", str(pred_dir / "2fps.csv"),
+                 "--config", str(cfg), "--out", str(eval_out)]) == 0
+    swept = json.loads(sweep_out.read_text())[0]["report"]
+    evaluated = json.loads(eval_out.read_text())
+    assert swept["class_names"] == evaluated["class_names"] == {"0": "person"}
+    assert swept["class_average"] == evaluated["class_average"]
+    assert swept["class_average"]["deta"] == 1.0
 
 
 def test_sweep_fps_requires_eval_fps(tmp_path, capsys):

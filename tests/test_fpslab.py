@@ -1,5 +1,6 @@
 import json
 
+import numpy as np
 import pytest
 
 from mtmceval.datamodel import Box3D, Detection, make_sequence
@@ -13,6 +14,8 @@ from mtmceval.fpslab import (
     sweep_to_text,
 )
 from mtmceval.matching import SimilaritySpec
+from mtmceval.metrics import class_report
+from mtmceval.synthgen import DegradeSpec, degrade, gen_scene, oracle_metrics
 
 CD = SimilaritySpec(mode="center_distance", d_max=2.0)
 
@@ -105,6 +108,55 @@ def test_controlled_window_rejects_non_divisor():
         controlled_window(gt, native_fps=30.0, eval_fps=7.0)
 
 
+def test_grid_is_anchored_on_native_indices_not_row_positions():
+    # GT frames 0..9 with frame 2 absent, 2 fps native, 1 fps window
+    gt = make_sequence(
+        {f: [det(0.01 * f, 0.0, 1)] for f in range(10) if f != 2}, native_fps=2.0
+    )
+    win = controlled_window(gt, native_fps=2.0, eval_fps=1.0)
+    assert win.frame_indices == (0, 2, 4, 6, 8)
+    assert stride_subsample(gt, 2).frame_indices == (0, 4, 6, 8)
+
+
+def test_window_spans_first_to_last_gt_frame():
+    gt = make_sequence({f: [det(0.0, 0.0, 1)] for f in (7, 8, 20)}, native_fps=10.0)
+    assert controlled_window(gt, 10.0, 10.0).frame_indices == tuple(range(7, 21))
+    assert controlled_window(gt, 10.0, 2.0).frame_indices == (7, 12, 17)
+    assert stride_subsample(gt, 5).frame_indices == (7,)
+    with pytest.raises(ValueError, match="no frames"):
+        controlled_window(make_sequence({}, native_fps=10.0), 10.0, 2.0)
+
+
+def test_sparse_gt_windows_match_oracle():
+    """Windows cut from GTs that lost about 30 % of their frames score the
+    same under class_report and the brute-force oracle, at native and half
+    rate: grid frames without GT rows hold only misses and false positives."""
+    fields = ("hota", "deta", "assa", "loca", "avg_track_dur_seconds", "ap")
+    for seed in range(60):
+        rng = np.random.default_rng([seed, 7])
+        n = int(rng.integers(1, 4))
+        full = gen_scene(n_objects=n, duration_s=float(rng.integers(4, 7)), fps=2.0,
+                         bounds=(-6, -6, 6, 6), seed=seed)
+        keep = rng.random(len(full.frames)) >= 0.3
+        gt = make_sequence([(f, list(d)) for (f, d), k in zip(full.frames, keep) if k],
+                           native_fps=2.0)
+        if not gt.frames:
+            continue
+        pred = degrade(full, DegradeSpec(drop_prob=0.2, loc_noise_sigma=0.2,
+                                         id_switch_prob=0.2, fp_rate=0.3,
+                                         fp_bounds=(-6, -6, 6, 6), seed=seed))
+        sim = CD if seed % 2 else SimilaritySpec(mode="bev_iou")
+        for eval_fps in (2.0, 1.0):
+            win = controlled_window(gt, native_fps=2.0, eval_fps=eval_fps)
+            a = class_report(gt, pred, win, sim)
+            b = oracle_metrics(gt, pred, win, sim)
+            assert set(a.per_class) == set(b.per_class)
+            for cid in a.per_class:
+                for f in fields:
+                    got, want = getattr(a.per_class[cid], f), getattr(b.per_class[cid], f)
+                    assert abs(got - want) <= 1e-12, (seed, eval_fps, cid, f)
+
+
 def test_windows_nest_across_rates():
     gt = gt_sequence(300, 30.0)
     low = set(controlled_window(gt, 30.0, 1.0).frame_indices)
@@ -124,6 +176,13 @@ def test_sweep_spec_validation():
         SweepSpec(native_fps=30.0, inference_rates=(7.0,), eval_fps=1.0)
     with pytest.raises(ValueError):
         SweepSpec(native_fps=30.0, inference_rates=(6.0, 1.0), eval_fps=6.0)
+
+
+def test_sweep_spec_rejects_window_off_a_rate_grid():
+    # the 6 fps window (stride 5) is not on the 10 fps grid (stride 3)
+    with pytest.raises(ValueError, match="eval_fps 6 must divide rate 10"):
+        SweepSpec(native_fps=30.0, inference_rates=(30.0, 10.0), eval_fps=6.0)
+    SweepSpec(native_fps=30.0, inference_rates=(30.0, 10.0), eval_fps=5.0)
 
 
 # --- sweep --------------------------------------------------------------------
@@ -176,15 +235,23 @@ def test_sweep_missing_window_frame_names_rate():
     spec = SweepSpec(
         native_fps=30.0, inference_rates=(30.0, 6.0), eval_fps=1.0, similarity=CD
     )
-    # drop frame 30 (a window frame) from the 6 fps output
     sub = stride_subsample(gt, 5)
-    broken = make_sequence(
+    # an output without rows on window frame 30 is scored: those are misses
+    silent = make_sequence(
         [(f, list(d)) for f, d in sub.frames if f != 30],
         native_fps=sub.native_fps,
     )
+    rows = dict(fps_sweep(gt, {30.0: gt, 6.0: silent}, spec))
+    assert rows[30.0].class_average.deta == 1.0
+    assert rows[6.0].class_average.deta == 0.5
+    # a row on frame 3 lies off the 6 fps grid 0, 5, 10, ...
+    off_grid = make_sequence(
+        [(f, list(d)) for f, d in sub.frames] + [(3, [det(0.03, 0.0, 1)])],
+        native_fps=sub.native_fps,
+    )
     with pytest.raises(ValueError) as exc:
-        fps_sweep(gt, {30.0: gt, 6.0: broken}, spec)
-    assert "rate 6" in str(exc.value) and "30" in str(exc.value)
+        fps_sweep(gt, {30.0: gt, 6.0: off_grid}, spec)
+    assert "rate 6" in str(exc.value) and "[3]" in str(exc.value)
 
 
 def test_sweep_serialization():

@@ -126,6 +126,23 @@ def test_parse_errors_name_line_and_column():
         parse_tracks("0,1,0,1,2,3,1,1,1,0,1.5\n")
 
 
+def test_parse_rejects_negative_frame():
+    with pytest.raises(ParseError) as exc:
+        parse_tracks("-1,1,0,1,2,3,1,1,1,0,0.5\n")
+    assert exc.value.line_no == 1 and exc.value.column == "frame"
+    assert "non-negative" in str(exc.value)
+
+
+def test_parse_duplicate_identity_is_per_frame():
+    row = "{f},{t},{c},1,2,3,1,1,1,0,0.5\n"
+    ok = row.format(f=0, t=1, c=0) + row.format(f=0, t=1, c=1) + row.format(f=1, t=1, c=0)
+    assert [len(d) for _, d in parse_tracks(ok).frames] == [2, 1]
+    with pytest.raises(ParseError) as exc:
+        parse_tracks(ok + row.format(f=1, t=2, c=0) + row.format(f=1, t=1, c=0))
+    assert exc.value.line_no == 5
+    assert "duplicate (track_id=1, class_id=0) in frame 1" in str(exc.value)
+
+
 def test_parse_detector_only_rows():
     seq = parse_tracks("0,,0,1,2,3,1,1,1,0,0.5\n")
     assert seq.frames[0][1][0].track_id is None

@@ -359,6 +359,16 @@ def test_filter_degenerate_roi():
         postprocess_filter(seq, [(0, 0), (1, 1), (2, 2)], 0.0)
 
 
+def test_filter_without_roi():
+    far = make_sequence({0: [det(2e9, 0.0, 1, conf=0.9), det(0.0, 0.0, 2, conf=0.2)]},
+                        native_fps=1.0)
+    assert postprocess_filter(far, None, 0.0) is far
+    out = postprocess_filter(far, None, 0.5)
+    assert [d.track_id for d in out.frames[0][1]] == [1]
+    win = EvalWindow(frame_indices=(0,), f0=1.0)
+    assert class_report(out, out, win, CD).class_average.hota == 1.0
+
+
 # --- class report ------------------------------------------------------------
 
 
