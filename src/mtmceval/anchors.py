@@ -34,16 +34,12 @@ class AnchorBank:
 
 def collect_centers(gt: Sequence) -> np.ndarray:
     """(x, y, z) center of every GT detection, one row per annotation,
-    ordered by (frame, track_id)."""
-    rows: list[tuple[int, int, float, float, float]] = []
-    for frame, dets in gt.frames:
-        for det in dets:
-            tid = -1 if det.track_id is None else det.track_id
-            rows.append((frame, tid, det.box.x, det.box.y, det.box.z))
-    if not rows:
+    ordered by (frame, track_id), ties in table order."""
+    t = gt.table
+    if t.frame.size == 0:
         raise ValueError("ground truth has no detections to collect")
-    rows.sort(key=lambda r: (r[0], r[1]))
-    return np.array([(x, y, z) for _, _, x, y, z in rows], dtype=float)
+    order = np.lexsort((t.track_id, t.frame))
+    return np.column_stack((t.x, t.y, t.z))[order]
 
 
 def _sq_dists(points: np.ndarray, centers: np.ndarray) -> np.ndarray:

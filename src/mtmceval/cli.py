@@ -17,7 +17,7 @@ from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 from .anchors import collect_centers, emit_anchor_bank, kmeans
-from .datamodel import Sequence, make_sequence
+from .datamodel import Sequence
 from .fpslab import (
     SweepSpec,
     controlled_window,
@@ -119,8 +119,10 @@ def load_config(path: str | None) -> ToolConfig:
         "anchor_k",
         "seed",
     }
-    try:
-        for key, value in raw.items():
+    if not isinstance(raw, dict):
+        raise InputError(f"config file {path}: expected a JSON object")
+    for key, value in raw.items():
+        try:
             if key in simple:
                 kwargs[key] = value
             elif key == "alpha_grid":
@@ -138,8 +140,11 @@ def load_config(path: str | None) -> ToolConfig:
                 kwargs[key] = GridConfig(**value)
             else:
                 raise InputError(f"config file {path}: unknown key {key!r}")
+        except (AttributeError, TypeError, ValueError) as exc:
+            raise InputError(f"config file {path}: {key}: {exc}") from None
+    try:
         return replace(cfg, **kwargs)
-    except (AttributeError, TypeError, ValueError) as exc:
+    except (TypeError, ValueError) as exc:
         raise InputError(f"config file {path}: {exc}") from None
 
 
@@ -181,6 +186,12 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
         window = controlled_window(gt, cfg.native_fps, cfg.eval_fps or cfg.native_fps)
         if args.max_frames is not None:
             kept = [f for f in window.frame_indices if f < args.max_frames]
+            if not kept:
+                raise InputError(
+                    f"--max-frames {args.max_frames}: no window frame lies below "
+                    f"{args.max_frames} (the window starts at frame "
+                    f"{window.frame_indices[0]})"
+                )
             window = replace(window, frame_indices=kept)
         report = class_report(
             gt,
@@ -265,27 +276,19 @@ def cmd_convert(args: argparse.Namespace) -> int:
         with path.open("r", encoding="utf-8") as fh:
             records = parse_positions(fh)
         seq = convert_positions(records, grid, native_fps=args.fps, scene_name=path.stem)
+        seq = estimate_velocities(seq)
     except (ParseError, ValueError) as exc:
         raise InputError(f"{args.positions}: {exc}") from None
-    seq = estimate_velocities(seq)
     out = Path(args.out)
     if args.split is None:
         with out.open("w", encoding="utf-8", newline="\n") as fh:
             emit_tracks(seq, fh)
         return 0
-    split_at = args.split
-    train = [f for f in seq.frames if f[0] < split_at]
-    test = [f for f in seq.frames if f[0] >= split_at]
-    train_path = out.with_name(out.stem + "_train" + out.suffix)
-    test_path = out.with_name(out.stem + "_test" + out.suffix)
-    for frames, dest in ((train, train_path), (test, test_path)):
-        part = make_sequence(
-            [(fi, list(dets)) for fi, dets in frames],
-            native_fps=seq.native_fps,
-            scene_name=seq.scene_name,
-        )
+    train = seq.table.frame_index < args.split
+    for keep, part in ((train, "_train"), (~train, "_test")):
+        dest = out.with_name(out.stem + part + out.suffix)
         with dest.open("w", encoding="utf-8", newline="\n") as fh:
-            emit_tracks(part, fh)
+            emit_tracks(Sequence.from_table(seq.table.select(frames=keep), seq.native_fps), fh)
     return 0
 
 

@@ -1,13 +1,24 @@
 """Core value types shared by every module.
 
-All types are immutable after construction and carry no I/O logic.
+A Sequence stores its detections as one TrackTable: a struct of arrays with
+one row per detection, rows grouped by ascending frame in input order, plus
+the frame-index array and per-frame row offsets, so a frame without rows
+survives. Box3D and Detection are the per-row view of that table: a Sequence
+built from them converts once, and one read from a file builds them only
+when a caller walks ``Sequence.frames``. The row rules live once, in
+``_row_rules``, for validate_sequence and the track CSV reader alike.
 Timestamps are never stored; time in seconds is always frame_index / native_fps.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
+from operator import attrgetter
+from typing import Callable
+
+import numpy as np
 
 
 def normalize_yaw(yaw: float) -> float:
@@ -16,6 +27,15 @@ def normalize_yaw(yaw: float) -> float:
     if wrapped < 0:
         wrapped += 2.0 * math.pi
     return wrapped - math.pi
+
+
+def normalize_yaws(yaw: np.ndarray) -> np.ndarray:
+    """normalize_yaw on a column, bit for bit: the same operations in the
+    same order. Like Box3D, it leaves non-finite values as they are."""
+    with np.errstate(invalid="ignore"):
+        wrapped = np.fmod(yaw + math.pi, 2.0 * math.pi)
+    wrapped = np.where(wrapped < 0, wrapped + 2.0 * math.pi, wrapped)
+    return np.where(np.isfinite(yaw), wrapped - math.pi, yaw)
 
 
 @dataclass(frozen=True)
@@ -58,33 +78,206 @@ class Detection:
             object.__setattr__(self, "velocity", (float(vx), float(vy)))
 
 
-@dataclass(frozen=True)
+FLOAT_COLUMNS = ("x", "y", "z", "w", "l", "h", "yaw", "conf")
+_BOX_FIELDS = ("x", "y", "z", "width", "length", "height", "yaw")
+
+
+@dataclass(frozen=True, eq=False)
+class TrackTable:
+    """Detections as columns, one row each, grouped by frame in input order.
+
+    Frame k of ``frame_index`` owns rows ``offsets[k]:offsets[k + 1]``; a
+    frame may own none. ``track_id`` is -1 where a row has no track id;
+    ``vx``/``vy`` are None when no row carries a velocity and NaN on rows
+    without one.
+    """
+
+    frame_index: np.ndarray
+    offsets: np.ndarray
+    frame: np.ndarray
+    track_id: np.ndarray
+    class_id: np.ndarray
+    x: np.ndarray
+    y: np.ndarray
+    z: np.ndarray
+    w: np.ndarray
+    l: np.ndarray
+    h: np.ndarray
+    yaw: np.ndarray
+    conf: np.ndarray
+    vx: np.ndarray | None = None
+    vy: np.ndarray | None = None
+
+    def _row_columns(self) -> tuple[str, ...]:
+        names = ("frame", "track_id", "class_id") + FLOAT_COLUMNS
+        return names + (("vx", "vy") if self.vx is not None else ())
+
+    @cached_property
+    def order(self) -> np.ndarray:
+        """Row indices in (frame, class_id, track_id) order; ties keep input
+        order."""
+        return np.lexsort((self.track_id, self.class_id, self.frame))
+
+    def select(
+        self, frames: np.ndarray | None = None, rows: np.ndarray | None = None
+    ) -> TrackTable:
+        """The rows that the boolean mask ``rows`` keeps, under the frames
+        that the boolean mask ``frames`` keeps; a kept frame stays even when
+        none of its rows does."""
+        counts = np.diff(self.offsets)
+        keep_frames = np.ones(counts.size, bool) if frames is None else frames
+        keep = np.repeat(keep_frames, counts)
+        if rows is not None:
+            keep &= rows
+        owner = np.repeat(np.arange(counts.size), counts)[keep]
+        kept = np.bincount(owner, minlength=counts.size)[keep_frames]
+        cols = {n: getattr(self, n)[keep] for n in self._row_columns()}
+        return TrackTable(
+            frame_index=self.frame_index[keep_frames],
+            offsets=np.concatenate(([0], np.cumsum(kept))),
+            **cols,
+        )
+
+
+def table_from_rows(
+    ints: np.ndarray, floats: np.ndarray, velocity: np.ndarray | None
+) -> TrackTable:
+    """A table from rows grouped by frame: ``ints`` (n, 3) frame, track_id,
+    class_id; ``floats`` (n, 8) in FLOAT_COLUMNS order, the yaw normalised
+    here as Box3D does; ``velocity`` (n, 2) or None."""
+    frame, track_id, class_id = ints.T.copy()
+    x, y, z, w, l, h, yaw, conf = floats.T.copy()
+    new_frame = np.ones(frame.size, bool)
+    new_frame[1:] = frame[1:] != frame[:-1]
+    starts = np.flatnonzero(new_frame)
+    vx = vy = None
+    if velocity is not None:
+        vx, vy = velocity.T.copy()
+    return TrackTable(
+        frame[starts], np.append(starts, frame.size), frame, track_id, class_id,
+        x, y, z, w, l, h, normalize_yaws(yaw), conf, vx=vx, vy=vy,
+    )
+
+
+def _table_from_frames(frames: tuple[tuple[int, tuple[Detection, ...]], ...]) -> TrackTable:
+    dets = [d for _, ds in frames for d in ds]
+    boxes = [d.box for d in dets]
+    n = len(dets)
+
+    def column(items: list, attr: str, dtype: type = float) -> np.ndarray:
+        return np.fromiter(map(attrgetter(attr), items), dtype, n)
+
+    track_id = np.fromiter(
+        (-1 if tid is None else tid for tid in map(attrgetter("track_id"), dets)), np.int64, n
+    )
+    velocity = [d.velocity for d in dets]
+    vx = vy = None
+    if any(v is not None for v in velocity):
+        nan = (math.nan, math.nan)
+        vx, vy = np.array([v or nan for v in velocity], dtype=float).reshape(n, 2).T.copy()
+    counts = np.array([len(ds) for _, ds in frames], dtype=np.int64)
+    frame_index = np.array([fi for fi, _ in frames], dtype=np.int64)
+    return TrackTable(
+        frame_index, np.concatenate(([0], np.cumsum(counts))), np.repeat(frame_index, counts),
+        track_id, column(dets, "class_id", np.int64),
+        *(column(boxes, a) for a in _BOX_FIELDS), column(dets, "confidence"), vx=vx, vy=vy,
+    )
+
+
+def _frozen(cls: type, **values: object):
+    # a frozen dataclass holding the values as given, skipping __post_init__:
+    # a row view repeats its table's columns bit for bit
+    obj = cls.__new__(cls)
+    obj.__dict__.update(values)
+    return obj
+
+
+def _frames_from_table(t: TrackTable) -> tuple[tuple[int, tuple[Detection, ...]], ...]:
+    n = t.frame.size
+    velocity = [None] * n
+    if t.vx is not None:
+        velocity = [None if a != a else (a, b) for a, b in zip(t.vx.tolist(), t.vy.tolist())]
+    cols = [t.track_id.tolist(), t.class_id.tolist()]
+    cols += [getattr(t, c).tolist() for c in FLOAT_COLUMNS]
+    dets = [
+        _frozen(
+            Detection,
+            box=_frozen(Box3D, x=x, y=y, z=z, width=w, length=l, height=h, yaw=yaw),
+            class_id=c,
+            confidence=conf,
+            track_id=None if tid == -1 else tid,
+            velocity=v,
+        )
+        for tid, c, x, y, z, w, l, h, yaw, conf, v in zip(*cols, velocity)
+    ]
+    bounds = t.offsets.tolist()
+    return tuple(
+        (fi, tuple(dets[a:b])) for fi, a, b in zip(t.frame_index.tolist(), bounds, bounds[1:])
+    )
+
+
 class Sequence:
     """Ordered frames of detections plus frame-rate metadata.
 
-    Frames absent from the list mean "no detections at that timestep".
+    Frames absent from the table mean "no detections at that timestep".
     Used for both ground truth and tracker output; all detections share one
-    world coordinate frame.
+    world coordinate frame. ``table`` is the stored form; ``frames`` is the
+    per-row view, built on demand and cached, as is the table of a Sequence
+    built from frames.
     """
 
-    frames: tuple[tuple[int, tuple[Detection, ...]], ...]
-    native_fps: float
-    scene_name: str = ""
-
-    def __post_init__(self) -> None:
-        if self.native_fps <= 0:
+    def __init__(
+        self,
+        frames: tuple[tuple[int, tuple[Detection, ...]], ...],
+        native_fps: float,
+        scene_name: str = "",
+    ) -> None:
+        if native_fps <= 0:
             raise ValueError("native_fps must be positive")
-        frames = tuple(
-            (int(idx), tuple(dets)) for idx, dets in self.frames
-        )
-        object.__setattr__(self, "frames", frames)
+        self.native_fps = native_fps
+        self.scene_name = scene_name
+        self._frames = tuple((int(idx), tuple(dets)) for idx, dets in frames)
+        self._table: TrackTable | None = None
+
+    @classmethod
+    def from_table(cls, table: TrackTable, native_fps: float, scene_name: str = "") -> Sequence:
+        seq = cls((), native_fps, scene_name)
+        seq._frames, seq._table = None, table
+        return seq
+
+    @property
+    def table(self) -> TrackTable:
+        if self._table is None:
+            self._table = _table_from_frames(self._frames)
+        return self._table
+
+    @property
+    def frames(self) -> tuple[tuple[int, tuple[Detection, ...]], ...]:
+        if self._frames is None:
+            self._frames = _frames_from_table(self._table)
+        return self._frames
 
     @property
     def frame_indices(self) -> tuple[int, ...]:
-        return tuple(idx for idx, _ in self.frames)
+        if self._frames is None:
+            return tuple(self._table.frame_index.tolist())
+        return tuple(idx for idx, _ in self._frames)
 
     def as_dict(self) -> dict[int, tuple[Detection, ...]]:
         return {idx: dets for idx, dets in self.frames}
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, Sequence):
+            return NotImplemented
+        return (self.frames, self.native_fps, self.scene_name) == (
+            other.frames, other.native_fps, other.scene_name
+        )
+
+    def __repr__(self) -> str:
+        return (
+            f"Sequence({self.scene_name!r}, {len(self.frame_indices)} frames, "
+            f"native_fps={self.native_fps!r})"
+        )
 
 
 @dataclass(frozen=True)
@@ -120,76 +313,61 @@ class Violation:
         return f"{where}{self.field}: {self.message}"
 
 
+def _row_rules(t: TrackTable) -> list[tuple[str, np.ndarray, Callable[[int], str]]]:
+    """Every per-row rule as (field, mask of the rows breaking it, message
+    for row i), in the order validate_sequence reports them. A duplicate is
+    a repeat of an earlier (track_id, class_id) in the same frame."""
+    box = dict(zip(_BOX_FIELDS, (t.x, t.y, t.z, t.w, t.l, t.h, t.yaw)))
+    owner = np.repeat(np.arange(t.frame_index.size), np.diff(t.offsets))
+    by_key = np.lexsort((t.class_id, t.track_id, owner))
+    repeat = np.zeros(t.frame.size, bool)
+    repeat[by_key[1:]] = (
+        (np.diff(owner[by_key]) == 0)
+        & (np.diff(t.track_id[by_key]) == 0)
+        & (np.diff(t.class_id[by_key]) == 0)
+    )
+    rules: list[tuple[str, np.ndarray, Callable[[int], str]]] = [
+        ("class_id", t.class_id < 0, lambda i: "must be non-negative"),
+        ("track_id", t.track_id < -1, lambda i: "must be non-negative"),
+        ("confidence", ~((t.conf >= 0.0) & (t.conf <= 1.0)),
+         lambda i: f"{float(t.conf[i])} outside [0, 1]"),
+    ]
+    rules += [(n, ~np.isfinite(col), lambda i: "not finite") for n, col in box.items()]
+    rules += [(n, box[n] <= 0, lambda i: "must be positive") for n in ("width", "length", "height")]
+    rules += [
+        ("yaw", ~((t.yaw >= -math.pi) & (t.yaw < math.pi)),
+         lambda i: f"{float(t.yaw[i])} not in [-pi, pi)"),
+        ("track_id", repeat & (t.track_id != -1),
+         lambda i: f"duplicate (track_id={int(t.track_id[i])}, "
+         f"class_id={int(t.class_id[i])}) in frame"),
+    ]
+    return rules
+
+
 def validate_sequence(seq: Sequence) -> list[Violation]:
     """Check Sequence invariants, reporting (never raising) violations.
 
     Idempotent and side-effect free. Covers: strictly increasing frame
     indices, per-field finiteness and bounds, and uniqueness of
     (track_id, class_id) among identity-carrying detections in one frame.
+    Violations come frame by frame, each frame's own first, then row by row.
     """
-    violations: list[Violation] = []
-    prev_idx: int | None = None
-    for frame_index, dets in seq.frames:
-        if frame_index < 0:
-            violations.append(
-                Violation(frame_index, "frame_index", "must be non-negative")
-            )
-        if prev_idx is not None and frame_index <= prev_idx:
-            violations.append(
-                Violation(
-                    frame_index,
-                    "frame_index",
-                    f"not strictly increasing (previous {prev_idx})",
-                )
-            )
-        prev_idx = frame_index
-
-        seen_ids: set[tuple[int, int]] = set()
-        for det in dets:
-            if det.class_id < 0:
-                violations.append(
-                    Violation(frame_index, "class_id", "must be non-negative")
-                )
-            if det.track_id is not None and det.track_id < 0:
-                violations.append(
-                    Violation(frame_index, "track_id", "must be non-negative")
-                )
-            if not (0.0 <= det.confidence <= 1.0):
-                violations.append(
-                    Violation(
-                        frame_index,
-                        "confidence",
-                        f"{det.confidence} outside [0, 1]",
-                    )
-                )
-            box = det.box
-            for name in ("x", "y", "z", "width", "length", "height", "yaw"):
-                if not math.isfinite(getattr(box, name)):
-                    violations.append(
-                        Violation(frame_index, name, "not finite")
-                    )
-            for name in ("width", "length", "height"):
-                if getattr(box, name) <= 0:
-                    violations.append(
-                        Violation(frame_index, name, "must be positive")
-                    )
-            if not (-math.pi <= box.yaw < math.pi):
-                violations.append(
-                    Violation(frame_index, "yaw", f"{box.yaw} not in [-pi, pi)")
-                )
-            if det.track_id is not None:
-                key = (det.track_id, det.class_id)
-                if key in seen_ids:
-                    violations.append(
-                        Violation(
-                            frame_index,
-                            "track_id",
-                            f"duplicate (track_id={det.track_id}, "
-                            f"class_id={det.class_id}) in frame",
-                        )
-                    )
-                seen_ids.add(key)
-    return violations
+    t = seq.table
+    fi = t.frame_index.tolist()
+    found: list[tuple[tuple[int, int, int], Violation]] = []
+    for k, idx in enumerate(fi):
+        if idx < 0:
+            found.append(((k, -1, 0), Violation(idx, "frame_index", "must be non-negative")))
+        if k and idx <= fi[k - 1]:
+            found.append(((k, -1, 1), Violation(
+                idx, "frame_index", f"not strictly increasing (previous {fi[k - 1]})"
+            )))
+    owner = np.repeat(np.arange(len(fi)), np.diff(t.offsets))
+    for r, (name, broken, message) in enumerate(_row_rules(t)):
+        for i in np.flatnonzero(broken).tolist():
+            k = int(owner[i])
+            found.append(((k, i, r), Violation(fi[k], name, message(i))))
+    return [v for _, v in sorted(found, key=lambda kv: kv[0])]
 
 
 def make_sequence(

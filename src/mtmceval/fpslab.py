@@ -69,9 +69,10 @@ def stride_subsample(seq: Sequence, keep_one_of: int) -> Sequence:
     """
     if keep_one_of < 1:
         raise ValueError("keep_one_of must be >= 1")
-    first = seq.frames[0][0] if seq.frames else 0
-    return Sequence(
-        frames=tuple(f for f in seq.frames if (f[0] - first) % keep_one_of == 0),
+    fi = seq.table.frame_index
+    on_grid = (fi - (fi[0] if fi.size else 0)) % keep_one_of == 0
+    return Sequence.from_table(
+        seq.table.select(frames=on_grid),
         native_fps=seq.native_fps / keep_one_of,
         scene_name=seq.scene_name,
     )
@@ -82,9 +83,10 @@ def controlled_window(gt: Sequence, native_fps: float, eval_fps: float) -> EvalW
     the last GT frame, with s = native_fps / eval_fps and first the first GT
     frame; f0 = eval_fps. Grid frames without GT rows stay in the window."""
     s = stride_for(native_fps, eval_fps)
-    if not gt.frames:
+    fi = gt.table.frame_index.tolist()
+    if not fi:
         raise ValueError("ground truth has no frames to window")
-    indices = range(gt.frames[0][0], gt.frames[-1][0] + 1, s)
+    indices = range(fi[0], fi[-1] + 1, s)
     return EvalWindow(frame_indices=tuple(indices), f0=eval_fps)
 
 
@@ -106,7 +108,8 @@ def fps_sweep(
             raise ValueError(f"no tracker output supplied for rate {rate}")
         out = tracker_outputs[rate]
         s = stride_for(spec.native_fps, rate)
-        off = [fi for fi in out.frame_indices if (fi - window.frame_indices[0]) % s]
+        fi = out.table.frame_index
+        off = fi[(fi - window.frame_indices[0]) % s != 0].tolist()
         if off:
             raise ValueError(
                 f"tracker output at rate {rate} has rows off its frame grid: "

@@ -5,8 +5,17 @@ Track CSV format (UTF-8, LF, optional '#'-prefixed header lines):
     frame,track_id,class_id,x,y,z,width,length,height,yaw,confidence[,vx,vy]
 
 track_id may be empty for detector-only files; the two velocity columns are
-optional and emitted only when any detection carries a velocity. Floats are
-written with the shortest decimal representation that round-trips exactly.
+optional and emitted only when any detection carries a velocity. frame,
+track_id and class_id must fit a signed 64-bit integer, and '#' starts a
+comment only at the start of a line. Floats are written with the shortest
+decimal representation that round-trips exactly.
+
+Every function here reads and writes a Sequence's TrackTable column by
+column. parse_tracks reads a file in one pass: numpy's C reader
+(``np.loadtxt``) loads it and the row rules run on whole columns; when the
+reader fails or a rule is broken, the row-by-row reader runs instead. That
+reader is the only code that raises ParseError, naming the first bad line
+and column.
 
 Position-record CSV (grid annotations): frame,person_id,position_id
 """
@@ -15,10 +24,19 @@ from __future__ import annotations
 
 import io
 import math
-from dataclasses import dataclass
+import warnings
+from dataclasses import dataclass, replace
 from typing import Iterable, TextIO
 
-from .datamodel import Box3D, Detection, Sequence, make_sequence
+import numpy as np
+
+from .datamodel import (
+    FLOAT_COLUMNS,
+    Sequence,
+    TrackTable,
+    _row_rules,
+    table_from_rows,
+)
 
 TRACK_COLUMNS = (
     "frame",
@@ -33,6 +51,15 @@ TRACK_COLUMNS = (
     "yaw",
     "confidence",
 )
+
+# np.loadtxt's row types for the 11- and 13-column layouts
+_LOADTXT_DTYPES = {
+    n: np.dtype(
+        [(c, np.int64) for c in TRACK_COLUMNS[:3]]
+        + [(c, np.float64) for c in (TRACK_COLUMNS[3:] + ("vx", "vy"))[: n - 3]]
+    )
+    for n in (11, 13)
+}
 
 
 class ParseError(ValueError):
@@ -87,11 +114,6 @@ class GridConfig:
         return x, y
 
 
-def _fmt(v: float) -> str:
-    # shortest representation that parses back to the same float
-    return repr(float(v))
-
-
 def _parse_float(token: str, line_no: int, column: str) -> float:
     try:
         v = float(token)
@@ -104,31 +126,22 @@ def _parse_float(token: str, line_no: int, column: str) -> float:
 
 def _parse_int(token: str, line_no: int, column: str) -> int:
     try:
-        return int(token)
+        v = int(token)
     except ValueError:
         raise ParseError(line_no, column, f"not an integer: {token!r}") from None
+    if not -(2**63) <= v < 2**63:
+        raise ParseError(line_no, column, "outside the signed 64-bit range")
+    return v
 
 
-def parse_tracks(
-    stream: TextIO | io.IOBase | bytes | str,
-    native_fps: float = 30.0,
-    scene_name: str = "",
-) -> Sequence:
-    """Parse the track CSV format into a Sequence.
-
-    Rows must be grouped by frame with ascending frame indices; a decreasing
-    frame index is rejected as a frame regression.
-    """
-    if isinstance(stream, bytes):
-        stream = io.StringIO(stream.decode("utf-8"))
-    elif isinstance(stream, str):
-        stream = io.StringIO(stream)
-    elif isinstance(stream, io.IOBase) and not isinstance(stream, io.TextIOBase):
-        stream = io.TextIOWrapper(stream, encoding="utf-8")
-
-    frames: list[tuple[int, list[Detection]]] = []
+def _parse_rows(lines: list[str]) -> TrackTable:
+    """The row-by-row reader: checks every row in file order and raises a
+    ParseError at the first broken rule."""
+    ints: list[tuple[int, int, int]] = []
+    floats: list[list[float]] = []
+    velocities: list[tuple[float, float] | None] = []
     last_frame: int | None = None
-    for line_no, raw in enumerate(stream, start=1):
+    for line_no, raw in enumerate(lines, start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
@@ -164,15 +177,7 @@ def parse_tracks(
             raise ParseError(line_no, "class_id", "must be non-negative")
         if track_id is not None and track_id < 0:
             raise ParseError(line_no, "track_id", "must be non-negative")
-        det = Detection(
-            box=Box3D(*vals[:7]),
-            class_id=class_id,
-            confidence=vals[7],
-            track_id=track_id,
-            velocity=velocity,
-        )
         if last_frame != frame:
-            frames.append((frame, []))
             seen_ids: set[tuple[int, int]] = set()
             last_frame = frame
         if track_id is not None:
@@ -184,54 +189,110 @@ def parse_tracks(
                     f"frame {frame}",
                 )
             seen_ids.add((track_id, class_id))
-        frames[-1][1].append(det)
-    return make_sequence(frames, native_fps=native_fps, scene_name=scene_name)
+        ints.append((frame, -1 if track_id is None else track_id, class_id))
+        floats.append(vals)
+        velocities.append(velocity)
+    velocity_cols = None
+    if any(v is not None for v in velocities):
+        velocity_cols = np.array([v or (math.nan, math.nan) for v in velocities])
+    return table_from_rows(
+        np.array(ints, dtype=np.int64).reshape(-1, 3),
+        np.array(floats, dtype=np.float64).reshape(-1, 8),
+        velocity_cols,
+    )
 
 
-def _row_key(frame: int, det: Detection) -> tuple[int, int, int]:
-    tid = -1 if det.track_id is None else det.track_id
-    return (frame, det.class_id, tid)
+def _parse_fast(lines: list[str]) -> TrackTable | None:
+    """The file through np.loadtxt and the column rules, or None when either
+    rejects it and the row reader must decide.
+
+    loadtxt would also cut a comment from the middle of a line, which the
+    row reader rejects, so a '#' anywhere but at a line start sends the file
+    to the row reader; so does an empty track_id or velocity, which loadtxt
+    cannot read.
+    """
+    first = next((l for l in lines if l.strip() and not l.lstrip().startswith("#")), None)
+    dtype = None if first is None else _LOADTXT_DTYPES.get(first.count(",") + 1)
+    if dtype is None or any(not l.startswith("#") for l in lines if "#" in l):
+        return None
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rows = np.loadtxt(lines, dtype=dtype, delimiter=",", comments="#", ndmin=1)
+    except (ValueError, Warning):
+        return None
+    names = dtype.names
+    t = table_from_rows(
+        np.column_stack([rows[c] for c in names[:3]]),
+        np.column_stack([rows[c] for c in names[3:11]]),
+        np.column_stack([rows[c] for c in names[11:]]) if len(names) == 13 else None,
+    )
+    velocity = () if t.vx is None else (t.vx, t.vy)
+    if (
+        (t.frame < 0).any()
+        or (np.diff(t.frame) < 0).any()
+        or (t.track_id < 0).any()
+        or not all(np.isfinite(v).all() for v in velocity)
+        or any(broken.any() for _, broken, _ in _row_rules(t))
+    ):
+        return None
+    return t
+
+
+def _lines(stream: TextIO | io.IOBase | bytes | str) -> list[str]:
+    if isinstance(stream, bytes):
+        stream = stream.decode("utf-8")
+    if isinstance(stream, str):
+        stream = io.StringIO(stream)
+    elif isinstance(stream, io.IOBase) and not isinstance(stream, io.TextIOBase):
+        stream = io.TextIOWrapper(stream, encoding="utf-8")
+    return list(stream)
+
+
+def parse_tracks(
+    stream: TextIO | io.IOBase | bytes | str,
+    native_fps: float = 30.0,
+    scene_name: str = "",
+) -> Sequence:
+    """Parse the track CSV format into a Sequence.
+
+    Rows must be grouped by frame with ascending frame indices; a decreasing
+    frame index is rejected as a frame regression. Rows keep their file
+    order within a frame.
+    """
+    lines = _lines(stream)
+    table = _parse_fast(lines)
+    if table is None:
+        table = _parse_rows(lines)
+    return Sequence.from_table(table, native_fps=float(native_fps), scene_name=scene_name)
 
 
 def emit_tracks(seq: Sequence, sink: TextIO) -> int:
     """Write a Sequence in the track CSV format; returns the row count.
 
-    Rows are sorted by (frame, class_id, track_id); the velocity columns
-    appear iff any detection carries a velocity.
+    Rows are sorted by (frame, class_id, track_id), ties in table order; the
+    velocity columns appear iff any detection carries a velocity.
     """
-    rows: list[tuple[tuple[int, int, int], int, Detection]] = []
-    for frame, dets in seq.frames:
-        for det in dets:
-            rows.append((_row_key(frame, det), frame, det))
-    rows.sort(key=lambda r: r[0])
-    with_velocity = any(det.velocity is not None for _, _, det in rows)
-
+    t = seq.table
+    o = t.order
+    with_velocity = t.vx is not None and not np.isnan(t.vx).all()
     header = ",".join(TRACK_COLUMNS) + (",vx,vy" if with_velocity else "")
     sink.write(f"# {header}\n")
-    count = 0
-    for _, frame, det in rows:
-        b = det.box
-        fields = [
-            str(frame),
-            "" if det.track_id is None else str(det.track_id),
-            str(det.class_id),
-            _fmt(b.x),
-            _fmt(b.y),
-            _fmt(b.z),
-            _fmt(b.width),
-            _fmt(b.length),
-            _fmt(b.height),
-            _fmt(b.yaw),
-            _fmt(det.confidence),
+    track_ids = ["" if v == -1 else v for v in t.track_id[o].tolist()]
+    cols = [t.frame[o].tolist(), track_ids, t.class_id[o].tolist()]
+    cols += [getattr(t, c)[o].tolist() for c in FLOAT_COLUMNS]
+    # repr gives the shortest text that parses back to the same float
+    rows = [
+        f"{f},{i},{c},{x!r},{y!r},{z!r},{w!r},{l!r},{h!r},{a!r},{p!r}"
+        for f, i, c, x, y, z, w, l, h, a, p in zip(*cols)
+    ]
+    if with_velocity:
+        rows = [
+            f"{r},," if vx != vx else f"{r},{vx!r},{vy!r}"
+            for r, vx, vy in zip(rows, t.vx[o].tolist(), t.vy[o].tolist())
         ]
-        if with_velocity:
-            if det.velocity is None:
-                fields += ["", ""]
-            else:
-                fields += [_fmt(det.velocity[0]), _fmt(det.velocity[1])]
-        sink.write(",".join(fields) + "\n")
-        count += 1
-    return count
+    sink.writelines(f"{r}\n" for r in rows)
+    return len(rows)
 
 
 def parse_positions(stream: TextIO | str) -> list[tuple[int, int, int]]:
@@ -266,29 +327,34 @@ def convert_positions(
 
     Each record becomes a person-sized box whose (x, y) comes from the grid
     mapping and whose center sits at half the person height above ground,
-    with yaw 0, confidence 1 and track_id = person_id.
+    with yaw 0, confidence 1 and track_id = person_id (which must be
+    non-negative: -1 marks a row without track id). Rows are ordered by
+    frame, records of one frame in input order.
     """
-    frames: dict[int, list[Detection]] = {}
-    for frame, person_id, position_id in records:
-        if position_id < 0:
-            raise ValueError(f"position_id must be non-negative, got {position_id}")
-        x, y = grid.cell_to_xy(position_id)
-        det = Detection(
-            box=Box3D(
-                x=x,
-                y=y,
-                z=grid.person_height / 2.0,
-                width=grid.person_width,
-                length=grid.person_length,
-                height=grid.person_height,
-                yaw=0.0,
-            ),
-            class_id=grid.class_id,
-            confidence=1.0,
-            track_id=person_id,
-        )
-        frames.setdefault(frame, []).append(det)
-    return make_sequence(frames, native_fps=native_fps, scene_name=scene_name)
+    frame, person, pos = np.array(list(records), dtype=np.int64).reshape(-1, 3).T
+    col, row = pos % grid.grid_width, pos // grid.grid_width
+    bad = (pos < 0) | (person < 0)
+    if grid.grid_height is not None:
+        bad |= row >= grid.grid_height
+    if bad.any():
+        i = int(np.argmax(bad))
+        if pos[i] < 0:
+            raise ValueError(f"position_id must be non-negative, got {pos[i]}")
+        grid.cell_to_xy(int(pos[i]))  # raises naming the grid
+        raise ValueError(f"person_id must be non-negative, got {person[i]}")
+    order = np.argsort(frame, kind="stable")
+    ids = np.column_stack((frame, person, np.full(frame.size, grid.class_id)))[order]
+    per_row = (grid.person_height / 2.0, grid.person_width, grid.person_length,
+               grid.person_height, 0.0, 1.0)
+    floats = np.empty((frame.size, 8))
+    floats[:, 0] = grid.origin_x + grid.step * col + grid.recenter_x
+    floats[:, 1] = grid.origin_y + grid.step * row + grid.recenter_y
+    floats[:, 2:] = [float(v) for v in per_row]
+    return Sequence.from_table(
+        table_from_rows(ids, floats[order], None),
+        native_fps=float(native_fps),
+        scene_name=scene_name,
+    )
 
 
 def estimate_velocities(seq: Sequence) -> Sequence:
@@ -297,46 +363,29 @@ def estimate_velocities(seq: Sequence) -> Sequence:
     Central difference over the nearest earlier and later frames carrying the
     same (class_id, track_id); one-sided at identity endpoints; (0, 0) for
     identities seen exactly once. Box geometry, identities, confidences and
-    frame structure are untouched.
+    frame structure are untouched; rows without a track id get no velocity.
     """
-    tracks: dict[tuple[int, int], list[tuple[int, float, float]]] = {}
-    for frame, dets in seq.frames:
-        for det in dets:
-            if det.track_id is None:
-                continue
-            key = (det.class_id, det.track_id)
-            tracks.setdefault(key, []).append((frame, det.box.x, det.box.y))
-
-    velocity_at: dict[tuple[int, int, int], tuple[float, float]] = {}
-    for key, obs in tracks.items():
-        obs.sort()
-        n = len(obs)
-        for i, (frame, _, _) in enumerate(obs):
-            if n == 1:
-                v = (0.0, 0.0)
-            else:
-                lo = obs[i - 1] if i > 0 else obs[i]
-                hi = obs[i + 1] if i < n - 1 else obs[i]
-                dt = (hi[0] - lo[0]) / seq.native_fps
-                v = ((hi[1] - lo[1]) / dt, (hi[2] - lo[2]) / dt)
-            velocity_at[(key[0], key[1], frame)] = v
-
-    new_frames: list[tuple[int, list[Detection]]] = []
-    for frame, dets in seq.frames:
-        out: list[Detection] = []
-        for det in dets:
-            if det.track_id is None:
-                out.append(det)
-            else:
-                v = velocity_at[(det.class_id, det.track_id, frame)]
-                out.append(
-                    Detection(
-                        box=det.box,
-                        class_id=det.class_id,
-                        confidence=det.confidence,
-                        track_id=det.track_id,
-                        velocity=v,
-                    )
-                )
-        new_frames.append((frame, out))
-    return make_sequence(new_frames, native_fps=seq.native_fps, scene_name=seq.scene_name)
+    t = seq.table
+    rows = np.flatnonzero(t.track_id != -1)
+    rows = rows[np.lexsort((t.frame[rows], t.track_id[rows], t.class_id[rows]))]
+    f = t.frame[rows]
+    # same[k]: rows k and k + 1 of the identity order share an identity
+    same = (np.diff(t.class_id[rows]) == 0) & (np.diff(t.track_id[rows]) == 0)
+    twice = np.flatnonzero(same & (np.diff(f) == 0))
+    if twice.size:
+        r = rows[twice[0]]
+        raise ValueError(
+            f"track_id {t.track_id[r]} of class {t.class_id[r]} appears twice "
+            f"in frame {t.frame[r]}"
+        )
+    k = np.arange(rows.size)
+    lo = np.where(np.concatenate(([False], same)), k - 1, k)
+    hi = np.where(np.concatenate((same, [False])), k + 1, k)
+    dt = np.where(hi == lo, 1.0, (f[hi] - f[lo]) / seq.native_fps)
+    vx = np.full(t.frame.size, math.nan)
+    vy = np.full(t.frame.size, math.nan)
+    for out, col in ((vx, t.x[rows]), (vy, t.y[rows])):
+        out[rows] = np.where(hi == lo, 0.0, (col[hi] - col[lo]) / dt)
+    return Sequence.from_table(
+        replace(t, vx=vx, vy=vy), native_fps=seq.native_fps, scene_name=seq.scene_name
+    )

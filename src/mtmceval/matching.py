@@ -46,26 +46,34 @@ class FrameMatchSet:
     unmatched_pred: tuple[int, ...]
 
 
+def _footprints(dets: list[Detection] | tuple[Detection, ...]) -> np.ndarray:
+    return np.array(
+        [(d.box.x, d.box.y, d.box.width, d.box.length) for d in dets], dtype=float
+    ).reshape(-1, 4)
+
+
 def similarity_matrix(
-    gt: list[Detection] | tuple[Detection, ...],
-    pred: list[Detection] | tuple[Detection, ...],
+    gt: list[Detection] | tuple[Detection, ...] | np.ndarray,
+    pred: list[Detection] | tuple[Detection, ...] | np.ndarray,
     spec: SimilaritySpec,
 ) -> np.ndarray:
-    """Pairwise similarities, shape (len(gt), len(pred))."""
+    """Pairwise similarities, shape (len(gt), len(pred)).
+
+    Each side is a list of Detections or an (n, 4) array of footprint
+    columns x, y, width, length.
+    """
+    if not isinstance(gt, np.ndarray):
+        gt = _footprints(gt)
+    if not isinstance(pred, np.ndarray):
+        pred = _footprints(pred)
     n, m = len(gt), len(pred)
     if n == 0 or m == 0:
         return np.zeros((n, m))
-    gx = np.array([d.box.x for d in gt])
-    gy = np.array([d.box.y for d in gt])
-    px = np.array([d.box.x for d in pred])
-    py = np.array([d.box.y for d in pred])
+    gx, gy, gw, gl = gt.T
+    px, py, pw, pl = pred.T
     if spec.mode == "center_distance":
         dist = np.hypot(gx[:, None] - px[None, :], gy[:, None] - py[None, :])
         return np.maximum(0.0, 1.0 - dist / spec.d_max)
-    gw = np.array([d.box.width for d in gt])
-    gl = np.array([d.box.length for d in gt])
-    pw = np.array([d.box.width for d in pred])
-    pl = np.array([d.box.length for d in pred])
     ix = np.minimum(
         gx[:, None] + gw[:, None] / 2, px[None, :] + pw[None, :] / 2
     ) - np.maximum(gx[:, None] - gw[:, None] / 2, px[None, :] - pw[None, :] / 2)

@@ -1,15 +1,19 @@
 """HOTA, DetA, AssA, LocA, detection AP, AvgTrackDur and report assembly.
 
 All metrics come from one pass per class over the evaluation window
-(``_collect_class_frames``). For every window frame it builds the GT and
-prediction track-id arrays, each sorted by track id, and one similarity
-matrix between them, and it records the AP rank key of every prediction.
-Three consumers read that pass and compute nothing twice:
+(``_collect_class_frames``), reading column slices of the two sequences'
+track tables. For every window frame where either side has rows it builds
+the GT and prediction track-id arrays, each sorted by track id, and one
+similarity matrix between them, and it records the AP rank key of every
+prediction; a window frame empty on both sides holds nothing to match and is
+skipped, keeping the window positions for run counting. Three consumers read
+that pass and compute nothing twice:
 
 - ``_score_alphas`` re-matches each frame at every gate alpha (gated
   Hungarian) and gives HOTA, DetA, AssA and LocA per alpha, plus the matched
   prediction ids;
-- ``_run_seconds`` counts runs of matched prediction ids: AvgTrackDur;
+- ``_run_seconds`` counts runs of matched prediction ids over window
+  positions: AvgTrackDur;
 - ``_average_precision`` ranks predictions and matches them greedily on the
   same matrices: AP.
 
@@ -34,8 +38,7 @@ from typing import Callable
 
 import numpy as np
 
-from .datamodel import Detection, EvalWindow, Sequence
-from .datamodel import make_sequence
+from .datamodel import EvalWindow, Sequence, TrackTable
 from .matching import (
     FrameMatchSet,
     SimilaritySpec,
@@ -58,12 +61,14 @@ _EMPTY_IDS = np.empty(0, dtype=np.int64)
 
 @dataclass
 class _ClassFrames:
-    """One class's window: per frame the GT ids, prediction ids (each sorted
-    by track id) and the similarity matrix between them; the distinct ids of
-    each side with their detection counts; the AP rank key of every
-    prediction as (key, frame position, column)."""
+    """One class's window, on the window frames where either side has rows:
+    per frame the GT ids, prediction ids (each sorted by track id) and the
+    similarity matrix between them, and the frame's window position; the
+    distinct ids of each side with their detection counts; the AP rank key
+    of every prediction as (key, frame, column)."""
 
     frames: list[tuple[np.ndarray, np.ndarray, np.ndarray]]
+    positions: np.ndarray
     gt_ids: np.ndarray
     gt_counts: np.ndarray
     pred_ids: np.ndarray
@@ -71,44 +76,79 @@ class _ClassFrames:
     ranked: list[tuple[tuple, int, int]]
 
 
-def _class_dets(
-    dets: tuple[Detection, ...], class_id: int, kind: str
-) -> list[Detection]:
-    out = [d for d in dets if d.class_id == class_id]
-    for d in out:
-        if d.track_id is None:
-            raise ValueError(f"{kind} detection missing track_id")
-    out.sort(key=lambda d: d.track_id)
-    return out
+def _window_rows(t: TrackTable, window: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(rows, window positions) of the table rows on window frames, frame by
+    frame in window order, the rows of a frame in table order; only the
+    frames in the window are touched."""
+    by_index = np.argsort(t.frame_index, kind="stable")
+    at = np.searchsorted(t.frame_index, window, sorter=by_index)
+    found = at < by_index.size
+    found[found] = t.frame_index[by_index[at[found]]] == window[found]
+    frames = by_index[at[found]]
+    starts, counts = t.offsets[frames], np.diff(t.offsets)[frames]
+    # the row ranges of those frames, concatenated
+    rows = np.arange(counts.sum()) + np.repeat(starts - np.cumsum(counts) + counts, counts)
+    return rows, np.repeat(np.flatnonzero(found), counts)
+
+
+def _class_rows(
+    t: TrackTable, window: np.ndarray, class_id: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """(rows, window positions) of one class's rows on window frames,
+    ordered by (window position, track_id), ties in table order."""
+    rows, pos = _window_rows(t, window)
+    mine = t.class_id[rows] == class_id
+    rows, pos = rows[mine], pos[mine]
+    by_id = np.lexsort((t.track_id[rows], pos))
+    return rows[by_id], pos[by_id]
 
 
 def _collect_class_frames(
-    gt_by_frame: dict[int, tuple[Detection, ...]],
-    pred_by_frame: dict[int, tuple[Detection, ...]],
+    gt: TrackTable,
+    pred: TrackTable,
     window: EvalWindow,
     spec: SimilaritySpec,
     class_id: int,
 ) -> _ClassFrames:
-    frames = []
-    ranked: list[tuple[tuple, int, int]] = []
-    for t, fi in enumerate(window.frame_indices):
-        g = _class_dets(gt_by_frame.get(fi, ()), class_id, "ground-truth")
-        p = _class_dets(pred_by_frame.get(fi, ()), class_id, "predicted")
-        g_ids = np.array([d.track_id for d in g], dtype=np.int64)
-        p_ids = np.array([d.track_id for d in p], dtype=np.int64)
-        frames.append((g_ids, p_ids, similarity_matrix(g, p, spec)))
-        # confidence first, then a canonical order-independent tie-break
-        ranked += [
-            ((-d.confidence, fi, d.track_id, d.box.x, d.box.y, d.box.z), t, j)
-            for j, d in enumerate(p)
-        ]
-    gt_ids, gt_counts = np.unique(
-        np.concatenate([f[0] for f in frames]), return_counts=True
+    win = np.asarray(window.frame_indices, dtype=np.int64)
+    g_rows, g_pos = _class_rows(gt, win, class_id)
+    p_rows, p_pos = _class_rows(pred, win, class_id)
+    missing = [
+        (pos[t.track_id[rows] == -1].min(initial=win.size), kind)
+        for t, rows, pos, kind in (
+            (gt, g_rows, g_pos, "ground-truth"), (pred, p_rows, p_pos, "predicted")
+        )
+    ]
+    first, kind = min(missing, key=lambda m: m[0])
+    if first < win.size:
+        raise ValueError(f"{kind} detection missing track_id")
+    # only the window frames where either side has rows; the rest hold nothing
+    positions = np.union1d(g_pos, p_pos)
+    g_cut = np.append(np.searchsorted(g_pos, positions), g_pos.size)
+    p_cut = np.append(np.searchsorted(p_pos, positions), p_pos.size)
+    g_ids, p_ids = gt.track_id[g_rows], pred.track_id[p_rows]
+    g_box = np.column_stack((gt.x[g_rows], gt.y[g_rows], gt.w[g_rows], gt.l[g_rows]))
+    p_box = np.column_stack((pred.x[p_rows], pred.y[p_rows], pred.w[p_rows], pred.l[p_rows]))
+    g, p = g_cut.tolist(), p_cut.tolist()
+    frames = [
+        (g_ids[a:b], p_ids[c:d], similarity_matrix(g_box[a:b], p_box[c:d], spec))
+        for a, b, c, d in zip(g, g[1:], p, p[1:])
+    ]
+    # confidence first, then a canonical order-independent tie-break
+    key = zip(
+        (-pred.conf[p_rows]).tolist(),
+        pred.frame[p_rows].tolist(),
+        p_ids.tolist(),
+        pred.x[p_rows].tolist(),
+        pred.y[p_rows].tolist(),
+        pred.z[p_rows].tolist(),
     )
-    pred_ids, pred_counts = np.unique(
-        np.concatenate([f[1] for f in frames]), return_counts=True
-    )
-    return _ClassFrames(frames, gt_ids, gt_counts, pred_ids, pred_counts, ranked)
+    at = np.searchsorted(positions, p_pos)
+    column = np.arange(p_rows.size) - p_cut[at]
+    ranked = list(zip(key, at.tolist(), column.tolist()))
+    gt_ids, gt_counts = np.unique(g_ids, return_counts=True)
+    pred_ids, pred_counts = np.unique(p_ids, return_counts=True)
+    return _ClassFrames(frames, positions, gt_ids, gt_counts, pred_ids, pred_counts, ranked)
 
 
 def _score_alphas(
@@ -121,23 +161,23 @@ def _score_alphas(
     counted on dense indices into each side's distinct ids, so any int64
     track id is safe.
     """
-    n_a = len(alphas)
-    mg: list[list[np.ndarray]] = [[] for _ in range(n_a)]
-    mp: list[list[np.ndarray]] = [[] for _ in range(n_a)]
-    ms: list[list[np.ndarray]] = [[] for _ in range(n_a)]
-    for g_ids, p_ids, sim in data.frames:
-        for ai, alpha in enumerate(alphas):
-            rows, cols = match_arrays(sim, alpha)
-            mg[ai].append(g_ids[rows])
-            mp[ai].append(p_ids[cols])
-            ms[ai].append(sim[rows, cols])
     total_gt = int(data.gt_counts.sum())
     total_pred = int(data.pred_counts.sum())
     n_pred = data.pred_ids.size
     scores = []
-    for ai in range(n_a):
-        all_g = np.concatenate(mg[ai])
-        all_p = np.concatenate(mp[ai])
+    matched: list[list[np.ndarray]] = []
+    # alpha by alpha, so that only one alpha's per-frame GT ids and
+    # similarities are alive at a time
+    for alpha in alphas:
+        mg, mp, ms = [], [], []
+        for g_ids, p_ids, sim in data.frames:
+            rows, cols = match_arrays(sim, alpha)
+            mg.append(g_ids[rows])
+            mp.append(p_ids[cols])
+            ms.append(sim[rows, cols])
+        matched.append(mp)
+        all_g = np.concatenate(mg)
+        all_p = np.concatenate(mp)
         tp = int(all_g.size)
         if tp == 0:
             # the class has GT in the window, so nothing matched scores 0
@@ -151,21 +191,24 @@ def _score_alphas(
         pred_n = data.pred_counts[pairs % n_pred]
         a_c = counts / (gt_n + pred_n - counts)
         assa = float((counts * a_c).sum() / tp)
-        loca = float(np.concatenate(ms[ai]).mean())
+        loca = float(np.concatenate(ms).mean())
         scores.append((math.sqrt(deta * assa), deta, assa, loca))
-    return scores, mp
+    return scores, matched
 
 
-def _run_seconds(matched_pred_ids: list[np.ndarray], f0: float) -> float:
-    """AvgTrackDur from each window frame's matched prediction ids: a run is
-    a maximal span of consecutive window positions where one id is matched;
-    the result is the sum of run lengths / (#runs * f0), 0 with no runs."""
+def _run_seconds(
+    matched_pred_ids: list[np.ndarray], positions: np.ndarray, f0: float
+) -> float:
+    """AvgTrackDur from the matched prediction ids of the window frames at
+    the given window positions: a run is a maximal span of consecutive
+    window positions where one id is matched; the result is the sum of run
+    lengths / (#runs * f0), 0 with no runs."""
     if f0 <= 0:
         raise ValueError("f0 must be positive")
     ids = np.concatenate([_EMPTY_IDS, *matched_pred_ids])
     if ids.size == 0:
         return 0.0
-    pos = np.repeat(np.arange(len(matched_pred_ids)), [a.size for a in matched_pred_ids])
+    pos = np.repeat(positions, [a.size for a in matched_pred_ids])
     distinct, dense = np.unique(ids, return_inverse=True)
     keys = np.unique(pos * distinct.size + dense)
     # a (position, id) starts a run unless the id was matched one position back
@@ -216,7 +259,9 @@ def avg_track_dur(matches: list[FrameMatchSet], f0: float) -> float:
     Returns 0 when no tracker id is ever matched.
     """
     return _run_seconds(
-        [np.array([p for _, p, _ in m.pairs], dtype=np.int64) for m in matches], f0
+        [np.array([p for _, p, _ in m.pairs], dtype=np.int64) for m in matches],
+        np.arange(len(matches)),
+        f0,
     )
 
 
@@ -234,21 +279,21 @@ def detection_ap(
     frame, each ground-truth box consumed at most once; an exact similarity
     tie goes to the GT with the lower track id.
     """
-    data = _collect_class_frames(gt.as_dict(), pred.as_dict(), window, spec, class_id)
+    data = _collect_class_frames(gt.table, pred.table, window, spec, class_id)
     return _average_precision(data, alpha)
 
 
 def _roi_contains(
     roi: tuple[float, float, float, float] | list[tuple[float, float]],
-) -> Callable[[float, float], bool]:
-    """The point-in-ROI test for an axis-aligned (xmin, ymin, xmax, ymax)
-    rectangle or a convex polygon given as a vertex list; a malformed or
-    degenerate ROI raises ValueError or TypeError."""
+) -> Callable[[np.ndarray, np.ndarray], np.ndarray]:
+    """The point-in-ROI test on coordinate columns for an axis-aligned
+    (xmin, ymin, xmax, ymax) rectangle or a convex polygon given as a vertex
+    list; a malformed or degenerate ROI raises ValueError or TypeError."""
     if isinstance(roi, tuple) and len(roi) == 4 and not isinstance(roi[0], tuple):
         xmin, ymin, xmax, ymax = (float(v) for v in roi)
         if xmax <= xmin or ymax <= ymin:
             raise ValueError("degenerate ROI rectangle")
-        return lambda x, y: xmin <= x <= xmax and ymin <= y <= ymax
+        return lambda x, y: (xmin <= x) & (x <= xmax) & (ymin <= y) & (y <= ymax)
 
     verts = [(float(x), float(y)) for x, y in roi]
     if len(verts) < 3:
@@ -262,14 +307,14 @@ def _roi_contains(
         raise ValueError("degenerate ROI polygon (zero area)")
     orient = 1.0 if area2 > 0 else -1.0
 
-    def inside(x: float, y: float) -> bool:
+    def inside(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+        keep = np.ones(np.shape(x), bool)
         for i in range(len(verts)):
             x1, y1 = verts[i]
             x2, y2 = verts[(i + 1) % len(verts)]
             cross = (x2 - x1) * (y - y1) - (y2 - y1) * (x - x1)
-            if orient * cross < 0:
-                return False
-        return True
+            keep &= ~(orient * cross < 0)
+        return keep
 
     return inside
 
@@ -284,19 +329,11 @@ def postprocess_filter(
     with no ROI and no positive threshold the input comes back unchanged."""
     if roi is None and conf_threshold <= 0:
         return seq
-    inside = _roi_contains(roi) if roi is not None else lambda x, y: True
-    frames = [
-        (
-            fi,
-            [
-                d
-                for d in dets
-                if d.confidence >= conf_threshold and inside(d.box.x, d.box.y)
-            ],
-        )
-        for fi, dets in seq.frames
-    ]
-    return make_sequence(frames, native_fps=seq.native_fps, scene_name=seq.scene_name)
+    t = seq.table
+    keep = t.conf >= conf_threshold
+    if roi is not None:
+        keep &= _roi_contains(roi)(t.x, t.y)
+    return Sequence.from_table(t.select(rows=keep), seq.native_fps, seq.scene_name)
 
 
 # ---------------------------------------------------------------------------
@@ -379,15 +416,14 @@ def class_report(
     """
     if not alpha_grid:
         raise ValueError("alpha_grid must be nonempty")
-    gt_by_frame = gt.as_dict()
-    pred_by_frame = pred.as_dict()
+    win = np.asarray(window.frame_indices, dtype=np.int64)
 
-    def classes(by_frame: dict[int, tuple[Detection, ...]]) -> set[int]:
-        return {d.class_id for fi in window.frame_indices for d in by_frame.get(fi, ())}
+    def classes(t: TrackTable) -> set[int]:
+        return set(np.unique(t.class_id[_window_rows(t, win)[0]]).tolist())
 
-    gt_classes = classes(gt_by_frame)
+    gt_classes = classes(gt.table)
     notes: list[str] = []
-    orphan = sorted(classes(pred_by_frame) - gt_classes)
+    orphan = sorted(classes(pred.table) - gt_classes)
     if orphan:
         logger.warning("dropping predicted classes absent from GT: %s", orphan)
         notes.append(f"dropped predicted classes absent from GT: {orphan}")
@@ -398,7 +434,7 @@ def class_report(
 
     per_class: dict[int, ClassMetrics] = {}
     for c in sorted(gt_classes):
-        data = _collect_class_frames(gt_by_frame, pred_by_frame, window, spec, c)
+        data = _collect_class_frames(gt.table, pred.table, window, spec, c)
         scores, matched_pred_ids = _score_alphas(data, all_alphas)
         h, d, a, l = np.array(scores[: len(alphas)]).mean(axis=0)
         per_class[c] = ClassMetrics(
@@ -406,7 +442,9 @@ def class_report(
             deta=float(d),
             assa=float(a),
             loca=float(l),
-            avg_track_dur_seconds=_run_seconds(matched_pred_ids[dur_index], window.f0),
+            avg_track_dur_seconds=_run_seconds(
+                matched_pred_ids[dur_index], data.positions, window.f0
+            ),
             ap=_average_precision(data, dur_alpha),
         )
 

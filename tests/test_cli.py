@@ -201,6 +201,9 @@ def test_evaluate_detector_only_prediction_exits_2(tmp_path, capsys):
         ({"eval_fps": 0}, [], "eval_fps"),
         ({}, ["--dur-alpha", "0"], "dur_alpha"),
         ({}, ["--native-fps", "0"], "native_fps"),
+        ({"class_names": 5}, [], "class_names"),
+        ({"roi": 5}, [], "roi"),
+        ({}, ["--max-frames", "0"], "no window frame lies below 0"),
     ],
 )
 def test_bad_config_or_flag_exits_2(tmp_path, capsys, config, flags, named):

@@ -1,4 +1,5 @@
 import json
+import time
 
 import numpy as np
 import pytest
@@ -13,6 +14,7 @@ from mtmceval.fpslab import (
     sweep_to_json,
     sweep_to_text,
 )
+from mtmceval.ingest import parse_tracks
 from mtmceval.matching import SimilaritySpec
 from mtmceval.metrics import class_report
 from mtmceval.synthgen import DegradeSpec, degrade, gen_scene, oracle_metrics
@@ -155,6 +157,20 @@ def test_sparse_gt_windows_match_oracle():
                 for f in fields:
                     got, want = getattr(a.per_class[cid], f), getattr(b.per_class[cid], f)
                     assert abs(got - want) <= 1e-12, (seed, eval_fps, cid, f)
+
+
+def test_window_frames_empty_on_both_sides_cost_nothing():
+    """A GT with rows on frames 0 and 100,000 only, scored against itself on
+    its 100,001-frame native window: two runs of one frame each."""
+    row = "{},1,0,0.0,0.0,0.9,0.6,0.6,1.8,0.0,1.0\n"
+    gt = parse_tracks(row.format(0) + row.format(100_000), native_fps=30.0)
+    window = controlled_window(gt, 30.0, 30.0)
+    assert len(window) == 100_001
+    start = time.perf_counter()
+    m = class_report(gt, gt, window, CD).per_class[0]
+    assert time.perf_counter() - start < 2.0
+    assert (m.hota, m.deta, m.assa, m.loca, m.ap) == (1.0, 1.0, 1.0, 1.0, 1.0)
+    assert m.avg_track_dur_seconds == 1 / 30.0
 
 
 def test_windows_nest_across_rates():

@@ -3,7 +3,8 @@ import io
 import numpy as np
 import pytest
 
-from mtmceval.datamodel import Box3D, Detection, make_sequence
+from mtmceval import ingest
+from mtmceval.datamodel import FLOAT_COLUMNS, Box3D, Detection, make_sequence
 from mtmceval.ingest import (
     GridConfig,
     ParseError,
@@ -243,3 +244,197 @@ def test_velocity_preserves_everything_else():
             assert a.track_id == b.track_id
             assert a.class_id == b.class_id
             assert a.confidence == b.confidence
+
+
+# --- int64 range ----------------------------------------------------------------
+
+
+@pytest.mark.parametrize(
+    "column, row",
+    [
+        ("frame", "100000000000000000000,1,0,1,2,3,1,1,1,0,0.5\n"),
+        ("track_id", "0,99999999999999999999999,0,1,2,3,1,1,1,0,0.5\n"),
+        ("class_id", "0,1,9223372036854775808,1,2,3,1,1,1,0,0.5\n"),
+    ],
+)
+def test_parse_rejects_ids_outside_int64(column, row, tmp_path, capsys):
+    from mtmceval.cli import main
+
+    with pytest.raises(ParseError) as exc:
+        parse_tracks("# header\n" + row)
+    assert exc.value.line_no == 2 and exc.value.column == column
+    assert "outside the signed 64-bit range" in str(exc.value)
+    path = tmp_path / "t.csv"
+    path.write_text(row)
+    assert main(["evaluate", "--gt", str(path), "--pred", str(path)]) == 2
+    assert f"column '{column}': outside the signed 64-bit range" in capsys.readouterr().err
+
+
+def test_parse_accepts_int64_extremes():
+    top = 2**63 - 1
+    seq = parse_tracks(f"{top},{top},{top},1,2,3,1,1,1,0,0.5\n")
+    (frame, (det,)), = seq.frames
+    assert (frame, det.track_id, det.class_id) == (top, top, top)
+
+
+# --- fast reader against the row reader -----------------------------------------
+
+
+def _same_table(a, b):
+    for name in ("frame_index", "offsets", "frame", "track_id", "class_id",
+                 *FLOAT_COLUMNS, "vx", "vy"):
+        u, v = getattr(a, name), getattr(b, name)
+        if u is None or v is None:
+            assert u is v, name
+        else:
+            assert u.dtype == v.dtype and u.tobytes() == v.tobytes(), name
+
+
+_IDS = (0, 1, 7, 2**31, 2**53 + 1, 2**62 + 3, 2**63 - 1)
+
+
+def _number(rng, v):
+    """v written as repr, with a signed 17-digit exponent, rounded to a short
+    exponent form, or padded with spaces."""
+    form = int(rng.integers(4))
+    if form == 0:
+        return repr(v)
+    if form == 1:
+        return f"{v:+.17e}"
+    if form == 2:
+        return f"{v:.6E}"
+    return f" {v!r} "
+
+
+def _valid_rows(rng, velocity):
+    """Data rows of a valid track file, frames ascending with gaps."""
+    frames = np.unique(rng.integers(0, 2**40, size=int(rng.integers(1, 12))))
+    rows = []
+    for f in frames.tolist():
+        n_rows = rng.integers(1, 6)
+        pairs = {(int(rng.choice(_IDS)), int(rng.integers(0, 4))) for _ in range(n_rows)}
+        for tid, cls in sorted(pairs, key=lambda p: rng.random()):
+            vals = [*rng.uniform(-1e3, 1e3, 3), *rng.uniform(1e-3, 5.0, 3),
+                    float(rng.uniform(-20, 20)), float(rng.choice([0.0, 1.0, rng.random()]))]
+            if velocity:
+                vals += list(rng.normal(size=2))
+            sign = "+" if rng.random() < 0.2 else ""
+            rows.append(",".join([f"{sign}{f}", f"{sign}{tid}", str(cls)]
+                                 + [_number(rng, float(v)) for v in vals]))
+    return rows
+
+
+def _file(rng, rows):
+    """Rows under a header, with comment and blank lines, LF or CRLF."""
+    lines = ["# frame,track_id,class_id,x,y,z,width,length,height,yaw,confidence"]
+    for r in rows:
+        if rng.random() < 0.1:
+            lines.append("#" + " comment # with hash" * int(rng.integers(2)))
+        if rng.random() < 0.1:
+            lines.append("")
+        lines.append(r)
+    end = "\r\n" if rng.random() < 0.3 else "\n"
+    return end.join(lines) + end
+
+
+def _corrupt(rng, rows, kind):
+    """rows with one defect of the given kind."""
+    rows = list(rows)
+    i = int(rng.integers(len(rows)))
+    parts = rows[i].split(",")
+    if kind == "mid-line #":
+        parts[-1] += " # note"
+    elif kind in ("float in int column", "underscore", "outside int64"):
+        parts[int(rng.integers(3))] = {"float in int column": "5.0", "underscore": "1_0",
+                                       "outside int64": str(2**63)}[kind]
+    elif kind in ("nan", "inf", "1e400"):
+        parts[int(rng.integers(3, 11))] = kind
+    elif kind == "empty track_id":
+        parts[1] = ""
+    elif kind == "12 columns":
+        parts.append("1")
+    elif kind == "mixed 11/13":
+        parts += ["0.5", "-0.5"]
+    elif kind == "negative id":
+        parts[int(rng.integers(1, 3))] = "-3"
+    elif kind == "bad confidence":
+        parts[10] = "1.5"
+    elif kind == "zero width":
+        parts[6] = "0"
+    rows[i] = ",".join(parts)
+    if kind == "frame regression":
+        rows.append(rows[0])  # a duplicate instead when the file has one frame
+    elif kind == "duplicate identity":
+        rows.insert(i, rows[i])
+    elif kind == "whitespace line":
+        rows.insert(i, "   ")
+    return rows
+
+
+CORRUPTIONS = ("mid-line #", "float in int column", "underscore", "nan", "inf", "1e400",
+               "empty track_id", "12 columns", "mixed 11/13", "frame regression",
+               "negative id", "duplicate identity", "outside int64", "whitespace line",
+               "bad confidence", "zero width")
+
+
+def test_fast_reader_equals_row_reader():
+    """On valid files the two readers give equal tables, float bits
+    included; on corrupted ones the fast reader never accepts what the row
+    reader rejects, and parse_tracks raises the row reader's ParseError."""
+    rng = np.random.default_rng(20261018)
+    fast_accepted = 0
+    for case in range(400):
+        rows = _valid_rows(rng, velocity=case % 4 == 0)
+        kind = CORRUPTIONS[case % len(CORRUPTIONS)] if case >= 100 else None
+        if kind is not None:
+            rows = _corrupt(rng, rows, kind)
+        text = _file(rng, rows)
+        lines = ingest._lines(text)
+        fast = ingest._parse_fast(lines)
+        try:
+            slow = ingest._parse_rows(lines)
+        except ParseError as exc:
+            assert fast is None, (kind, text)
+            with pytest.raises(ParseError) as again:
+                parse_tracks(text)
+            assert str(again.value) == str(exc)
+            continue
+        if fast is not None:
+            _same_table(fast, slow)
+            fast_accepted += 1
+        elif kind is None:
+            pytest.fail(f"fast reader rejected a valid file:\n{text}")
+        _same_table(parse_tracks(text).table, slow)
+    assert fast_accepted >= 100
+
+
+def test_fast_reader_rejects_mid_line_comment():
+    text = "0,1,0,1,2,3,1,1,1,0,0.5 # note\n"
+    assert ingest._parse_fast(ingest._lines(text)) is None
+    with pytest.raises(ParseError, match="not a number: '0.5 # note'"):
+        parse_tracks(text)
+
+
+def test_parse_builds_no_row_objects_until_frames_is_read(monkeypatch, tmp_path):
+    from mtmceval import datamodel
+    from mtmceval.cli import main
+
+    gt = tmp_path / "gt.csv"
+    with gt.open("w") as fh:
+        emit_tracks(random_sequence(3, n_frames=50), fh)
+    made = []
+
+    def counting(make):
+        def wrapped(obj, *args, **kwargs):
+            made.append(obj if isinstance(obj, type) else type(obj))
+            return make(obj, *args, **kwargs)
+        return wrapped
+
+    # constructors, and the row views that Sequence.frames builds
+    for cls in (Box3D, Detection):
+        monkeypatch.setattr(cls, "__init__", counting(cls.__init__))
+    monkeypatch.setattr(datamodel, "_frozen", counting(datamodel._frozen))
+    for per_class in ([], ["--per-class"]):
+        assert main(["evaluate", "--gt", str(gt), "--pred", str(gt), *per_class]) == 0
+    assert made == []
+    assert parse_tracks(gt.read_text()).frames and Detection in made and Box3D in made
