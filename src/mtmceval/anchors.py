@@ -97,15 +97,13 @@ def kmeans(
         labels = d2.argmin(axis=1)
         assigned = ((points - centers[labels]) ** 2).sum(axis=1)
         history.append(float(assigned.sum()))
-        new_centers = centers.copy()
-        for j in range(k):
-            mask = labels == j
-            if mask.any():
-                new_centers[j] = points[mask].mean(axis=0)
-            else:
-                # reseed to the point farthest from its assigned centroid
-                far = int(assigned.argmax())
-                new_centers[j] = points[far]
+        counts = np.bincount(labels, minlength=k)
+        sums = np.stack(
+            [np.bincount(labels, weights=col, minlength=k) for col in points.T], axis=1
+        )
+        new_centers = sums / np.maximum(counts, 1)[:, None]
+        # reseed an empty cluster to the point farthest from its assigned centroid
+        new_centers[counts == 0] = points[assigned.argmax()]
         shift = float(np.abs(new_centers - centers).max())
         centers = new_centers
         if shift < tol:

@@ -1,11 +1,12 @@
 """Core value types shared by every module.
 
-A Sequence stores its detections as one TrackTable: a struct of arrays with
-one row per detection, rows grouped by ascending frame in input order, plus
-the frame-index array and per-frame row offsets, so a frame without rows
-survives. Box3D and Detection are the per-row view of that table: a Sequence
-built from them converts once, and one read from a file builds them only
-when a caller walks ``Sequence.frames``. The row rules live once, in
+A Sequence stores its detections as one TrackTable and nothing else: a
+struct of arrays with one row per detection, rows grouped by ascending frame
+in input order, plus the frame-index array and per-frame row offsets, so a
+frame without rows survives. Box3D and Detection are only the per-row view
+of that table, built by ``_frames_from_table`` when a caller walks
+``Sequence.frames``; a Sequence built from Detection objects converts them
+at construction and keeps no reference to them. The row rules live once, in
 ``_row_rules``, for validate_sequence and the track CSV reader alike.
 Timestamps are never stored; time in seconds is always frame_index / native_fps.
 """
@@ -16,7 +17,7 @@ import math
 from dataclasses import dataclass
 from functools import cached_property
 from operator import attrgetter
-from typing import Callable
+from typing import Callable, Iterable
 
 import numpy as np
 
@@ -159,7 +160,8 @@ def table_from_rows(
     )
 
 
-def _table_from_frames(frames: tuple[tuple[int, tuple[Detection, ...]], ...]) -> TrackTable:
+def _table_from_frames(frames: Iterable[tuple[int, Iterable[Detection]]]) -> TrackTable:
+    frames = [(int(fi), tuple(ds)) for fi, ds in frames]
     dets = [d for _, ds in frames for d in ds]
     boxes = [d.box for d in dets]
     n = len(dets)
@@ -216,14 +218,25 @@ def _frames_from_table(t: TrackTable) -> tuple[tuple[int, tuple[Detection, ...]]
     )
 
 
+def _velocity(t: TrackTable) -> np.ndarray:
+    # absent velocity columns read as all NaN, as the row view reads both
+    return np.full((2, t.frame.size), math.nan) if t.vx is None else np.stack((t.vx, t.vy))
+
+
 class Sequence:
     """Ordered frames of detections plus frame-rate metadata.
 
     Frames absent from the table mean "no detections at that timestep".
     Used for both ground truth and tracker output; all detections share one
-    world coordinate frame. ``table`` is the stored form; ``frames`` is the
-    per-row view, built on demand and cached, as is the table of a Sequence
-    built from frames.
+    world coordinate frame. ``table`` is the only stored form: a Sequence
+    built from Detection objects converts them once, here, and keeps no
+    reference to them, and ``frames`` is the per-row view, built on demand
+    and cached.
+
+    Two Sequences are equal when native_fps, scene_name, the frame indices,
+    the per-frame offsets and every column are equal. A NaN velocity equals
+    a NaN velocity, and a table without velocity columns equals one whose
+    velocities are all NaN: both read as ``velocity=None`` in the view.
     """
 
     def __init__(
@@ -232,36 +245,29 @@ class Sequence:
         native_fps: float,
         scene_name: str = "",
     ) -> None:
+        self._init(native_fps, scene_name)
+        self.table = _table_from_frames(frames)
+
+    @classmethod
+    def from_table(cls, table: TrackTable, native_fps: float, scene_name: str = "") -> Sequence:
+        seq = cls.__new__(cls)
+        seq._init(native_fps, scene_name)
+        seq.table = table
+        return seq
+
+    def _init(self, native_fps: float, scene_name: str) -> None:
         if native_fps <= 0:
             raise ValueError("native_fps must be positive")
         self.native_fps = native_fps
         self.scene_name = scene_name
-        self._frames = tuple((int(idx), tuple(dets)) for idx, dets in frames)
-        self._table: TrackTable | None = None
 
-    @classmethod
-    def from_table(cls, table: TrackTable, native_fps: float, scene_name: str = "") -> Sequence:
-        seq = cls((), native_fps, scene_name)
-        seq._frames, seq._table = None, table
-        return seq
-
-    @property
-    def table(self) -> TrackTable:
-        if self._table is None:
-            self._table = _table_from_frames(self._frames)
-        return self._table
-
-    @property
+    @cached_property
     def frames(self) -> tuple[tuple[int, tuple[Detection, ...]], ...]:
-        if self._frames is None:
-            self._frames = _frames_from_table(self._table)
-        return self._frames
+        return _frames_from_table(self.table)
 
     @property
     def frame_indices(self) -> tuple[int, ...]:
-        if self._frames is None:
-            return tuple(self._table.frame_index.tolist())
-        return tuple(idx for idx, _ in self._frames)
+        return tuple(self.table.frame_index.tolist())
 
     def as_dict(self) -> dict[int, tuple[Detection, ...]]:
         return {idx: dets for idx, dets in self.frames}
@@ -269,13 +275,17 @@ class Sequence:
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Sequence):
             return NotImplemented
-        return (self.frames, self.native_fps, self.scene_name) == (
-            other.frames, other.native_fps, other.scene_name
+        a, b = self.table, other.table
+        names = ("frame_index", "offsets", "frame", "track_id", "class_id") + FLOAT_COLUMNS
+        return (
+            (self.native_fps, self.scene_name) == (other.native_fps, other.scene_name)
+            and all(np.array_equal(getattr(a, n), getattr(b, n)) for n in names)
+            and np.array_equal(_velocity(a), _velocity(b), equal_nan=True)
         )
 
     def __repr__(self) -> str:
         return (
-            f"Sequence({self.scene_name!r}, {len(self.frame_indices)} frames, "
+            f"Sequence({self.scene_name!r}, {self.table.frame_index.size} frames, "
             f"native_fps={self.native_fps!r})"
         )
 
@@ -376,12 +386,5 @@ def make_sequence(
     scene_name: str = "",
 ) -> Sequence:
     """Build a Sequence from a frame mapping, sorting frames by index."""
-    if isinstance(frames, dict):
-        items = sorted(frames.items())
-    else:
-        items = sorted(frames)
-    return Sequence(
-        frames=tuple((idx, tuple(dets)) for idx, dets in items),
-        native_fps=float(native_fps),
-        scene_name=scene_name,
-    )
+    items = sorted(frames.items() if isinstance(frames, dict) else frames)
+    return Sequence(items, native_fps=float(native_fps), scene_name=scene_name)

@@ -152,10 +152,10 @@ def _collect_class_frames(
 
 
 def _score_alphas(
-    data: _ClassFrames, alphas: tuple[float, ...]
-) -> tuple[list[tuple[float, float, float, float]], list[list[np.ndarray]]]:
-    """Per-alpha (HOTA, DetA, AssA, LocA) plus per-alpha per-frame matched
-    prediction ids (for run counting).
+    data: _ClassFrames, alphas: tuple[float, ...], dur_index: int
+) -> tuple[list[tuple[float, float, float, float]], list[np.ndarray]]:
+    """Per-alpha (HOTA, DetA, AssA, LocA) plus the per-frame matched
+    prediction ids at ``alphas[dur_index]`` (for run counting).
 
     AssA weights each (GT id, prediction id) pair by its TP count; pairs are
     counted on dense indices into each side's distinct ids, so any int64
@@ -165,17 +165,18 @@ def _score_alphas(
     total_pred = int(data.pred_counts.sum())
     n_pred = data.pred_ids.size
     scores = []
-    matched: list[list[np.ndarray]] = []
+    matched: list[np.ndarray] = []
     # alpha by alpha, so that only one alpha's per-frame GT ids and
     # similarities are alive at a time
-    for alpha in alphas:
+    for k, alpha in enumerate(alphas):
         mg, mp, ms = [], [], []
         for g_ids, p_ids, sim in data.frames:
             rows, cols = match_arrays(sim, alpha)
             mg.append(g_ids[rows])
             mp.append(p_ids[cols])
             ms.append(sim[rows, cols])
-        matched.append(mp)
+        if k == dur_index:
+            matched = mp
         all_g = np.concatenate(mg)
         all_p = np.concatenate(mp)
         tp = int(all_g.size)
@@ -435,16 +436,14 @@ def class_report(
     per_class: dict[int, ClassMetrics] = {}
     for c in sorted(gt_classes):
         data = _collect_class_frames(gt.table, pred.table, window, spec, c)
-        scores, matched_pred_ids = _score_alphas(data, all_alphas)
+        scores, matched_pred_ids = _score_alphas(data, all_alphas, dur_index)
         h, d, a, l = np.array(scores[: len(alphas)]).mean(axis=0)
         per_class[c] = ClassMetrics(
             hota=float(h),
             deta=float(d),
             assa=float(a),
             loca=float(l),
-            avg_track_dur_seconds=_run_seconds(
-                matched_pred_ids[dur_index], data.positions, window.f0
-            ),
+            avg_track_dur_seconds=_run_seconds(matched_pred_ids, data.positions, window.f0),
             ap=_average_precision(data, dur_alpha),
         )
 

@@ -7,6 +7,9 @@ stream-splitting scheme: every substream is seeded with a key sequence
 degradation per object (index = class_id * 2**20 + track id), tag 2 = false
 positives (single stream). Identical inputs and seed therefore give
 bit-identical outputs regardless of object count or iteration order.
+
+gen_scene and degrade read and write TrackTable columns; they build no
+Detection or Box3D. The oracle reads the per-row view, Sequence.frames.
 """
 
 from __future__ import annotations
@@ -16,7 +19,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .datamodel import Box3D, Detection, EvalWindow, Sequence, make_sequence
+from .datamodel import (
+    Box3D,
+    Detection,
+    EvalWindow,
+    Sequence,
+    TrackTable,
+    make_sequence,
+    normalize_yaws,
+)
 from .matching import SimilaritySpec
 from .metrics import (
     DEFAULT_ALPHA_GRID,
@@ -88,13 +99,14 @@ def gen_scene(
 
     w, l, h = PERSON_DIMS
     dt = 1.0 / fps
-    tracks: dict[int, list[tuple[float, float, float]]] = {}
+    # (x, y, yaw) of each object in each frame
+    pose = np.empty((n_objects, n_frames, 3))
     for obj in range(n_objects):
         rng = np.random.default_rng([seed, _OBJ_TAG, obj])
         x = float(rng.uniform(xmin, xmax))
         y = float(rng.uniform(ymin, ymax))
         if motion == "static":
-            tracks[obj] = [(x, y, 0.0)] * n_frames
+            pose[obj] = (x, y, 0.0)
             continue
         speed = float(rng.uniform(speed_range[0], speed_range[1]))
         heading = float(rng.uniform(-math.pi, math.pi))
@@ -132,29 +144,19 @@ def gen_scene(
             elif y > ymax:
                 y = 2 * ymax - y
                 vy = -vy
-        tracks[obj] = positions
+        pose[obj] = positions
 
-    frames: list[tuple[int, list[Detection]]] = []
-    for t in range(n_frames):
-        dets = [
-            Detection(
-                box=Box3D(
-                    x=tracks[obj][t][0],
-                    y=tracks[obj][t][1],
-                    z=h / 2,
-                    width=w,
-                    length=l,
-                    height=h,
-                    yaw=tracks[obj][t][2],
-                ),
-                class_id=class_id,
-                confidence=1.0,
-                track_id=obj,
-            )
-            for obj in range(n_objects)
-        ]
-        frames.append((t, dets))
-    return make_sequence(frames, native_fps=fps, scene_name=scene_name)
+    # rows frame by frame, objects by ascending track id within a frame
+    n = n_objects * n_frames
+    x, y, yaw = pose.transpose(1, 0, 2).reshape(n, 3).T
+    frame_index = np.arange(n_frames, dtype=np.int64)
+    table = TrackTable(
+        frame_index, np.arange(n_frames + 1, dtype=np.int64) * n_objects,
+        np.repeat(frame_index, n_objects), np.tile(np.arange(n_objects, dtype=np.int64), n_frames),
+        np.full(n, class_id, dtype=np.int64), x.copy(), y.copy(), np.full(n, h / 2),
+        np.full(n, w), np.full(n, l), np.full(n, h), normalize_yaws(yaw), np.ones(n),
+    )
+    return Sequence.from_table(table, float(fps), scene_name)
 
 
 def merge_sequences(seqs: list[Sequence]) -> Sequence:
@@ -179,81 +181,78 @@ def degrade(gt: Sequence, spec: DegradeSpec) -> Sequence:
     retired id is never reused), so run counting stays unambiguous. Frame
     indices and native_fps are preserved; a frame may end up empty.
     """
-    max_gt_id = max(
-        (d.track_id for _, dets in gt.frames for d in dets if d.track_id is not None),
-        default=-1,
-    )
-    next_id = max_gt_id + 1
+    t = gt.table
+    if (t.track_id == -1).any():
+        raise ValueError("degrade requires GT track_ids")
+    owner = np.repeat(np.arange(t.frame_index.size), np.diff(t.offsets))
+    # frames in stored order, each frame's rows by (class_id, track_id)
+    order = np.lexsort((t.track_id, t.class_id, owner)).tolist()
+    keys = list(zip(t.class_id.tolist(), t.track_id.tolist()))
+    next_id = int(t.track_id.max(initial=-1)) + 1
     current: dict[tuple[int, int], int] = {}
     rngs: dict[tuple[int, int], np.random.Generator] = {}
     fp_rng = np.random.default_rng([spec.seed, _FP_TAG])
 
-    out_frames: list[tuple[int, list[Detection]]] = []
-    for fi, dets in gt.frames:
-        out: list[Detection] = []
-        for det in sorted(dets, key=lambda d: (d.class_id, d.track_id or 0)):
-            if det.track_id is None:
-                raise ValueError("degrade requires GT track_ids")
-            key = (det.class_id, det.track_id)
-            rng = rngs.get(key)
-            if rng is None:
-                rng = np.random.default_rng(
-                    [spec.seed, _DEGRADE_TAG, det.class_id * _CLASS_STRIDE + det.track_id]
+    # per output row: its GT row (-1 for a false positive), its track id, and
+    # the x, y noise of a GT row or the x, y, confidence of a false positive
+    rows: list[int] = []
+    ids: list[int] = []
+    draws: list[tuple[float, float, float]] = []
+    ends = [0]
+    bounds = t.offsets.tolist()
+    for a, b in zip(bounds, bounds[1:]):
+        for i in order[a:b]:
+            key = keys[i]
+            if key not in rngs:
+                rngs[key] = np.random.default_rng(
+                    [spec.seed, _DEGRADE_TAG, key[0] * _CLASS_STRIDE + key[1]]
                 )
-                rngs[key] = rng
+            rng = rngs[key]
             # fixed draw layout per appearance keeps substreams aligned
             u_drop = float(rng.random())
             n1, n2 = rng.normal(size=2)
             u_switch = float(rng.random())
             if u_drop < spec.drop_prob:
                 continue
-            if key not in current:
+            if key not in current or u_switch < spec.id_switch_prob:
                 current[key] = next_id
                 next_id += 1
-            elif u_switch < spec.id_switch_prob:
-                current[key] = next_id
-                next_id += 1
-            b = det.box
-            out.append(
-                Detection(
-                    box=Box3D(
-                        x=b.x + spec.loc_noise_sigma * float(n1),
-                        y=b.y + spec.loc_noise_sigma * float(n2),
-                        z=b.z,
-                        width=b.width,
-                        length=b.length,
-                        height=b.height,
-                        yaw=b.yaw,
-                    ),
-                    class_id=det.class_id,
-                    confidence=det.confidence,
-                    track_id=current[key],
-                    velocity=det.velocity,
-                )
-            )
+            rows.append(i)
+            ids.append(current[key])
+            draws.append((n1, n2, math.nan))
         if spec.fp_rate > 0:
-            k = int(fp_rng.poisson(spec.fp_rate))
             xmin, ymin, xmax, ymax = spec.fp_bounds  # type: ignore[misc]
-            w, l, h = PERSON_DIMS
-            for _ in range(k):
+            for _ in range(int(fp_rng.poisson(spec.fp_rate))):
                 fx = float(fp_rng.uniform(xmin, xmax))
                 fy = float(fp_rng.uniform(ymin, ymax))
-                conf = float(fp_rng.uniform(0.05, 0.95))
-                out.append(
-                    Detection(
-                        box=Box3D(fx, fy, h / 2, w, l, h, 0.0),
-                        class_id=spec.fp_class_id,
-                        confidence=conf,
-                        track_id=next_id,
-                    )
-                )
+                draws.append((fx, fy, float(fp_rng.uniform(0.05, 0.95))))
+                rows.append(-1)
+                ids.append(next_id)
                 next_id += 1
-        out_frames.append((fi, out))
-    return Sequence(
-        frames=tuple((fi, tuple(dets)) for fi, dets in out_frames),
-        native_fps=gt.native_fps,
-        scene_name=gt.scene_name,
+        ends.append(len(rows))
+
+    src = np.array(rows, dtype=np.int64)
+    fp = src == -1
+    d1, d2, fp_conf = np.array(draws, dtype=float).reshape(src.size, 3).T
+    offsets = np.array(ends, dtype=np.int64)
+    w, l, h = PERSON_DIMS
+
+    def column(name: str, fp_value: float) -> np.ndarray:
+        # row -1 reads the false-positive value appended at the end
+        col = getattr(t, name)
+        return np.append(col, np.array(fp_value, col.dtype))[src]
+
+    # yaw is normalised again, as each output Box3D did; that can move its last bit
+    table = TrackTable(
+        t.frame_index, offsets, np.repeat(t.frame_index, np.diff(offsets)),
+        np.array(ids, dtype=np.int64), column("class_id", spec.fp_class_id),
+        np.where(fp, d1, column("x", 0.0) + spec.loc_noise_sigma * d1),
+        np.where(fp, d2, column("y", 0.0) + spec.loc_noise_sigma * d2),
+        column("z", h / 2), column("w", w), column("l", l), column("h", h),
+        normalize_yaws(column("yaw", 0.0)), np.where(fp, fp_conf, column("conf", 0.0)),
+        *((None, None) if t.vx is None else (column("vx", math.nan), column("vy", math.nan))),
     )
+    return Sequence.from_table(table, gt.native_fps, gt.scene_name)
 
 
 # ---------------------------------------------------------------------------

@@ -1,0 +1,21 @@
+import pytest
+
+from mtmceval import datamodel
+
+
+@pytest.fixture
+def row_objects(monkeypatch):
+    """The class of every Detection and Box3D built while the test runs:
+    constructor calls, and the row views that Sequence.frames builds."""
+    made = []
+
+    def counting(make):
+        def wrapped(obj, *args, **kwargs):
+            made.append(obj if isinstance(obj, type) else type(obj))
+            return make(obj, *args, **kwargs)
+        return wrapped
+
+    for cls in (datamodel.Box3D, datamodel.Detection):
+        monkeypatch.setattr(cls, "__init__", counting(cls.__init__))
+    monkeypatch.setattr(datamodel, "_frozen", counting(datamodel._frozen))
+    return made

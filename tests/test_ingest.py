@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from mtmceval import ingest
-from mtmceval.datamodel import FLOAT_COLUMNS, Box3D, Detection, make_sequence
+from mtmceval.datamodel import FLOAT_COLUMNS, Box3D, Detection, Sequence, make_sequence
 from mtmceval.ingest import (
     GridConfig,
     ParseError,
@@ -415,26 +415,45 @@ def test_fast_reader_rejects_mid_line_comment():
         parse_tracks(text)
 
 
-def test_parse_builds_no_row_objects_until_frames_is_read(monkeypatch, tmp_path):
-    from mtmceval import datamodel
+def test_parse_builds_no_row_objects_until_frames_is_read(row_objects, tmp_path):
     from mtmceval.cli import main
 
     gt = tmp_path / "gt.csv"
     with gt.open("w") as fh:
         emit_tracks(random_sequence(3, n_frames=50), fh)
-    made = []
-
-    def counting(make):
-        def wrapped(obj, *args, **kwargs):
-            made.append(obj if isinstance(obj, type) else type(obj))
-            return make(obj, *args, **kwargs)
-        return wrapped
-
-    # constructors, and the row views that Sequence.frames builds
-    for cls in (Box3D, Detection):
-        monkeypatch.setattr(cls, "__init__", counting(cls.__init__))
-    monkeypatch.setattr(datamodel, "_frozen", counting(datamodel._frozen))
+    row_objects.clear()
     for per_class in ([], ["--per-class"]):
         assert main(["evaluate", "--gt", str(gt), "--pred", str(gt), *per_class]) == 0
-    assert made == []
-    assert parse_tracks(gt.read_text()).frames and Detection in made and Box3D in made
+    assert row_objects == []
+    assert parse_tracks(gt.read_text()).frames
+    assert Detection in row_objects and Box3D in row_objects
+
+
+def test_equal_parses_compare_without_row_objects(row_objects):
+    buf = io.StringIO()
+    emit_tracks(random_sequence(3, n_frames=50), buf)
+    row_objects.clear()
+    a, b = parse_tracks(buf.getvalue()), parse_tracks(buf.getvalue())
+    assert a == b
+    assert a != parse_tracks(buf.getvalue(), scene_name="other")
+    assert row_objects == []
+
+
+def test_rows_without_velocity_equal_in_every_file_form(row_objects):
+    still = [Detection(box=Box3D(1, 2, 0.9, 0.6, 0.6, 1.8), class_id=0, track_id=1)]
+    moving = Detection(
+        box=Box3D(4, 5, 0.9, 0.6, 0.6, 1.8), class_id=0, track_id=2, velocity=(0.5, -0.25)
+    )
+    seq = make_sequence({0: still + [moving], 1: still, 2: still}, native_fps=2.0)
+    back = roundtrip(seq)  # 13 columns, with empty velocity cells
+    assert back == seq
+    # the rows of frames 1 and 2 read back NaN velocities from that file,
+    # and no velocity columns from an 11-column file
+    later = Sequence.from_table(back.table.select(frames=back.table.frame_index > 0), 2.0)
+    assert np.isnan(later.table.vx).all()
+    plain = make_sequence({1: still, 2: still}, native_fps=2.0)
+    assert plain.table.vx is None and roundtrip(plain).table.vx is None
+    row_objects.clear()
+    assert later == plain and roundtrip(plain) == later
+    assert row_objects == []
+    assert later.frames == plain.frames

@@ -1,0 +1,127 @@
+"""Properties of class_report over seeded synthetic scenes.
+
+Hypothesis runs derandomized with few examples, so the suite stays
+deterministic and fast.
+"""
+
+import dataclasses
+
+import numpy as np
+import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
+
+from mtmceval.datamodel import FLOAT_COLUMNS, EvalWindow, Sequence
+from mtmceval.matching import SimilaritySpec
+from mtmceval.metrics import class_report
+from mtmceval.synthgen import DegradeSpec, degrade, gen_scene, merge_sequences, oracle_metrics
+
+BOUNDS = (-4.0, -4.0, 4.0, 4.0)
+FIELDS = ("hota", "deta", "assa", "loca", "avg_track_dur_seconds", "ap")
+ROW_COLUMNS = ("frame", "track_id", "class_id") + FLOAT_COLUMNS
+PROPERTY = settings(derandomize=True, database=None, max_examples=30, deadline=None)
+
+
+@st.composite
+def scenes(draw):
+    """(gt, pred, window, similarity) of one or two classes, at most three
+    objects per class, degraded with every kind of error."""
+    n_frames = draw(st.integers(2, 6))
+    motion = draw(st.sampled_from(["static", "constant_velocity", "waypoint"]))
+    seed = draw(st.integers(0, 2**16))
+    gt = merge_sequences([
+        gen_scene(draw(st.integers(1, 3)), n_frames / 2, 2.0, BOUNDS, motion, seed + c, c)
+        for c in range(draw(st.integers(1, 2)))
+    ])
+    pred = degrade(gt, DegradeSpec(
+        drop_prob=draw(st.floats(0.0, 0.4)),
+        loc_noise_sigma=draw(st.floats(0.0, 0.6)),
+        id_switch_prob=draw(st.floats(0.0, 0.3)),
+        fp_rate=draw(st.floats(0.0, 0.6)),
+        seed=seed,
+        fp_bounds=BOUNDS,
+        fp_class_id=draw(st.integers(0, 1)),
+    ))
+    first = draw(st.integers(0, n_frames - 1))
+    window = EvalWindow(tuple(range(first, n_frames)), f0=2.0)
+    sim = draw(st.sampled_from([
+        SimilaritySpec(mode="center_distance", d_max=2.0), SimilaritySpec(mode="bev_iou"),
+    ]))
+    return gt, pred, window, sim
+
+
+def with_columns(seq, **columns):
+    return Sequence.from_table(
+        dataclasses.replace(seq.table, **columns), seq.native_fps, seq.scene_name
+    )
+
+
+def metrics(report):
+    per_class = {c: [getattr(m, f) for f in FIELDS] for c, m in report.per_class.items()}
+    return per_class, [getattr(report.class_average, f) for f in FIELDS]
+
+
+@PROPERTY
+@given(scenes(), st.integers(0, 2**32))
+def test_class_report_ignores_row_order_within_frames(scene, seed):
+    gt, pred, window, sim = scene
+    rng = np.random.default_rng(seed)
+
+    def shuffled(seq):
+        t = seq.table
+        owner = np.repeat(np.arange(t.frame_index.size), np.diff(t.offsets))
+        perm = np.lexsort((rng.random(owner.size), owner))
+        return with_columns(seq, **{n: getattr(t, n)[perm] for n in ROW_COLUMNS})
+
+    assert metrics(class_report(shuffled(gt), shuffled(pred), window, sim)) == metrics(
+        class_report(gt, pred, window, sim)
+    )
+
+
+@PROPERTY
+@given(scenes(), st.data())
+def test_class_report_ignores_an_order_keeping_track_id_relabelling(scene, data):
+    gt, pred, window, sim = scene
+    old = np.unique(np.concatenate((gt.table.track_id, pred.table.track_id)))
+    gaps = data.draw(st.lists(st.integers(1, 2**20), min_size=old.size, max_size=old.size))
+    # one gap jumps past 2**40, so ids on both sides of it occur
+    gaps[data.draw(st.integers(0, old.size - 1))] += 2**40 + data.draw(st.integers(0, 2**60))
+    new = np.cumsum(np.array(gaps, dtype=np.int64))
+    assert new[-1] >= 2**40
+
+    def relabelled(seq):
+        return with_columns(seq, track_id=new[np.searchsorted(old, seq.table.track_id)])
+
+    assert metrics(class_report(relabelled(gt), relabelled(pred), window, sim)) == metrics(
+        class_report(gt, pred, window, sim)
+    )
+
+
+@PROPERTY
+@given(scenes(), st.integers(1, 2**40))
+def test_class_report_ignores_a_frame_shift(scene, shift):
+    gt, pred, window, sim = scene
+
+    def shifted(seq):
+        t = seq.table
+        return with_columns(seq, frame_index=t.frame_index + shift, frame=t.frame + shift)
+
+    moved = EvalWindow(tuple(f + shift for f in window.frame_indices), window.f0)
+    assert metrics(class_report(shifted(gt), shifted(pred), moved, sim)) == metrics(
+        class_report(gt, pred, window, sim)
+    )
+
+
+@PROPERTY
+@given(scenes())
+def test_class_report_agrees_with_oracle(scene):
+    gt, pred, window, sim = scene
+    # the oracle enumerates matchings of at most six objects a side
+    assume(all(len(dets) <= 6 for _, dets in pred.frames))
+    got, want = metrics(class_report(gt, pred, window, sim)), metrics(
+        oracle_metrics(gt, pred, window, sim)
+    )
+    assert got[0].keys() == want[0].keys()
+    for c in got[0]:
+        assert got[0][c] == pytest.approx(want[0][c], abs=1e-12), c
+    assert got[1] == pytest.approx(want[1], abs=1e-12)
