@@ -1,4 +1,4 @@
-"""Per-frame optimal assignment between ground truth and predictions.
+"""Optimal gated assignment between ground truth and predictions.
 
 Matching maximizes total similarity among pairs that clear the gate alpha
 (equivalently minimizes summed 1 - similarity over chosen pairs), per frame
@@ -6,17 +6,26 @@ and per class. Gated-out pairs enter the assignment kernel at cost 0, the
 same as leaving both sides unmatched, and are stripped afterwards; this makes
 the solver's optimum coincide with the exhaustive max-total-similarity gated
 matching.
+
+Scoring matches many frames at once on an ``EdgeList``, the nonzero
+similarities between the rows of each frame. At a gate alpha, a frame in
+which no gated row has two gated partners holds only forced pairs, which are
+taken as they are; every other frame is solved on its whole gated matrix,
+scattered from its edges.
 """
 
 from __future__ import annotations
 
 import numbers
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.optimize import linear_sum_assignment
 
 from .datamodel import Detection
+
+# candidate GT x prediction pairs per block when building an edge list
+EDGE_BLOCK = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -52,6 +61,26 @@ def _footprints(dets: list[Detection] | tuple[Detection, ...]) -> np.ndarray:
     ).reshape(-1, 4)
 
 
+def pair_similarity(
+    gt: np.ndarray, pred: np.ndarray, spec: SimilaritySpec
+) -> np.ndarray:
+    """Similarity of each GT footprint with the prediction footprint beside
+    it: rows of columns x, y, width, length, the two sides broadcast against
+    each other over every axis but the last.
+
+    The one similarity formula: matrices and edge lists both come from it, so
+    an edge equals its matrix entry bit for bit.
+    """
+    gx, gy, gw, gl = np.moveaxis(gt, -1, 0)
+    px, py, pw, pl = np.moveaxis(pred, -1, 0)
+    if spec.mode == "center_distance":
+        return np.maximum(0.0, 1.0 - np.hypot(gx - px, gy - py) / spec.d_max)
+    ix = np.minimum(gx + gw / 2, px + pw / 2) - np.maximum(gx - gw / 2, px - pw / 2)
+    iy = np.minimum(gy + gl / 2, py + pl / 2) - np.maximum(gy - gl / 2, py - pl / 2)
+    inter = np.clip(ix, 0.0, None) * np.clip(iy, 0.0, None)
+    return inter / (gw * gl + pw * pl - inter)
+
+
 def similarity_matrix(
     gt: list[Detection] | tuple[Detection, ...] | np.ndarray,
     pred: list[Detection] | tuple[Detection, ...] | np.ndarray,
@@ -66,23 +95,107 @@ def similarity_matrix(
         gt = _footprints(gt)
     if not isinstance(pred, np.ndarray):
         pred = _footprints(pred)
-    n, m = len(gt), len(pred)
-    if n == 0 or m == 0:
-        return np.zeros((n, m))
-    gx, gy, gw, gl = gt.T
-    px, py, pw, pl = pred.T
-    if spec.mode == "center_distance":
-        dist = np.hypot(gx[:, None] - px[None, :], gy[:, None] - py[None, :])
-        return np.maximum(0.0, 1.0 - dist / spec.d_max)
-    ix = np.minimum(
-        gx[:, None] + gw[:, None] / 2, px[None, :] + pw[None, :] / 2
-    ) - np.maximum(gx[:, None] - gw[:, None] / 2, px[None, :] - pw[None, :] / 2)
-    iy = np.minimum(
-        gy[:, None] + gl[:, None] / 2, py[None, :] + pl[None, :] / 2
-    ) - np.maximum(gy[:, None] - gl[:, None] / 2, py[None, :] - pl[None, :] / 2)
-    inter = np.clip(ix, 0.0, None) * np.clip(iy, 0.0, None)
-    union = (gw * gl)[:, None] + (pw * pl)[None, :] - inter
-    return inter / union
+    return pair_similarity(gt[:, None, :], pred[None, :, :], spec)
+
+
+@dataclass(frozen=True)
+class EdgeList:
+    """The pairs of GT and prediction rows of one frame with nonzero
+    similarity, over many frames.
+
+    Each side numbers its rows across frames, grouped by frame in ascending
+    order: ``gt_frame`` and ``pred_frame`` give the frame of every row and are
+    nondecreasing. Edge k joins GT row ``gt[k]`` and prediction row
+    ``pred[k]`` at similarity ``sim[k]`` > 0; edges are sorted by (GT row,
+    prediction row).
+    """
+
+    gt: np.ndarray
+    pred: np.ndarray
+    sim: np.ndarray
+    gt_frame: np.ndarray
+    pred_frame: np.ndarray
+
+
+def edge_list(
+    gt: np.ndarray,
+    pred: np.ndarray,
+    gt_frame: np.ndarray,
+    pred_frame: np.ndarray,
+    spec: SimilaritySpec,
+) -> EdgeList:
+    """Every pair of one frame's GT and prediction footprints (rows of x, y,
+    width, length, grouped by the nondecreasing frame labels beside them)
+    with nonzero similarity.
+
+    The candidate pairs go through ``pair_similarity`` in blocks of whole
+    frames of about EDGE_BLOCK pairs, so memory stays bounded however long
+    the window is.
+    """
+    g_frames, g_start, g_count = np.unique(gt_frame, return_index=True, return_counts=True)
+    p_frames, p_start, p_count = np.unique(pred_frame, return_index=True, return_counts=True)
+    _, gi, pi = np.intersect1d(g_frames, p_frames, assume_unique=True, return_indices=True)
+    g_start, p_start, p_count = g_start[gi], p_start[pi], p_count[pi]
+    cells = g_count[gi] * p_count
+    block = (np.cumsum(cells) - cells) // EDGE_BLOCK
+    cuts = np.flatnonzero(np.diff(block)) + 1
+    parts = []
+    for lo, hi in zip([0, *cuts.tolist()], [*cuts.tolist(), cells.size]):
+        n = cells[lo:hi]
+        frame = np.repeat(np.arange(lo, hi), n)
+        # the cell of each pair in its frame's row-major GT x prediction grid
+        cell = np.arange(n.sum()) - np.repeat(np.cumsum(n) - n, n)
+        g = g_start[frame] + cell // p_count[frame]
+        p = p_start[frame] + cell % p_count[frame]
+        sim = pair_similarity(gt[g], pred[p], spec)
+        hit = sim > 0
+        parts.append((g[hit], p[hit], sim[hit]))
+    g, p, sim = (np.concatenate(c) for c in zip(*parts))
+    return EdgeList(g, p, sim, gt_frame, pred_frame)
+
+
+def _check_alpha(alpha: float) -> None:
+    if not (0.0 < alpha <= 1.0):
+        raise ValueError(f"alpha must be in (0, 1], got {alpha}")
+
+
+def match_edges(
+    edges: EdgeList, alpha: float
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Gated max-total-similarity matching of every frame of an edge list.
+
+    Returns the (GT row, prediction row, similarity) of the matched pairs,
+    sorted by GT row. A frame where some row has two gated partners is
+    solved by one linear_sum_assignment call on its whole matrix; in every
+    other frame the gated pairs are forced and taken as they are.
+    """
+    _check_alpha(alpha)
+    keep = edges.sim >= alpha
+    g, p, sim = edges.gt[keep], edges.pred[keep], edges.sim[keep]
+    frame = edges.gt_frame[g]
+    clash = (np.bincount(g)[g] > 1) | (np.bincount(p)[p] > 1)
+    hard = np.unique(frame[clash])
+    if hard.size == 0:
+        return g, p, sim
+    forced = ~np.isin(frame, hard)
+    parts = [(g[forced], p[forced], sim[forced])]
+    # each hard frame's gated edges, GT rows and prediction rows are contiguous
+    spans = zip(
+        *(np.searchsorted(labels, hard, side).tolist()
+          for labels in (frame, edges.gt_frame, edges.pred_frame)
+          for side in ("left", "right"))
+    )
+    for a, b, g0, g1, p0, p1 in spans:
+        # the frame's whole matrix; gated-out pairs cost 0
+        cost = np.zeros((g1 - g0, p1 - p0))
+        cost[g[a:b] - g0, p[a:b] - p0] = -sim[a:b]
+        rows, cols = linear_sum_assignment(cost)
+        keep = cost[rows, cols] < 0
+        rows, cols = rows[keep], cols[keep]
+        parts.append((rows + g0, cols + p0, -cost[rows, cols]))
+    g, p, sim = (np.concatenate(c) for c in zip(*parts))
+    order = np.argsort(g)
+    return g[order], p[order], sim[order]
 
 
 def hungarian(cost: np.ndarray | list[list[float]]) -> list[tuple[int, int]]:
@@ -101,26 +214,16 @@ def hungarian(cost: np.ndarray | list[list[float]]) -> list[tuple[int, int]]:
 
 
 def match_arrays(sim: np.ndarray, alpha: float) -> tuple[np.ndarray, np.ndarray]:
-    """Gated max-total-similarity matching on a similarity matrix.
+    """Gated max-total-similarity matching on one frame's similarity matrix.
 
-    Returns (row_indices, col_indices) of matched pairs, all with
-    sim >= alpha. Array-level core shared by match_frame and the metrics
-    pipeline.
+    Returns (row_indices, col_indices) of matched pairs, rows ascending, all
+    with sim >= alpha: ``match_edges`` on the matrix's nonzero entries.
     """
+    rows, cols = np.nonzero(sim > 0)
     n, m = sim.shape
-    if n == 0 or m == 0:
-        return np.empty(0, dtype=int), np.empty(0, dtype=int)
-    gated = sim >= alpha
-    counts_r = gated.sum(axis=1)
-    counts_c = gated.sum(axis=0)
-    if counts_r.max(initial=0) <= 1 and counts_c.max(initial=0) <= 1:
-        # conflict-free gate: every gated pair is forced
-        rows, cols = np.nonzero(gated)
-        return rows, cols
-    cost = np.where(gated, -sim, 0.0)
-    rows, cols = linear_sum_assignment(cost)
-    keep = gated[rows, cols]
-    return rows[keep], cols[keep]
+    edges = EdgeList(rows, cols, sim[rows, cols], np.zeros(n, int), np.zeros(m, int))
+    matched_rows, matched_cols, _ = match_edges(edges, alpha)
+    return matched_rows, matched_cols
 
 
 def match_frame(
@@ -134,8 +237,7 @@ def match_frame(
     Inputs are canonically sorted by track_id before the solve, so the result
     is invariant to detection order. All detections must carry track_ids.
     """
-    if not (0.0 < alpha <= 1.0):
-        raise ValueError(f"alpha must be in (0, 1], got {alpha}")
+    _check_alpha(alpha)
     for det in list(gt) + list(pred):
         if det.track_id is None:
             raise ValueError("match_frame requires track_ids on every detection")

@@ -1,21 +1,24 @@
 """HOTA, DetA, AssA, LocA, detection AP, AvgTrackDur and report assembly.
 
 All metrics come from one pass per class over the evaluation window
-(``_collect_class_frames``), reading column slices of the two sequences'
-track tables. For every window frame where either side has rows it builds
-the GT and prediction track-id arrays, each sorted by track id, and one
-similarity matrix between them, and it records the AP rank key of every
-prediction; a window frame empty on both sides holds nothing to match and is
-skipped, keeping the window positions for run counting. Three consumers read
-that pass and compute nothing twice:
+(``_class_edges``), reading column slices of the two sequences' track tables.
+It orders each side's rows on window frames by (window position, track id)
+and builds one edge list (``matching.EdgeList``): every (GT row, prediction
+row) pair of one frame with nonzero similarity, computed in blocks of frames
+and never as per-frame matrices. A window frame empty on either side holds no
+edge, and one empty on both sides costs nothing. It also ranks the
+predictions for AP. Three consumers read that pass and compute nothing twice:
 
-- ``_score_alphas`` re-matches each frame at every gate alpha (gated
-  Hungarian) and gives HOTA, DetA, AssA and LocA per alpha, plus the matched
-  prediction ids;
+- ``_score_alphas`` matches the edges at every gate alpha and gives HOTA,
+  DetA, AssA and LocA per alpha, plus the matched pairs at ``dur_alpha``. In
+  a frame where no row has two gated partners every gated pair is forced;
+  these are taken for the whole window at once. A conflicted frame is solved
+  on its whole gated matrix, scattered from its edges;
 - ``_run_seconds`` counts runs of matched prediction ids over window
   positions: AvgTrackDur;
-- ``_average_precision`` ranks predictions and matches them greedily on the
-  same matrices: AP.
+- ``_average_precision`` matches predictions greedily in rank order, level
+  by level: level k holds every frame's k-th ranked prediction, and frames
+  share no GT, so a whole level is matched at once: AP.
 
 ``class_report`` is the only entry point that scores a window;
 ``avg_track_dur`` and ``detection_ap`` are thin adapters over the same
@@ -40,18 +43,17 @@ import numpy as np
 
 from .datamodel import EvalWindow, Sequence, TrackTable
 from .matching import (
+    EdgeList,
     FrameMatchSet,
     SimilaritySpec,
-    match_arrays,
-    similarity_matrix,
+    edge_list,
+    match_edges,
 )
 
 logger = logging.getLogger(__name__)
 
 DEFAULT_ALPHA_GRID = tuple(round(0.05 * i, 2) for i in range(1, 20))
 DEFAULT_DUR_ALPHA = 0.5
-
-_EMPTY_IDS = np.empty(0, dtype=np.int64)
 
 
 # ---------------------------------------------------------------------------
@@ -60,20 +62,21 @@ _EMPTY_IDS = np.empty(0, dtype=np.int64)
 
 
 @dataclass
-class _ClassFrames:
-    """One class's window, on the window frames where either side has rows:
-    per frame the GT ids, prediction ids (each sorted by track id) and the
-    similarity matrix between them, and the frame's window position; the
-    distinct ids of each side with their detection counts; the AP rank key
-    of every prediction as (key, frame, column)."""
+class _ClassEdges:
+    """One class's window. GT and prediction rows are the class's rows on
+    window frames, each side ordered by (window position, track id): the
+    edge list between them (row frames are window positions), each row's
+    track id and its index into the side's distinct ids, the detection count
+    of each distinct id, and the prediction rows in AP rank order."""
 
-    frames: list[tuple[np.ndarray, np.ndarray, np.ndarray]]
-    positions: np.ndarray
-    gt_ids: np.ndarray
+    edges: EdgeList
+    g_ids: np.ndarray
+    p_ids: np.ndarray
+    g_dense: np.ndarray
+    p_dense: np.ndarray
     gt_counts: np.ndarray
-    pred_ids: np.ndarray
     pred_counts: np.ndarray
-    ranked: list[tuple[tuple, int, int]]
+    ranked: np.ndarray
 
 
 def _window_rows(t: TrackTable, window: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -103,13 +106,13 @@ def _class_rows(
     return rows[by_id], pos[by_id]
 
 
-def _collect_class_frames(
+def _class_edges(
     gt: TrackTable,
     pred: TrackTable,
     window: EvalWindow,
     spec: SimilaritySpec,
     class_id: int,
-) -> _ClassFrames:
+) -> _ClassEdges:
     win = np.asarray(window.frame_indices, dtype=np.int64)
     g_rows, g_pos = _class_rows(gt, win, class_id)
     p_rows, p_pos = _class_rows(pred, win, class_id)
@@ -122,125 +125,113 @@ def _collect_class_frames(
     first, kind = min(missing, key=lambda m: m[0])
     if first < win.size:
         raise ValueError(f"{kind} detection missing track_id")
-    # only the window frames where either side has rows; the rest hold nothing
-    positions = np.union1d(g_pos, p_pos)
-    g_cut = np.append(np.searchsorted(g_pos, positions), g_pos.size)
-    p_cut = np.append(np.searchsorted(p_pos, positions), p_pos.size)
+
+    def boxes(t: TrackTable, rows: np.ndarray) -> np.ndarray:
+        return np.column_stack((t.x[rows], t.y[rows], t.w[rows], t.l[rows]))
+
+    edges = edge_list(boxes(gt, g_rows), boxes(pred, p_rows), g_pos, p_pos, spec)
     g_ids, p_ids = gt.track_id[g_rows], pred.track_id[p_rows]
-    g_box = np.column_stack((gt.x[g_rows], gt.y[g_rows], gt.w[g_rows], gt.l[g_rows]))
-    p_box = np.column_stack((pred.x[p_rows], pred.y[p_rows], pred.w[p_rows], pred.l[p_rows]))
-    g, p = g_cut.tolist(), p_cut.tolist()
-    frames = [
-        (g_ids[a:b], p_ids[c:d], similarity_matrix(g_box[a:b], p_box[c:d], spec))
-        for a, b, c, d in zip(g, g[1:], p, p[1:])
-    ]
-    # confidence first, then a canonical order-independent tie-break
-    key = zip(
-        (-pred.conf[p_rows]).tolist(),
-        pred.frame[p_rows].tolist(),
-        p_ids.tolist(),
-        pred.x[p_rows].tolist(),
-        pred.y[p_rows].tolist(),
-        pred.z[p_rows].tolist(),
-    )
-    at = np.searchsorted(positions, p_pos)
-    column = np.arange(p_rows.size) - p_cut[at]
-    ranked = list(zip(key, at.tolist(), column.tolist()))
-    gt_ids, gt_counts = np.unique(g_ids, return_counts=True)
-    pred_ids, pred_counts = np.unique(p_ids, return_counts=True)
-    return _ClassFrames(frames, positions, gt_ids, gt_counts, pred_ids, pred_counts, ranked)
+    # confidence first, then a canonical order-independent tie-break; the
+    # sort is stable, so exact ties stay in row order
+    ranked = np.lexsort((
+        pred.z[p_rows], pred.y[p_rows], pred.x[p_rows], p_ids, pred.frame[p_rows],
+        -pred.conf[p_rows],
+    ))
+    _, g_dense, gt_counts = np.unique(g_ids, return_inverse=True, return_counts=True)
+    _, p_dense, pred_counts = np.unique(p_ids, return_inverse=True, return_counts=True)
+    return _ClassEdges(edges, g_ids, p_ids, g_dense, p_dense, gt_counts, pred_counts, ranked)
 
 
 def _score_alphas(
-    data: _ClassFrames, alphas: tuple[float, ...], dur_index: int
-) -> tuple[list[tuple[float, float, float, float]], list[np.ndarray]]:
-    """Per-alpha (HOTA, DetA, AssA, LocA) plus the per-frame matched
-    prediction ids at ``alphas[dur_index]`` (for run counting).
+    data: _ClassEdges, alphas: tuple[float, ...], dur_index: int
+) -> tuple[list[tuple[float, float, float, float]], tuple[np.ndarray, np.ndarray]]:
+    """Per-alpha (HOTA, DetA, AssA, LocA) plus the matched prediction ids at
+    ``alphas[dur_index]`` and their window positions (for run counting).
 
     AssA weights each (GT id, prediction id) pair by its TP count; pairs are
     counted on dense indices into each side's distinct ids, so any int64
-    track id is safe.
+    track id is safe. LocA sums the matched similarities in GT row order.
     """
-    total_gt = int(data.gt_counts.sum())
-    total_pred = int(data.pred_counts.sum())
-    n_pred = data.pred_ids.size
+    total_gt = data.g_ids.size
+    total_pred = data.p_ids.size
+    n_pred = data.pred_counts.size
     scores = []
-    matched: list[np.ndarray] = []
-    # alpha by alpha, so that only one alpha's per-frame GT ids and
-    # similarities are alive at a time
     for k, alpha in enumerate(alphas):
-        mg, mp, ms = [], [], []
-        for g_ids, p_ids, sim in data.frames:
-            rows, cols = match_arrays(sim, alpha)
-            mg.append(g_ids[rows])
-            mp.append(p_ids[cols])
-            ms.append(sim[rows, cols])
+        g, p, sim = match_edges(data.edges, alpha)
         if k == dur_index:
-            matched = mp
-        all_g = np.concatenate(mg)
-        all_p = np.concatenate(mp)
-        tp = int(all_g.size)
+            matched = (data.p_ids[p], data.edges.gt_frame[g])
+        tp = g.size
         if tp == 0:
             # the class has GT in the window, so nothing matched scores 0
             scores.append((0.0, 0.0, 0.0, 0.0))
             continue
         deta = tp / (total_gt + total_pred - tp)
-        gi = np.searchsorted(data.gt_ids, all_g)
-        pi = np.searchsorted(data.pred_ids, all_p)
-        pairs, counts = np.unique(gi * n_pred + pi, return_counts=True)
+        pairs, counts = np.unique(
+            data.g_dense[g] * n_pred + data.p_dense[p], return_counts=True
+        )
         gt_n = data.gt_counts[pairs // n_pred]
         pred_n = data.pred_counts[pairs % n_pred]
         a_c = counts / (gt_n + pred_n - counts)
         assa = float((counts * a_c).sum() / tp)
-        loca = float(np.concatenate(ms).mean())
+        loca = float(sim.mean())
         scores.append((math.sqrt(deta * assa), deta, assa, loca))
     return scores, matched
 
 
-def _run_seconds(
-    matched_pred_ids: list[np.ndarray], positions: np.ndarray, f0: float
-) -> float:
-    """AvgTrackDur from the matched prediction ids of the window frames at
-    the given window positions: a run is a maximal span of consecutive
-    window positions where one id is matched; the result is the sum of run
-    lengths / (#runs * f0), 0 with no runs."""
+def _run_seconds(ids: np.ndarray, positions: np.ndarray, f0: float) -> float:
+    """AvgTrackDur from matched prediction ids and the window positions they
+    were matched at: a run is a maximal span of consecutive window positions
+    where one id is matched; the result is the sum of run lengths /
+    (#runs * f0), 0 with no runs."""
     if f0 <= 0:
         raise ValueError("f0 must be positive")
-    ids = np.concatenate([_EMPTY_IDS, *matched_pred_ids])
     if ids.size == 0:
         return 0.0
-    pos = np.repeat(positions, [a.size for a in matched_pred_ids])
     distinct, dense = np.unique(ids, return_inverse=True)
-    keys = np.unique(pos * distinct.size + dense)
+    keys = np.unique(positions * distinct.size + dense)
     # a (position, id) starts a run unless the id was matched one position back
     n_runs = int(np.count_nonzero(~np.isin(keys - distinct.size, keys)))
     return keys.size / (n_runs * f0)
 
 
-def _average_precision(data: _ClassFrames, alpha: float) -> float:
+def _average_precision(data: _ClassEdges, alpha: float) -> float:
     """101-point interpolated AP at gate alpha.
 
     Predictions are ranked by descending confidence and matched greedily per
     frame, each GT box consumed at most once. A prediction takes the
     available GT of highest similarity; on an exact tie, the GT with the
-    lower track id.
+    lower track id. Level k of the greedy pass is every frame's k-th ranked
+    prediction; frames share no GT, so each level is matched at once.
     """
-    npos = int(data.gt_counts.sum())
+    npos = data.g_ids.size
+    n = data.ranked.size
     if npos == 0:
-        return 1.0 if not data.ranked else 0.0
-    if not data.ranked:
+        return 1.0 if n == 0 else 0.0
+    if n == 0:
         return 0.0
-    ranked = sorted(data.ranked)
-    available = [np.ones(g.size, dtype=bool) for g, _, _ in data.frames]
-    tps = np.zeros(len(ranked))
-    for rank, (_, t, j) in enumerate(ranked):
-        col = data.frames[t][2][:, j]
-        cand = np.flatnonzero(available[t] & (col >= alpha) & (col > 0.0))
-        if cand.size:
-            available[t][cand[np.argmax(col[cand])]] = False
-            tps[rank] = 1.0
-    cum_tp = np.cumsum(tps)
-    precision = cum_tp / np.arange(1, len(ranked) + 1)
+    e = data.edges
+    # each prediction row's place among its frame's predictions in rank order
+    frame = e.pred_frame[data.ranked]
+    by_frame = np.argsort(frame, kind="stable")
+    level = np.empty(n, dtype=np.int64)
+    level[data.ranked[by_frame]] = np.arange(n) - np.searchsorted(frame[by_frame], frame[by_frame])
+    keep = e.sim >= alpha
+    g, p, sim = e.gt[keep], e.pred[keep], e.sim[keep]
+    # a level's edges together, each prediction's best GT first
+    order = np.lexsort((g, -sim, p, level[p]))
+    g, p, lv = g[order], p[order], level[p[order]]
+    available = np.ones(npos, dtype=bool)
+    hit = np.zeros(n, dtype=bool)
+    cuts = (np.flatnonzero(np.diff(lv)) + 1).tolist()
+    for a, b in zip([0, *cuts], [*cuts, lv.size]):
+        free = a + np.flatnonzero(available[g[a:b]])
+        if free.size == 0:
+            continue
+        best = free[np.r_[True, p[free[1:]] != p[free[:-1]]]]
+        available[g[best]] = False
+        hit[p[best]] = True
+    cum_tp = np.cumsum(hit[data.ranked], dtype=float)
+    precision = cum_tp / np.arange(1, n + 1)
     recall = cum_tp / npos
     ap = 0.0
     for r in np.linspace(0.0, 1.0, 101):
@@ -260,8 +251,8 @@ def avg_track_dur(matches: list[FrameMatchSet], f0: float) -> float:
     Returns 0 when no tracker id is ever matched.
     """
     return _run_seconds(
-        [np.array([p for _, p, _ in m.pairs], dtype=np.int64) for m in matches],
-        np.arange(len(matches)),
+        np.array([p for m in matches for _, p, _ in m.pairs], dtype=np.int64),
+        np.repeat(np.arange(len(matches)), [len(m.pairs) for m in matches]),
         f0,
     )
 
@@ -280,7 +271,7 @@ def detection_ap(
     frame, each ground-truth box consumed at most once; an exact similarity
     tie goes to the GT with the lower track id.
     """
-    data = _collect_class_frames(gt.table, pred.table, window, spec, class_id)
+    data = _class_edges(gt.table, pred.table, window, spec, class_id)
     return _average_precision(data, alpha)
 
 
@@ -435,15 +426,15 @@ def class_report(
 
     per_class: dict[int, ClassMetrics] = {}
     for c in sorted(gt_classes):
-        data = _collect_class_frames(gt.table, pred.table, window, spec, c)
-        scores, matched_pred_ids = _score_alphas(data, all_alphas, dur_index)
+        data = _class_edges(gt.table, pred.table, window, spec, c)
+        scores, (ids, positions) = _score_alphas(data, all_alphas, dur_index)
         h, d, a, l = np.array(scores[: len(alphas)]).mean(axis=0)
         per_class[c] = ClassMetrics(
             hota=float(h),
             deta=float(d),
             assa=float(a),
             loca=float(l),
-            avg_track_dur_seconds=_run_seconds(matched_pred_ids, data.positions, window.f0),
+            avg_track_dur_seconds=_run_seconds(ids, positions, window.f0),
             ap=_average_precision(data, dur_alpha),
         )
 

@@ -375,6 +375,21 @@ def test_synth_bad_spec(tmp_path, capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("part, key", [("scene", "class_id"), ("degrade", "fp_class_id")])
+@pytest.mark.parametrize("bad", [1.5, "1", True, -1])
+def test_synth_bad_class_id_exits_2_naming_it(tmp_path, capsys, part, key, bad):
+    spec = json.loads(synth_spec(tmp_path).read_text())
+    spec[part][key] = bad
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps(spec))
+    code = main(
+        ["synth", "--spec", str(path), "--out-gt", str(tmp_path / "g.csv"),
+         "--out-pred", str(tmp_path / "p.csv")]
+    )
+    assert code == 2
+    assert f"{key} must be" in capsys.readouterr().err
+
+
 # --- sweep-fps ----------------------------------------------------------------
 
 

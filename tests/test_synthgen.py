@@ -217,6 +217,21 @@ def test_synthetic_streams_are_pinned():
     )
 
 
+@pytest.mark.parametrize("bad", [1.5, "1", True, -1, 2**63])
+def test_class_ids_must_be_integers_the_reader_accepts(bad):
+    # no silent truncation of 1.5, "1" or True, and no id the CSV reader
+    # would reject later
+    with pytest.raises(ValueError, match="class_id"):
+        scene(class_id=bad)
+    with pytest.raises(ValueError, match="fp_class_id"):
+        DegradeSpec(fp_class_id=bad)
+
+
+def test_class_ids_accept_numpy_integers():
+    assert set(scene(class_id=np.int64(2)).table.class_id.tolist()) == {2}
+    assert DegradeSpec(fp_class_id=np.int32(3)).fp_class_id == 3
+
+
 def test_degrade_requires_fp_bounds():
     with pytest.raises(ValueError):
         DegradeSpec(fp_rate=0.5)
