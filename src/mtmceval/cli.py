@@ -10,14 +10,12 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
-import numbers
 import sys
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
 
 from .anchors import collect_centers, emit_anchor_bank, kmeans
-from .datamodel import Sequence
+from .datamodel import Sequence, check_int, check_real
 from .fpslab import (
     SweepSpec,
     controlled_window,
@@ -48,13 +46,27 @@ from .metrics import (
 from .synthgen import DegradeSpec, degrade, gen_scene
 
 
+# the keys of a synth spec's "scene" section and their defaults
+_SCENE_DEFAULTS = {
+    "n_objects": 5,
+    "duration_s": 10.0,
+    "fps": 30.0,
+    "bounds": (-10.0, -10.0, 10.0, 10.0),
+    "motion": "constant_velocity",
+    "seed": 0,
+    "class_id": 0,
+}
+
+
 class InputError(Exception):
     """User-facing input problem; maps to exit code 2."""
 
 
 @dataclass(frozen=True)
 class ToolConfig:
-    """Every tunable in one serializable record."""
+    """Every tunable in one serializable record. Its fields are the config
+    file's keys, and each flag that overrides one has the field's name as
+    its dest."""
 
     similarity_mode: str = "bev_iou"
     d_max: float = 2.0
@@ -75,11 +87,19 @@ class ToolConfig:
         if not self.alpha_grid:
             raise ValueError("alpha_grid must be nonempty")
         for alpha in self.alpha_grid:
-            _require("alpha_grid entry", alpha, 1.0)
-        _require("dur_alpha", self.dur_alpha, 1.0)
-        _require("native_fps", self.native_fps)
+            check_real("alpha_grid entry", alpha, 1.0)
+        check_real("dur_alpha", self.dur_alpha, 1.0)
+        check_real("conf_threshold", self.conf_threshold, 1.0, zero=True)
+        check_real("native_fps", self.native_fps)
         if self.eval_fps is not None:
-            _require("eval_fps", self.eval_fps)
+            check_real("eval_fps", self.eval_fps)
+        for c, name in self.class_names.items():
+            check_int("class_names key", c)
+            if not isinstance(name, str):
+                raise ValueError(f"class_names[{c}] must be a string, got {name!r}")
+        check_int("primary_class", self.primary_class)
+        check_int("anchor_k", self.anchor_k, low=1)
+        check_int("seed", self.seed)
         if self.roi is not None:
             try:
                 _roi_contains(self.roi)
@@ -90,60 +110,41 @@ class ToolConfig:
         return SimilaritySpec(mode=self.similarity_mode, d_max=self.d_max)
 
 
-def _require(key: str, value: object, upper: float = math.inf) -> None:
-    """Raise ValueError naming key and value unless 0 < value <= upper."""
-    if not (isinstance(value, numbers.Real) and 0 < value <= upper):
-        rule = "positive" if upper == math.inf else f"in (0, {upper:g}]"
-        raise ValueError(f"{key} must be {rule}, got {value!r}")
+# JSON forms of the fields that are not stored as they are read
+_FROM_JSON = {
+    "alpha_grid": tuple,
+    "class_names": lambda v: {int(k): n for k, n in v.items()},
+    "roi": lambda v: (
+        None if v is None else [tuple(p) for p in v] if v and isinstance(v[0], list) else tuple(v)
+    ),
+    "grid": lambda v: GridConfig(**v),
+}
 
 
 def load_config(path: str | None) -> ToolConfig:
-    cfg = ToolConfig()
+    """The ToolConfig a JSON config file sets; its keys are ToolConfig's
+    fields, every one optional."""
     if path is None:
-        return cfg
+        return ToolConfig()
     try:
         raw = json.loads(Path(path).read_text())
     except FileNotFoundError:
         raise InputError(f"config file not found: {path}") from None
     except json.JSONDecodeError as exc:
         raise InputError(f"config file {path}: {exc}") from None
-    kwargs: dict = {}
-    simple = {
-        "similarity_mode",
-        "d_max",
-        "dur_alpha",
-        "primary_class",
-        "conf_threshold",
-        "native_fps",
-        "eval_fps",
-        "anchor_k",
-        "seed",
-    }
     if not isinstance(raw, dict):
         raise InputError(f"config file {path}: expected a JSON object")
+    keys = {f.name for f in fields(ToolConfig)}
+    kwargs: dict = {}
     for key, value in raw.items():
+        if key not in keys:
+            raise InputError(f"config file {path}: unknown key {key!r}")
         try:
-            if key in simple:
-                kwargs[key] = value
-            elif key == "alpha_grid":
-                kwargs[key] = tuple(value)
-            elif key == "class_names":
-                kwargs[key] = {int(k): str(v) for k, v in value.items()}
-            elif key == "roi":
-                if value is None:
-                    kwargs[key] = None
-                elif value and isinstance(value[0], list):
-                    kwargs[key] = [tuple(v) for v in value]
-                else:
-                    kwargs[key] = tuple(value)
-            elif key == "grid":
-                kwargs[key] = GridConfig(**value)
-            else:
-                raise InputError(f"config file {path}: unknown key {key!r}")
-        except (AttributeError, TypeError, ValueError) as exc:
+            kwargs[key] = _FROM_JSON[key](value) if key in _FROM_JSON else value
+        except (AttributeError, KeyError, TypeError, ValueError) as exc:
             raise InputError(f"config file {path}: {key}: {exc}") from None
     try:
-        return replace(cfg, **kwargs)
+        return ToolConfig(**kwargs)
     except (TypeError, ValueError) as exc:
         raise InputError(f"config file {path}: {exc}") from None
 
@@ -160,19 +161,10 @@ def _load_tracks(path: str, native_fps: float) -> Sequence:
 
 
 def _apply_overrides(cfg: ToolConfig, args: argparse.Namespace) -> ToolConfig:
-    updates: dict = {}
-    for flag, key in (
-        ("native_fps", "native_fps"),
-        ("eval_fps", "eval_fps"),
-        ("dur_alpha", "dur_alpha"),
-        ("seed", "seed"),
-        ("k", "anchor_k"),
-    ):
-        value = getattr(args, flag, None)
-        if value is not None:
-            updates[key] = value
+    """cfg with every field that a flag set, under the field's own dest."""
+    updates = {f.name: getattr(args, f.name, None) for f in fields(ToolConfig)}
     try:
-        return replace(cfg, **updates)
+        return replace(cfg, **{k: v for k, v in updates.items() if v is not None})
     except ValueError as exc:
         raise InputError(f"bad flag value: {exc}") from None
 
@@ -313,20 +305,20 @@ def cmd_synth(args: argparse.Namespace) -> int:
         raw = json.loads(path.read_text())
     except json.JSONDecodeError as exc:
         raise InputError(f"{args.spec}: {exc}") from None
-    scene = raw.get("scene", {})
-    deg = raw.get("degrade", {})
+    if not isinstance(raw, dict):
+        raise InputError(f"{args.spec}: expected a JSON object")
+    scene, deg = raw.get("scene", {}), raw.get("degrade", {})
+    for part, section in (("scene", scene), ("degrade", deg)):
+        if not isinstance(section, dict):
+            raise InputError(f"{args.spec}: {part}: expected a JSON object")
+    for key in scene:
+        if key not in _SCENE_DEFAULTS:
+            raise InputError(f"{args.spec}: unknown scene key {key!r}")
+    scene = {**_SCENE_DEFAULTS, **scene}
     try:
-        gt = gen_scene(
-            n_objects=scene.get("n_objects", 5),
-            duration_s=scene.get("duration_s", 10.0),
-            fps=scene.get("fps", 30.0),
-            bounds=tuple(scene.get("bounds", (-10.0, -10.0, 10.0, 10.0))),
-            motion=scene.get("motion", "constant_velocity"),
-            seed=scene.get("seed", 0),
-            class_id=scene.get("class_id", 0),
-        )
+        gt = gen_scene(**{**scene, "bounds": tuple(scene["bounds"])})
         if "fp_bounds" not in deg and deg.get("fp_rate", 0) > 0:
-            deg["fp_bounds"] = tuple(scene.get("bounds", (-10.0, -10.0, 10.0, 10.0)))
+            deg["fp_bounds"] = tuple(scene["bounds"])
         if "fp_bounds" in deg and deg["fp_bounds"] is not None:
             deg["fp_bounds"] = tuple(deg["fp_bounds"])
         pred = degrade(gt, DegradeSpec(**deg))
@@ -433,7 +425,12 @@ def build_parser() -> argparse.ArgumentParser:
     p_anch.add_argument("--gt", required=True)
     common(p_anch)
     p_anch.add_argument(
-        "--k", type=int, default=None, help="anchor count [config key: anchor_k; default 900]"
+        "--k",
+        dest="anchor_k",
+        metavar="K",
+        type=int,
+        default=None,
+        help="anchor count [config key: anchor_k; default 900]",
     )
     p_anch.add_argument(
         "--seed", type=int, default=None, help="RNG seed [config key: seed; default 0]"

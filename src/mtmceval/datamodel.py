@@ -14,12 +14,38 @@ Timestamps are never stored; time in seconds is always frame_index / native_fps.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from functools import cached_property
 from operator import attrgetter
 from typing import Callable, Iterable
 
 import numpy as np
+
+
+def check_int(name: str, value: object, low: int = 0) -> None:
+    """Raise ValueError naming the value unless it is an integer in
+    [low, 2**63), the track CSV's id range; bools, floats and strings are
+    refused rather than truncated."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral) or not (
+        low <= value < 2**63
+    ):
+        raise ValueError(f"{name} must be an integer in [{low}, 2**63), got {value!r}")
+
+
+def check_real(name: str, value: object, upper: float = math.inf, zero: bool = False) -> None:
+    """Raise ValueError naming the value unless it is a finite real number,
+    not a bool, in (0, upper], or in [0, upper] when zero is set."""
+    if not (
+        isinstance(value, numbers.Real)
+        and not isinstance(value, bool)
+        and (0 <= value if zero else 0 < value)
+        and value <= upper
+        and math.isfinite(value)
+    ):
+        low = "[0" if zero else "(0"
+        rule = "finite and positive" if upper == math.inf else f"in {low}, {upper:g}]"
+        raise ValueError(f"{name} must be {rule}, got {value!r}")
 
 
 def normalize_yaw(yaw: float) -> float:
@@ -256,8 +282,7 @@ class Sequence:
         return seq
 
     def _init(self, native_fps: float, scene_name: str) -> None:
-        if native_fps <= 0:
-            raise ValueError("native_fps must be positive")
+        check_real("native_fps", native_fps)
         self.native_fps = native_fps
         self.scene_name = scene_name
 
@@ -301,8 +326,7 @@ class EvalWindow:
     def __post_init__(self) -> None:
         if not self.frame_indices:
             raise ValueError("EvalWindow needs at least one frame")
-        if self.f0 <= 0:
-            raise ValueError("f0 must be positive")
+        check_real("f0", self.f0)
         idx = tuple(sorted(set(int(i) for i in self.frame_indices)))
         object.__setattr__(self, "frame_indices", idx)
 

@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 
 import json
 
-from .datamodel import EvalWindow, Sequence
+from .datamodel import EvalWindow, Sequence, check_real
 from .matching import SimilaritySpec
 from .metrics import (
     DEFAULT_ALPHA_GRID,
@@ -49,8 +49,7 @@ class SweepSpec:
 def stride_for(native_fps: float, rate: float) -> int:
     """keep-1-of-n stride realizing an inference rate; native_fps must divide
     evenly."""
-    if rate <= 0:
-        raise ValueError("rate must be positive")
+    check_real("rate", rate)
     n = round(native_fps / rate)
     if n < 1 or abs(native_fps - n * rate) > 1e-9:
         raise ValueError(

@@ -16,13 +16,12 @@ scattered from its edges.
 
 from __future__ import annotations
 
-import numbers
 from dataclasses import dataclass
 
 import numpy as np
 from scipy.optimize import linear_sum_assignment
 
-from .datamodel import Detection
+from .datamodel import Detection, check_real
 
 # candidate GT x prediction pairs per block when building an edge list
 EDGE_BLOCK = 1 << 16
@@ -42,8 +41,7 @@ class SimilaritySpec:
     def __post_init__(self) -> None:
         if self.mode not in ("bev_iou", "center_distance"):
             raise ValueError(f"unknown similarity mode {self.mode!r}")
-        if not (isinstance(self.d_max, numbers.Real) and self.d_max > 0):
-            raise ValueError(f"d_max must be positive, got {self.d_max!r}")
+        check_real("d_max", self.d_max)
 
 
 @dataclass(frozen=True)
@@ -213,19 +211,6 @@ def hungarian(cost: np.ndarray | list[list[float]]) -> list[tuple[int, int]]:
     return sorted(zip(rows.tolist(), cols.tolist()))
 
 
-def match_arrays(sim: np.ndarray, alpha: float) -> tuple[np.ndarray, np.ndarray]:
-    """Gated max-total-similarity matching on one frame's similarity matrix.
-
-    Returns (row_indices, col_indices) of matched pairs, rows ascending, all
-    with sim >= alpha: ``match_edges`` on the matrix's nonzero entries.
-    """
-    rows, cols = np.nonzero(sim > 0)
-    n, m = sim.shape
-    edges = EdgeList(rows, cols, sim[rows, cols], np.zeros(n, int), np.zeros(m, int))
-    matched_rows, matched_cols, _ = match_edges(edges, alpha)
-    return matched_rows, matched_cols
-
-
 def match_frame(
     gt: list[Detection] | tuple[Detection, ...],
     pred: list[Detection] | tuple[Detection, ...],
@@ -244,7 +229,9 @@ def match_frame(
     gt = sorted(gt, key=lambda d: d.track_id)
     pred = sorted(pred, key=lambda d: d.track_id)
     sim = similarity_matrix(gt, pred, spec)
-    rows, cols = match_arrays(sim, alpha)
+    r, c = np.nonzero(sim > 0)
+    edges = EdgeList(r, c, sim[r, c], np.zeros(len(gt), int), np.zeros(len(pred), int))
+    rows, cols, _ = match_edges(edges, alpha)
     matched_r = set(rows.tolist())
     matched_c = set(cols.tolist())
     pairs = tuple(

@@ -36,7 +36,7 @@ from __future__ import annotations
 import json
 import logging
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, astuple, dataclass, field
 from typing import Callable
 
 import numpy as np
@@ -342,16 +342,6 @@ class ClassMetrics:
     avg_track_dur_seconds: float
     ap: float
 
-    def as_dict(self) -> dict[str, float]:
-        return {
-            "hota": self.hota,
-            "deta": self.deta,
-            "assa": self.assa,
-            "loca": self.loca,
-            "avg_track_dur_seconds": self.avg_track_dur_seconds,
-            "ap": self.ap,
-        }
-
 
 @dataclass(frozen=True)
 class MetricsReport:
@@ -371,9 +361,9 @@ class MetricsReport:
     def as_dict(self) -> dict:
         return {
             "per_class": {
-                str(c): m.as_dict() for c, m in sorted(self.per_class.items())
+                str(c): asdict(m) for c, m in sorted(self.per_class.items())
             },
-            "class_average": self.class_average.as_dict(),
+            "class_average": asdict(self.class_average),
             "window": {
                 "size": self.window_size,
                 "f0": self.f0,
@@ -439,17 +429,8 @@ def class_report(
         )
 
     if per_class:
-        vals = list(per_class.values())
-        class_average = ClassMetrics(
-            hota=float(np.mean([v.hota for v in vals])),
-            deta=float(np.mean([v.deta for v in vals])),
-            assa=float(np.mean([v.assa for v in vals])),
-            loca=float(np.mean([v.loca for v in vals])),
-            avg_track_dur_seconds=float(
-                np.mean([v.avg_track_dur_seconds for v in vals])
-            ),
-            ap=float(np.mean([v.ap for v in vals])),
-        )
+        columns = zip(*map(astuple, per_class.values()))
+        class_average = ClassMetrics(*(float(np.mean(col)) for col in columns))
     else:
         # empty GT window: empty-vs-empty convention (predictions of absent
         # classes were dropped above)

@@ -15,7 +15,6 @@ Detection or Box3D. The oracle reads the per-row view, Sequence.frames.
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -26,6 +25,7 @@ from .datamodel import (
     EvalWindow,
     Sequence,
     TrackTable,
+    check_int,
     make_sequence,
     normalize_yaws,
 )
@@ -43,15 +43,6 @@ _FP_TAG = 2
 _CLASS_STRIDE = 2**20
 
 PERSON_DIMS = (0.6, 0.6, 1.8)  # width, length, height in meters
-
-
-def _check_class_id(name: str, value: object) -> None:
-    """A class id is an integer in [0, 2**63), as the track CSV requires;
-    bools, floats and strings are refused rather than truncated."""
-    if isinstance(value, bool) or not isinstance(value, numbers.Integral) or not (
-        0 <= value < 2**63
-    ):
-        raise ValueError(f"{name} must be an integer in [0, 2**63), got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -77,7 +68,7 @@ class DegradeSpec:
             raise ValueError("fp_rate must be non-negative")
         if self.fp_rate > 0 and self.fp_bounds is None:
             raise ValueError("fp_bounds required when fp_rate > 0")
-        _check_class_id("fp_class_id", self.fp_class_id)
+        check_int("fp_class_id", self.fp_class_id)
 
 
 def gen_scene(
@@ -98,7 +89,7 @@ def gen_scene(
     """
     if n_objects < 0:
         raise ValueError("n_objects must be non-negative")
-    _check_class_id("class_id", class_id)
+    check_int("class_id", class_id)
     xmin, ymin, xmax, ymax = bounds
     if xmax <= xmin or ymax <= ymin:
         raise ValueError("arena bounds must have positive area")

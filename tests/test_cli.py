@@ -1,11 +1,14 @@
 import json
+import math
+import re
+from dataclasses import fields
 
 import pytest
 
 from mtmceval.anchors import parse_anchor_bank
-from mtmceval.cli import build_parser, main
+from mtmceval.cli import ToolConfig, _apply_overrides, build_parser, load_config, main
 from mtmceval.datamodel import Box3D, Detection, make_sequence
-from mtmceval.ingest import emit_tracks, parse_tracks
+from mtmceval.ingest import GridConfig, emit_tracks, parse_tracks
 
 
 def write_tracks(path, n_frames=6, fps_step=0.1, n_objects=2):
@@ -204,6 +207,24 @@ def test_evaluate_detector_only_prediction_exits_2(tmp_path, capsys):
         ({"class_names": 5}, [], "class_names"),
         ({"roi": 5}, [], "roi"),
         ({}, ["--max-frames", "0"], "no window frame lies below 0"),
+        ({"conf_threshold": "x"}, [], "conf_threshold"),
+        ({"conf_threshold": None}, [], "conf_threshold"),
+        ({"conf_threshold": math.nan}, [], "conf_threshold"),
+        ({"conf_threshold": True}, [], "conf_threshold"),
+        ({"conf_threshold": 1.5}, [], "conf_threshold"),
+        ({"anchor_k": "x"}, [], "anchor_k"),
+        ({"anchor_k": 2.5}, [], "anchor_k"),
+        ({"anchor_k": True}, [], "anchor_k"),
+        ({"anchor_k": 0}, [], "anchor_k"),
+        ({"seed": None}, [], "seed"),
+        ({"seed": "x"}, [], "seed"),
+        ({"seed": -1}, [], "seed"),
+        ({"primary_class": "x"}, [], "primary_class"),
+        ({"class_names": {"0": None}}, [], "class_names"),
+        ({"class_names": {"0": 7}}, [], "class_names"),
+        ({"roi": {"a": 1}}, [], "roi"),
+        ({}, ["--eval-fps", "inf"], "eval_fps"),
+        ({"d_max": True}, [], "d_max"),
     ],
 )
 def test_bad_config_or_flag_exits_2(tmp_path, capsys, config, flags, named):
@@ -216,6 +237,77 @@ def test_bad_config_or_flag_exits_2(tmp_path, capsys, config, flags, named):
     assert code == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and named in err
+
+
+def test_config_with_every_key_loads_each(tmp_path):
+    raw = {
+        "similarity_mode": "center_distance",
+        "d_max": 1.5,
+        "alpha_grid": [0.25, 0.75],
+        "dur_alpha": 0.25,
+        "class_names": {"0": "person", "3": "cart"},
+        "primary_class": 3,
+        "roi": [[0, 0], [4, 0], [0, 4]],
+        "conf_threshold": 0.4,
+        "native_fps": 10,
+        "eval_fps": 5,
+        "grid": {"step": 0.5, "grid_width": 12},
+        "anchor_k": 7,
+        "seed": 11,
+    }
+    assert set(raw) == {f.name for f in fields(ToolConfig)}
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(raw))
+    assert load_config(str(cfg)) == ToolConfig(
+        similarity_mode="center_distance",
+        d_max=1.5,
+        alpha_grid=(0.25, 0.75),
+        dur_alpha=0.25,
+        class_names={0: "person", 3: "cart"},
+        primary_class=3,
+        roi=[(0, 0), (4, 0), (0, 4)],
+        conf_threshold=0.4,
+        native_fps=10,
+        eval_fps=5,
+        grid=GridConfig(step=0.5, grid_width=12),
+        anchor_k=7,
+        seed=11,
+    )
+    assert load_config(str(cfg)) != ToolConfig()
+
+
+@pytest.mark.parametrize(
+    "command, flag, key, value",
+    [
+        ("evaluate", "--native-fps", "native_fps", 12.0),
+        ("evaluate", "--eval-fps", "eval_fps", 4.0),
+        ("evaluate", "--dur-alpha", "dur_alpha", 0.3),
+        ("gen-anchors", "--k", "anchor_k", 17),
+        ("gen-anchors", "--seed", "seed", 5),
+    ],
+)
+def test_each_flag_overrides_its_config_key(tmp_path, command, flag, key, value):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"native_fps": 24, "eval_fps": 2, "dur_alpha": 0.6,
+                               "anchor_k": 3, "seed": 9}))
+    args = build_parser().parse_args(
+        [command, "--gt", "g.csv", "--pred", "p.csv", "--out", "o", flag, str(value)]
+        if command == "evaluate"
+        else [command, "--gt", "g.csv", "--out", "o", flag, str(value)]
+    )
+    before = load_config(str(cfg))
+    after = _apply_overrides(before, args)
+    assert getattr(after, key) == value != getattr(before, key)
+    assert after == ToolConfig(**{**before.__dict__, key: value})
+
+
+def test_help_config_keys_are_tool_config_fields():
+    sub = {a.dest: a for a in build_parser()._actions}["command"]
+    named = set()
+    for parser in sub.choices.values():
+        named |= set(re.findall(r"\[config\s+key:\s+(\w+)", parser.format_help()))
+    assert named == {"native_fps", "eval_fps", "dur_alpha", "grid", "anchor_k", "seed"}
+    assert named <= {f.name for f in fields(ToolConfig)}
 
 
 def test_evaluate_per_class_lines(tmp_path, capsys):
@@ -264,6 +356,16 @@ def test_convert_split(tmp_path, capsys):
     test_frames = {int(l.split(",")[0]) for l in test.splitlines() if not l.startswith("#")}
     assert train_frames == set(range(6))
     assert test_frames == set(range(6, 10))
+
+
+@pytest.mark.parametrize("fps", ["nan", "inf", "0"])
+def test_convert_bad_fps_exits_2(tmp_path, capsys, fps):
+    pos = tmp_path / "pos.csv"
+    pos.write_text("0,3,0\n1,3,1\n")
+    code = main(["convert", "--positions", str(pos), "--out", str(tmp_path / "t.csv"),
+                 "--fps", fps])
+    assert code == 2
+    assert "native_fps must be finite and positive" in capsys.readouterr().err
 
 
 def test_convert_missing_positions(tmp_path, capsys):
@@ -390,6 +492,28 @@ def test_synth_bad_class_id_exits_2_naming_it(tmp_path, capsys, part, key, bad):
     assert f"{key} must be" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "spec, named",
+    [
+        ([1, 2], "expected a JSON object"),
+        ({"scene": [1]}, "scene: expected a JSON object"),
+        ({"degrade": "x"}, "degrade: expected a JSON object"),
+        ({"scene": {"n_object": 3}}, "unknown scene key 'n_object'"),
+        ({"scene": {"speed_range": [1, 2]}}, "unknown scene key 'speed_range'"),
+    ],
+)
+def test_synth_bad_spec_shape_exits_2_naming_it(tmp_path, capsys, spec, named):
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps(spec))
+    code = main(
+        ["synth", "--spec", str(path), "--out-gt", str(tmp_path / "g.csv"),
+         "--out-pred", str(tmp_path / "p.csv")]
+    )
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and named in err
+
+
 # --- sweep-fps ----------------------------------------------------------------
 
 
@@ -472,6 +596,17 @@ def test_sweep_fps_applies_config_like_evaluate(tmp_path, capsys):
     assert swept["class_names"] == evaluated["class_names"] == {"0": "person"}
     assert swept["class_average"] == evaluated["class_average"]
     assert swept["class_average"]["deta"] == 1.0
+
+
+@pytest.mark.parametrize("rates, named", [("2,nan", "got nan"), ("2,-10", "got -10")])
+def test_sweep_fps_names_a_bad_rate(tmp_path, capsys, rates, named):
+    gt_path, pred_dir = make_sweep_dir(tmp_path)
+    code = main(
+        ["sweep-fps", "--gt", str(gt_path), "--pred-dir", str(pred_dir),
+         "--rates", rates, "--native-fps", "2", "--eval-fps", "1"]
+    )
+    assert code == 2
+    assert f"rate must be finite and positive, {named}" in capsys.readouterr().err
 
 
 def test_sweep_fps_requires_eval_fps(tmp_path, capsys):

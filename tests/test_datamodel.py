@@ -98,6 +98,14 @@ def test_eval_window_sorts_and_validates():
         EvalWindow(frame_indices=(0,), f0=0.0)
 
 
+@pytest.mark.parametrize("rate", [math.nan, math.inf, -1.0])
+def test_rates_must_be_finite_and_positive(rate):
+    with pytest.raises(ValueError, match="f0 must be finite and positive"):
+        EvalWindow(frame_indices=(0,), f0=rate)
+    with pytest.raises(ValueError, match="native_fps must be finite and positive"):
+        make_sequence({0: [_det()]}, native_fps=rate)
+
+
 def test_absent_frames_mean_no_detections():
     seq = make_sequence({0: [_det()], 10: [_det()]}, native_fps=1.0)
     assert seq.frame_indices == (0, 10)

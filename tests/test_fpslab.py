@@ -58,6 +58,12 @@ def test_stride_for_rejects_non_divisors():
         stride_for(30.0, -1.0)
 
 
+@pytest.mark.parametrize("rate, shown", [(float("nan"), "nan"), (-10.0, "-10"), (0.0, "0")])
+def test_stride_for_names_a_bad_rate(rate, shown):
+    with pytest.raises(ValueError, match=f"rate must be finite and positive, got {shown}"):
+        stride_for(30.0, rate)
+
+
 def test_subsample_identity():
     seq = gt_sequence(20, 30.0)
     assert stride_subsample(seq, 1) == seq
