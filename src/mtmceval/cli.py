@@ -307,6 +307,9 @@ def cmd_synth(args: argparse.Namespace) -> int:
         raise InputError(f"{args.spec}: {exc}") from None
     if not isinstance(raw, dict):
         raise InputError(f"{args.spec}: expected a JSON object")
+    for key in raw:
+        if key not in ("scene", "degrade"):
+            raise InputError(f"{args.spec}: unknown spec key {key!r}")
     scene, deg = raw.get("scene", {}), raw.get("degrade", {})
     for part, section in (("scene", scene), ("degrade", deg)):
         if not isinstance(section, dict):
@@ -317,6 +320,8 @@ def cmd_synth(args: argparse.Namespace) -> int:
     scene = {**_SCENE_DEFAULTS, **scene}
     try:
         gt = gen_scene(**{**scene, "bounds": tuple(scene["bounds"])})
+        # defaults go into a copy, so the provenance copy stays the input
+        deg = dict(deg)
         if "fp_bounds" not in deg and deg.get("fp_rate", 0) > 0:
             deg["fp_bounds"] = tuple(scene["bounds"])
         if "fp_bounds" in deg and deg["fp_bounds"] is not None:

@@ -8,22 +8,27 @@ the solver's optimum coincide with the exhaustive max-total-similarity gated
 matching.
 
 Scoring matches many frames at once on an ``EdgeList``, the nonzero
-similarities between the rows of each frame. At a gate alpha, a frame in
-which no gated row has two gated partners holds only forced pairs, which are
-taken as they are; every other frame is solved on its whole gated matrix,
-scattered from its edges.
+similarities between the rows of each frame. ``edge_list`` finds them by
+sweep and prune: a GT row is scored only against the predictions of its
+frame whose x lies within the reach of a nonzero similarity. At a gate
+alpha, a frame in which no gated row has two gated partners holds only
+forced pairs, which are taken as they are; every other frame is solved on
+its whole gated matrix, scattered from its edges. ``match_edges`` walks the
+whole alpha grid and solves each distinct gated matrix of a frame once.
+scipy.optimize, the solver's home, is imported on the first solve.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Iterator
 
 import numpy as np
-from scipy.optimize import linear_sum_assignment
 
 from .datamodel import Detection, check_real
 
-# candidate GT x prediction pairs per block when building an edge list
+# candidate GT x prediction pairs per block when building an edge list, and
+# cost matrix cells per buffer when solving conflicted frames
 EDGE_BLOCK = 1 << 16
 
 
@@ -115,6 +120,11 @@ class EdgeList:
     pred_frame: np.ndarray
 
 
+def _ranges(start: np.ndarray, count: np.ndarray) -> np.ndarray:
+    """The concatenation of ``arange(s, s + n)`` over each start s and count n."""
+    return np.arange(count.sum()) + np.repeat(start - np.cumsum(count) + count, count)
+
+
 def edge_list(
     gt: np.ndarray,
     pred: np.ndarray,
@@ -126,30 +136,49 @@ def edge_list(
     width, length, grouped by the nondecreasing frame labels beside them)
     with nonzero similarity.
 
-    The candidate pairs go through ``pair_similarity`` in blocks of whole
-    frames of about EDGE_BLOCK pairs, so memory stays bounded however long
-    the window is.
+    Sweep and prune: each frame's predictions are sorted by x, and a GT row
+    is paired only with the predictions of its frame whose x lies within its
+    reach: d_max under center_distance, half its width plus half the widest
+    prediction's under bev_iou, widened by a float slack relative to |x|. A
+    pair beyond that reach has zero similarity, so the edges are those of the
+    whole GT x prediction product. The candidate pairs go through
+    ``pair_similarity`` in blocks of whole GT rows of about EDGE_BLOCK pairs,
+    so memory stays bounded however long the window is.
     """
-    g_frames, g_start, g_count = np.unique(gt_frame, return_index=True, return_counts=True)
-    p_frames, p_start, p_count = np.unique(pred_frame, return_index=True, return_counts=True)
-    _, gi, pi = np.intersect1d(g_frames, p_frames, assume_unique=True, return_indices=True)
-    g_start, p_start, p_count = g_start[gi], p_start[pi], p_count[pi]
-    cells = g_count[gi] * p_count
-    block = (np.cumsum(cells) - cells) // EDGE_BLOCK
-    cuts = np.flatnonzero(np.diff(block)) + 1
+    gx, px = gt[:, 0], pred[:, 0]
+    if spec.mode == "center_distance":
+        reach = np.full(gx.size, spec.d_max)
+    else:
+        reach = (gt[:, 2] + pred[:, 2].max(initial=0.0)) / 2
+    reach += 1e-9 * (np.abs(gx) + reach)
+    # (frame, x) keys as complex numbers, which numpy orders lexicographically
+    key = pred_frame + 1j * px
+    by_x = np.argsort(key, kind="stable")
+    key = key[by_x]
+    lo = np.searchsorted(key, gt_frame + 1j * (gx - reach), "left")
+    count = np.searchsorted(key, gt_frame + 1j * (gx + reach), "right") - lo
+    block = (np.cumsum(count) - count) // EDGE_BLOCK
+    cuts = (np.flatnonzero(np.diff(block)) + 1).tolist()
     parts = []
-    for lo, hi in zip([0, *cuts.tolist()], [*cuts.tolist(), cells.size]):
-        n = cells[lo:hi]
-        frame = np.repeat(np.arange(lo, hi), n)
-        # the cell of each pair in its frame's row-major GT x prediction grid
-        cell = np.arange(n.sum()) - np.repeat(np.cumsum(n) - n, n)
-        g = g_start[frame] + cell // p_count[frame]
-        p = p_start[frame] + cell % p_count[frame]
+    for a, b in zip([0, *cuts], [*cuts, count.size]):
+        g = np.repeat(np.arange(a, b), count[a:b])
+        p = by_x[_ranges(lo[a:b], count[a:b])]
         sim = pair_similarity(gt[g], pred[p], spec)
         hit = sim > 0
         parts.append((g[hit], p[hit], sim[hit]))
     g, p, sim = (np.concatenate(c) for c in zip(*parts))
-    return EdgeList(g, p, sim, gt_frame, pred_frame)
+    # g is already in order; within a GT row the candidates came in x order
+    order = np.argsort(g * len(pred) + p, kind="stable")
+    return EdgeList(g[order], p[order], sim[order], gt_frame, pred_frame)
+
+
+def linear_sum_assignment(cost: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``scipy.optimize.linear_sum_assignment``, imported on the first call:
+    importing scipy.optimize takes most of the package's start-up time, and
+    the commands that never match pay none of it."""
+    import scipy.optimize
+
+    return scipy.optimize.linear_sum_assignment(cost)
 
 
 def _check_alpha(alpha: float) -> None:
@@ -157,43 +186,101 @@ def _check_alpha(alpha: float) -> None:
         raise ValueError(f"alpha must be in (0, 1], got {alpha}")
 
 
-def match_edges(
-    edges: EdgeList, alpha: float
+def _solve_frames(
+    edges: EdgeList, g: np.ndarray, p: np.ndarray, sim: np.ndarray,
+    frames: np.ndarray, a: np.ndarray, b: np.ndarray,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Gated max-total-similarity matching of every frame of an edge list.
+    """The optimal matched pairs of each frame in ``frames``, whose gated
+    edges are ``g[a:b], p[a:b], sim[a:b]``, sorted by GT row.
 
-    Returns the (GT row, prediction row, similarity) of the matched pairs,
-    sorted by GT row. A frame where some row has two gated partners is
-    solved by one linear_sum_assignment call on its whole matrix; in every
-    other frame the gated pairs are forced and taken as they are.
+    Each frame is solved on its whole gated matrix, in which a gated-out pair
+    costs 0. The matrices lie side by side in one flat buffer, filled in
+    chunks of whole frames of about EDGE_BLOCK cells; a matched cell that
+    holds no gated edge is dropped.
     """
-    _check_alpha(alpha)
-    keep = edges.sim >= alpha
-    g, p, sim = edges.gt[keep], edges.pred[keep], edges.sim[keep]
-    frame = edges.gt_frame[g]
-    clash = (np.bincount(g)[g] > 1) | (np.bincount(p)[p] > 1)
-    hard = np.unique(frame[clash])
-    if hard.size == 0:
-        return g, p, sim
-    forced = ~np.isin(frame, hard)
-    parts = [(g[forced], p[forced], sim[forced])]
-    # each hard frame's gated edges, GT rows and prediction rows are contiguous
-    spans = zip(
-        *(np.searchsorted(labels, hard, side).tolist()
-          for labels in (frame, edges.gt_frame, edges.pred_frame)
-          for side in ("left", "right"))
+    if frames.size == 0:
+        return g[:0], p[:0], sim[:0]
+    g0, g1, p0, p1 = (
+        np.searchsorted(labels, frames, side)
+        for labels in (edges.gt_frame, edges.pred_frame)
+        for side in ("left", "right")
     )
-    for a, b, g0, g1, p0, p1 in spans:
-        # the frame's whole matrix; gated-out pairs cost 0
-        cost = np.zeros((g1 - g0, p1 - p0))
-        cost[g[a:b] - g0, p[a:b] - p0] = -sim[a:b]
-        rows, cols = linear_sum_assignment(cost)
-        keep = cost[rows, cols] < 0
-        rows, cols = rows[keep], cols[keep]
-        parts.append((rows + g0, cols + p0, -cost[rows, cols]))
-    g, p, sim = (np.concatenate(c) for c in zip(*parts))
-    order = np.argsort(g)
-    return g[order], p[order], sim[order]
+    rows, cols = g1 - g0, p1 - p0
+    start = np.cumsum(rows * cols) - rows * cols
+    # the gated edges of those frames, and the buffer cell of each
+    e = _ranges(a, b - a)
+    slot = np.repeat(np.arange(frames.size), b - a)
+    cell = start[slot] + (g[e] - g0[slot]) * cols[slot] + p[e] - p0[slot]
+    block = start // EDGE_BLOCK
+    cuts = (np.flatnonzero(np.diff(block)) + 1).tolist()
+    shape = list(zip(start.tolist(), rows.tolist(), cols.tolist()))
+    found_r, found_c = [], []
+    for lo, hi in zip([0, *cuts], [*cuts, frames.size]):
+        first, end = start[lo], start[hi - 1] + rows[hi - 1] * cols[hi - 1]
+        buf = np.zeros(end - first)
+        e0, e1 = np.searchsorted(cell, (first, end))
+        buf[cell[e0:e1] - first] = -sim[e[e0:e1]]
+        for s, n, m in shape[lo:hi]:
+            s -= first
+            r, c = linear_sum_assignment(buf[s : s + n * m].reshape(n, m))
+            found_r.append(r)
+            found_c.append(c)
+    slot = np.repeat(np.arange(frames.size), np.minimum(rows, cols))
+    matched = start[slot] + np.concatenate(found_r) * cols[slot] + np.concatenate(found_c)
+    at = np.searchsorted(cell, matched)
+    hit = at < cell.size
+    hit[hit] = cell[at[hit]] == matched[hit]
+    k = e[at[hit]]
+    return g[k], p[k], sim[k]
+
+
+def match_edges(
+    edges: EdgeList, alphas: tuple[float, ...]
+) -> Iterator[tuple[np.ndarray, np.ndarray, np.ndarray]]:
+    """Gated max-total-similarity matching of every frame of an edge list,
+    at each gate alpha in turn.
+
+    Yields, per alpha, the (GT row, prediction row, similarity) of the
+    matched pairs, sorted by GT row. In a frame where no row has two gated
+    partners the gated pairs are forced and taken as they are. Every other
+    (conflicted) frame is solved on its whole gated matrix by one
+    linear_sum_assignment call per distinct matrix: a frame's gated edge sets
+    are nested across alphas, so a conflicted frame with as many gated edges
+    as at the previous alpha has the same matrix, bit for bit, and keeps the
+    pairs found there.
+    """
+    for alpha in alphas:
+        _check_alpha(alpha)
+    # the previous alpha's conflicted frames, their gated edge counts, and
+    # their matched pairs sorted by GT row
+    prev_hard = prev_count = np.empty(0, np.int64)
+    prev = (prev_hard, prev_hard, np.empty(0))
+    for alpha in alphas:
+        keep = edges.sim >= alpha
+        g, p, sim = edges.gt[keep], edges.pred[keep], edges.sim[keep]
+        frame = edges.gt_frame[g]
+        clash = (np.bincount(g)[g] > 1) | (np.bincount(p)[p] > 1)
+        hard = np.unique(frame[clash])
+        if hard.size == 0:
+            prev_hard = hard
+            yield g, p, sim
+            continue
+        # each conflicted frame's gated edges are contiguous
+        a, b = np.searchsorted(frame, hard, "left"), np.searchsorted(frame, hard, "right")
+        same = np.zeros(hard.size, bool)
+        if prev_hard.size:
+            at = np.minimum(np.searchsorted(prev_hard, hard), prev_hard.size - 1)
+            same = (prev_hard[at] == hard) & (prev_count[at] == b - a)
+        kept = np.isin(edges.gt_frame[prev[0]], hard[same])
+        new = _solve_frames(edges, g, p, sim, hard[~same], a[~same], b[~same])
+        paired = [np.concatenate((old[kept], x)) for old, x in zip(prev, new)]
+        order = np.argsort(paired[0])
+        prev = tuple(x[order] for x in paired)
+        prev_hard, prev_count = hard, b - a
+        forced = ~np.isin(frame, hard)
+        g, p, sim = (np.concatenate((x[forced], y)) for x, y in zip((g, p, sim), prev))
+        order = np.argsort(g)
+        yield g[order], p[order], sim[order]
 
 
 def hungarian(cost: np.ndarray | list[list[float]]) -> list[tuple[int, int]]:
@@ -231,7 +318,7 @@ def match_frame(
     sim = similarity_matrix(gt, pred, spec)
     r, c = np.nonzero(sim > 0)
     edges = EdgeList(r, c, sim[r, c], np.zeros(len(gt), int), np.zeros(len(pred), int))
-    rows, cols, _ = match_edges(edges, alpha)
+    rows, cols, _ = next(match_edges(edges, (alpha,)))
     matched_r = set(rows.tolist())
     matched_c = set(cols.tolist())
     pairs = tuple(

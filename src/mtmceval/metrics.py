@@ -4,16 +4,19 @@ All metrics come from one pass per class over the evaluation window
 (``_class_edges``), reading column slices of the two sequences' track tables.
 It orders each side's rows on window frames by (window position, track id)
 and builds one edge list (``matching.EdgeList``): every (GT row, prediction
-row) pair of one frame with nonzero similarity, computed in blocks of frames
-and never as per-frame matrices. A window frame empty on either side holds no
+row) pair of one frame with nonzero similarity, never as per-frame matrices.
+Only the pairs within reach of each other along x are scored (sweep and
+prune), in blocks of GT rows. A window frame empty on either side holds no
 edge, and one empty on both sides costs nothing. It also ranks the
 predictions for AP. Three consumers read that pass and compute nothing twice:
 
-- ``_score_alphas`` matches the edges at every gate alpha and gives HOTA,
-  DetA, AssA and LocA per alpha, plus the matched pairs at ``dur_alpha``. In
-  a frame where no row has two gated partners every gated pair is forced;
-  these are taken for the whole window at once. A conflicted frame is solved
-  on its whole gated matrix, scattered from its edges;
+- ``_score_alphas`` matches the edges over the whole alpha grid in one
+  ``match_edges`` pass and gives HOTA, DetA, AssA and LocA per alpha, plus
+  the matched pairs at ``dur_alpha``. In a frame where no row has two gated
+  partners every gated pair is forced; these are taken for the whole window
+  at once. A conflicted frame is solved on its whole gated matrix, scattered
+  from its edges, once per distinct matrix: when its gated edges at one
+  alpha are those of the alpha before, it keeps the pairs found there;
 - ``_run_seconds`` counts runs of matched prediction ids over window
   positions: AvgTrackDur;
 - ``_average_precision`` matches predictions greedily in rank order, level
@@ -46,6 +49,7 @@ from .matching import (
     EdgeList,
     FrameMatchSet,
     SimilaritySpec,
+    _ranges,
     edge_list,
     match_edges,
 )
@@ -88,10 +92,8 @@ def _window_rows(t: TrackTable, window: np.ndarray) -> tuple[np.ndarray, np.ndar
     found = at < by_index.size
     found[found] = t.frame_index[by_index[at[found]]] == window[found]
     frames = by_index[at[found]]
-    starts, counts = t.offsets[frames], np.diff(t.offsets)[frames]
-    # the row ranges of those frames, concatenated
-    rows = np.arange(counts.sum()) + np.repeat(starts - np.cumsum(counts) + counts, counts)
-    return rows, np.repeat(np.flatnonzero(found), counts)
+    counts = np.diff(t.offsets)[frames]
+    return _ranges(t.offsets[frames], counts), np.repeat(np.flatnonzero(found), counts)
 
 
 def _class_rows(
@@ -156,8 +158,7 @@ def _score_alphas(
     total_pred = data.p_ids.size
     n_pred = data.pred_counts.size
     scores = []
-    for k, alpha in enumerate(alphas):
-        g, p, sim = match_edges(data.edges, alpha)
+    for k, (g, p, sim) in enumerate(match_edges(data.edges, alphas)):
         if k == dur_index:
             matched = (data.p_ids[p], data.edges.gt_frame[g])
         tp = g.size

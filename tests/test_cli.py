@@ -1,10 +1,15 @@
 import json
 import math
+import os
 import re
+import subprocess
+import sys
 from dataclasses import fields
+from pathlib import Path
 
 import pytest
 
+import mtmceval
 from mtmceval.anchors import parse_anchor_bank
 from mtmceval.cli import ToolConfig, _apply_overrides, build_parser, load_config, main
 from mtmceval.datamodel import Box3D, Detection, make_sequence
@@ -410,6 +415,39 @@ def test_gen_anchors_rerun_byte_identical(tmp_path, capsys):
     assert a.read_bytes() == b.read_bytes()
 
 
+# --- start-up -----------------------------------------------------------------
+
+
+def test_only_matching_imports_the_solver(tmp_path):
+    """scipy.optimize is most of the CLI's import time: a fresh process that
+    imports the CLI and runs convert and gen-anchors never loads it, and the
+    first matching (evaluate) does."""
+    pos = tmp_path / "pos.csv"
+    pos.write_text("0,3,0\n0,4,481\n1,3,1\n1,4,482\n")
+    tracks = tmp_path / "tracks.csv"
+    steps = [
+        [],
+        ["convert", "--positions", str(pos), "--out", str(tracks), "--fps", "2"],
+        ["gen-anchors", "--gt", str(tracks), "--out", str(tmp_path / "a.csv"), "--k", "2"],
+        ["evaluate", "--gt", str(tracks), "--pred", str(tracks), "--native-fps", "2"],
+    ]
+    script = (
+        "import json, sys\n"
+        "from mtmceval.cli import main\n"
+        "loaded = []\n"
+        f"for argv in {steps!r}:\n"
+        "    assert not argv or main(argv) == 0, argv\n"
+        "    loaded.append('scipy.optimize' in sys.modules)\n"
+        "print(json.dumps(loaded))\n"
+    )
+    src = str(Path(mtmceval.__file__).parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    run = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
+                         text=True, timeout=120)
+    assert run.returncode == 0, run.stderr
+    assert json.loads(run.stdout.splitlines()[-1]) == [False, False, False, True]
+
+
 # --- synth --------------------------------------------------------------------
 
 
@@ -441,6 +479,21 @@ def test_synth_outputs_and_provenance(tmp_path, capsys):
     prov = json.loads((tmp_path / "pred.csv.spec.json").read_text())
     assert prov["scene"]["n_objects"] == 3
     assert prov["degrade"]["drop_prob"] == 0.2
+
+
+def test_synth_provenance_copy_equals_input(tmp_path, capsys):
+    # fp_rate > 0 without fp_bounds: the scene bounds are used, but not
+    # written into the copy
+    spec = synth_spec(tmp_path, fp_rate=0.3)
+    assert "fp_bounds" not in json.loads(spec.read_text())["degrade"]
+    pred_out = tmp_path / "pred.csv"
+    code = main(
+        ["synth", "--spec", str(spec), "--out-gt", str(tmp_path / "gt.csv"),
+         "--out-pred", str(pred_out)]
+    )
+    assert code == 0
+    prov = tmp_path / "pred.csv.spec.json"
+    assert json.loads(prov.read_text()) == json.loads(spec.read_text())
 
 
 def test_synth_then_evaluate_pipeline(tmp_path, capsys):
@@ -500,6 +553,7 @@ def test_synth_bad_class_id_exits_2_naming_it(tmp_path, capsys, part, key, bad):
         ({"degrade": "x"}, "degrade: expected a JSON object"),
         ({"scene": {"n_object": 3}}, "unknown scene key 'n_object'"),
         ({"scene": {"speed_range": [1, 2]}}, "unknown scene key 'speed_range'"),
+        ({"scnee": {"n_objects": 2}}, "unknown spec key 'scnee'"),
     ],
 )
 def test_synth_bad_spec_shape_exits_2_naming_it(tmp_path, capsys, spec, named):

@@ -3,11 +3,14 @@ import itertools
 import numpy as np
 import pytest
 
+from mtmceval import matching
 from mtmceval.datamodel import Box3D, Detection
 from mtmceval.matching import (
     FrameMatchSet,
     SimilaritySpec,
+    edge_list,
     hungarian,
+    match_edges,
     match_frame,
     similarity_matrix,
 )
@@ -200,3 +203,116 @@ def test_match_frame_properties(seed):
         # determinism and permutation invariance
         again = match_frame(list(reversed(gt)), list(reversed(pred)), alpha, spec)
         assert again == result
+
+
+# --- edge lists over many frames ----------------------------------------------
+
+
+def grid_footprints(rng, n, origin):
+    """n footprints on a 0.25 m grid around x = origin: exact at any origin
+    up to 1e12, so boxes touch exactly and centres lie exactly d_max apart."""
+    return np.column_stack([
+        origin + 0.25 * rng.integers(-12, 13, n),
+        0.25 * rng.integers(-4, 5, n),
+        rng.choice([0.5, 1.0, 1.5, 2.0], n),
+        rng.choice([0.5, 1.0, 2.0], n),
+    ]).reshape(-1, 4)
+
+
+def nonzero_entries(gt, pred, gt_frame, pred_frame, spec):
+    """(GT row, prediction row, similarity) of every nonzero entry of each
+    frame's full similarity matrix, in (GT row, prediction row) order."""
+    parts = []
+    for f in range(1 + max(gt_frame.max(initial=0), pred_frame.max(initial=0))):
+        gi, pi = np.flatnonzero(gt_frame == f), np.flatnonzero(pred_frame == f)
+        sim = similarity_matrix(gt[gi], pred[pi], spec)
+        r, c = np.nonzero(sim)
+        parts.append((gi[r], pi[c], sim[r, c]))
+    return [np.concatenate(c) for c in zip(*parts)]
+
+
+@pytest.mark.parametrize("spec", [BEV, SimilaritySpec(mode="center_distance", d_max=1.5)])
+def test_edge_list_equals_nonzero_matrix_entries(spec):
+    """Sweep and prune drops no pair of nonzero similarity: the edges are the
+    nonzero entries of the per-frame matrices, bit for bit and in order."""
+    reach = spec.d_max if spec.mode == "center_distance" else None
+    for seed in range(40):
+        rng = np.random.default_rng([seed, 11])
+        origin = [0.0, 1e3, -1e6, 1e12, -1e12][seed % 5]
+        gt_parts, pred_parts, gt_frame, pred_frame = [], [], [], []
+        for f in range(int(rng.integers(1, 6))):
+            # either side may be empty on a frame
+            gt_f = grid_footprints(rng, int(rng.integers(0, 6)), origin)
+            pred_f = grid_footprints(rng, int(rng.integers(0, 6)), origin)
+            if gt_f.size and pred_f.size:
+                # a prediction just inside the reach of the first GT row, and
+                # one exactly at it (touching boxes or centres d_max apart)
+                g = gt_f[0]
+                at = g[0] + (reach or (g[2] + pred_f[0, 2]) / 2)
+                pred_f = np.vstack([pred_f, [at, g[1], *pred_f[0, 2:]],
+                                    [np.nextafter(at, -np.inf), g[1], *pred_f[0, 2:]]])
+            if f == 1 and seed % 3 == 0:
+                # one very wide box, on either side
+                (gt_f if seed % 2 else pred_f)[:1, 2] = 400.0
+            gt_parts.append(gt_f)
+            pred_parts.append(pred_f)
+            gt_frame += [f] * len(gt_f)
+            pred_frame += [f] * len(pred_f)
+        gt, pred = np.vstack(gt_parts), np.vstack(pred_parts)
+        gt_frame, pred_frame = np.array(gt_frame, int), np.array(pred_frame, int)
+        edges = edge_list(gt, pred, gt_frame, pred_frame, spec)
+        g, p, sim = nonzero_entries(gt, pred, gt_frame, pred_frame, spec)
+        assert np.array_equal(edges.gt, g) and np.array_equal(edges.pred, p), seed
+        assert edges.sim.tobytes() == sim.tobytes(), seed
+
+
+def test_match_edges_solves_each_distinct_matrix_once(monkeypatch):
+    """Over the alpha grid, the solver runs once per distinct (frame, gated
+    edge set) of a conflicted frame, and every alpha gives each frame the
+    pairs that match_frame gives it alone."""
+    alphas = tuple(round(0.05 * i, 2) for i in range(1, 20))
+    rng = np.random.default_rng(5)
+    frames = [
+        tuple([det(*rng.uniform(0, 2, 2), track_id=i) for i in range(int(k))]
+              for k in rng.integers(0, 7, size=2))
+        for _ in range(40)
+    ]
+
+    def side(k):
+        dets = [d for frame in frames for d in frame[k]]
+        label = np.repeat(np.arange(len(frames)), [len(frame[k]) for frame in frames])
+        return matching._footprints(dets), label
+
+    (gt, gt_frame), (pred, pred_frame) = side(0), side(1)
+    edges = edge_list(gt, pred, gt_frame, pred_frame, CD)
+    distinct = set()
+    for alpha in alphas:
+        keep = edges.sim >= alpha
+        for f in range(len(frames)):
+            mine = keep & (gt_frame[edges.gt] == f)
+            g, p = edges.gt[mine].tolist(), edges.pred[mine].tolist()
+            if len(set(g)) < len(g) or len(set(p)) < len(p):
+                distinct.add((f, tuple(zip(g, p))))
+    calls = []
+    real = matching.linear_sum_assignment
+
+    def counting(cost):
+        calls.append(cost.shape)
+        return real(cost)
+
+    monkeypatch.setattr(matching, "linear_sum_assignment", counting)
+    matched = list(match_edges(edges, alphas))
+    monkeypatch.undo()
+    assert len(distinct) >= 30
+    assert len(calls) == len(distinct)
+    g0 = np.searchsorted(gt_frame, np.arange(len(frames)))
+    p0 = np.searchsorted(pred_frame, np.arange(len(frames)))
+    for alpha, (g, p, sim) in zip(alphas, matched):
+        f = gt_frame[g]
+        got = sorted(zip(f.tolist(), (g - g0[f]).tolist(), (p - p0[f]).tolist(), sim.tolist()))
+        want = sorted(
+            (f, gi, pi, s)
+            for f, (gt_f, pred_f) in enumerate(frames)
+            for gi, pi, s in match_frame(gt_f, pred_f, alpha, CD).pairs
+        )
+        assert got == want, alpha

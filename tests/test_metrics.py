@@ -301,39 +301,53 @@ def test_class_report_large_track_ids():
 
 
 def test_class_report_computes_each_similarity_once(monkeypatch):
-    """Every (GT, prediction) pair of a (frame, class) cell goes through the
-    pairwise similarity core exactly once, however many alphas are scored."""
-    pairs = []
+    """No (GT, prediction) pair goes through the pairwise similarity core
+    twice, however many alphas are scored, and every pair of a (frame,
+    class) cell with nonzero similarity is among those scored."""
+    scored = []
     real = matching.pair_similarity
 
-    def counting(gt, pred, spec):
-        pairs.append(math.prod(np.broadcast_shapes(gt.shape[:-1], pred.shape[:-1])))
-        return real(gt, pred, spec)
+    def recording(gt, pred, spec):
+        sim = real(gt, pred, spec)
+        gt, pred = (np.broadcast_to(a, sim.shape + (4,)).reshape(-1, 4) for a in (gt, pred))
+        scored.extend(zip(map(tuple, gt.tolist()), map(tuple, pred.tolist()), sim.ravel().tolist()))
+        return sim
 
-    monkeypatch.setattr(matching, "pair_similarity", counting)
+    # every detection has its own footprint, so a footprint pair names a pair
     frames = {
-        f: [det(0.0, 0.0, 1, class_id=0), det(5.0, 0.0, 2, class_id=1)]
-        + [det(0.5 * k, 1.0, 10 + k, class_id=1) for k in range(f % 3)]
+        f: [det(0.01 * f, 0.0, 1, class_id=0), det(5.0 + 0.01 * f, 0.0, 2, class_id=1)]
+        + [det(0.5 * k + 0.01 * f, 1.0, 10 + k, class_id=1) for k in range(f % 3)]
         for f in range(5)
     }
     gt = make_sequence(frames, native_fps=1.0)
     pred = make_sequence(
-        {f: ([det(0.1, 0.0, 7, class_id=0)] if f != 2 else [])
-         + [det(5.0, 0.2 * k, 20 + k, class_id=1) for k in range(f % 4)]
+        {f: ([det(0.1 + 0.01 * f, 0.0, 7, class_id=0)] if f != 2 else [])
+         + [det(5.0 + 0.01 * f, 0.2 * k, 20 + k, class_id=1) for k in range(f % 4)]
          for f in range(5)},
         native_fps=1.0,
     )
     win = EvalWindow(frame_indices=gt.frame_indices, f0=1.0)
-    rep = class_report(gt, pred, win, CD)
-    assert set(rep.per_class) == {0, 1}
-    cells = sum(
-        sum(d.class_id == c for d in gt.frames[f][1])
-        * sum(d.class_id == c for d in pred.frames[f][1])
-        for f in range(5)
-        for c in (0, 1)
-    )
-    assert cells > 0
-    assert sum(pairs) == cells
+
+    def footprint(d):
+        return (d.box.x, d.box.y, d.box.width, d.box.length)
+
+    for spec in (CD, SimilaritySpec(mode="bev_iou")):
+        scored.clear()
+        with monkeypatch.context() as m:
+            m.setattr(matching, "pair_similarity", recording)
+            rep = class_report(gt, pred, win, spec)
+        assert set(rep.per_class) == {0, 1}
+        nonzero = {
+            (footprint(g), footprint(p))
+            for f in range(5)
+            for g in gt.frames[f][1]
+            for p in pred.frames[f][1]
+            if g.class_id == p.class_id and matching.similarity_matrix([g], [p], spec)[0, 0] > 0
+        }
+        pairs = [(g, p) for g, p, _ in scored]
+        assert len(pairs) == len(set(pairs)), spec.mode
+        assert {(g, p) for g, p, s in scored if s > 0} == nonzero, spec.mode
+        assert len(nonzero) >= 10, spec.mode
 
 
 METRIC_FIELDS = ("hota", "deta", "assa", "loca", "avg_track_dur_seconds", "ap")
@@ -352,7 +366,9 @@ def test_crowded_scenes_match_oracle(monkeypatch):
 
     monkeypatch.setattr(matching, "linear_sum_assignment", counting)
     arena = (0.0, 0.0, 3.0, 3.0)
-    for seed in range(40):
+    # the solver runs once per distinct conflicted matrix, so 60 scenes
+    # reach the 1,000 calls
+    for seed in range(60):
         rng = np.random.default_rng([seed, 7])
         n = int(rng.integers(3, _MAX_ORACLE_OBJECTS + 1))
         gt = gen_scene(n, float(rng.integers(3, 6)), 1.0, arena, seed=seed)
