@@ -14,12 +14,15 @@ frame whose x lies within the reach of a nonzero similarity. At a gate
 alpha, a frame in which no gated row has two gated partners holds only
 forced pairs, which are taken as they are; every other frame is solved on
 its whole gated matrix, scattered from its edges. ``match_edges`` walks the
-whole alpha grid and solves each distinct gated matrix of a frame once.
-scipy.optimize, the solver's home, is imported on the first solve.
+whole alpha grid, solves each distinct gated matrix of a frame once, and
+yields each alpha's matching as a boolean mask over the edges. The solver,
+scipy's compiled ``_lsap`` extension, is loaded on the first solve without
+importing scipy.optimize.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import Iterator
 
@@ -172,13 +175,56 @@ def edge_list(
     return EdgeList(g[order], p[order], sim[order], gt_frame, pred_frame)
 
 
-def linear_sum_assignment(cost: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """``scipy.optimize.linear_sum_assignment``, imported on the first call:
-    importing scipy.optimize takes most of the package's start-up time, and
-    the commands that never match pay none of it."""
-    import scipy.optimize
+def _lsap_from_file():
+    """``scipy.optimize._lsap``, the solver's compiled extension, loaded by
+    file and registered in ``sys.modules`` under its own name, without
+    importing the scipy.optimize package around it."""
+    import importlib.machinery
+    import importlib.util
+    import sys
+    from pathlib import Path
 
-    return scipy.optimize.linear_sum_assignment(cost)
+    name = "scipy.optimize._lsap"
+    if name in sys.modules:
+        return sys.modules[name]
+    home = Path(importlib.util.find_spec("scipy").submodule_search_locations[0])
+    path = next(
+        f for suffix in importlib.machinery.EXTENSION_SUFFIXES
+        if (f := home / "optimize" / f"_lsap{suffix}").is_file()
+    )
+    spec = importlib.util.spec_from_file_location(name, path)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[name] = module
+    try:
+        spec.loader.exec_module(module)
+    except BaseException:
+        del sys.modules[name]
+        raise
+    return module
+
+
+@functools.cache
+def _solver():
+    """``scipy.optimize.linear_sum_assignment``, from its extension module
+    loaded by file; the load leans on scipy's private layout, so any failure
+    falls back to the public import."""
+    try:
+        return _lsap_from_file().linear_sum_assignment
+    except Exception:
+        import scipy.optimize
+
+        return scipy.optimize.linear_sum_assignment
+
+
+def linear_sum_assignment(cost: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``scipy.optimize.linear_sum_assignment``, loaded on the first call.
+
+    Importing scipy.optimize takes most of a second; its compiled ``_lsap``
+    extension, which holds this very function, loads in milliseconds. A later
+    ``import scipy.optimize`` finds that module registered and returns the
+    same function.
+    """
+    return _solver()(cost)
 
 
 def _check_alpha(alpha: float) -> None:
@@ -189,9 +235,10 @@ def _check_alpha(alpha: float) -> None:
 def _solve_frames(
     edges: EdgeList, g: np.ndarray, p: np.ndarray, sim: np.ndarray,
     frames: np.ndarray, a: np.ndarray, b: np.ndarray,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+) -> np.ndarray:
     """The optimal matched pairs of each frame in ``frames``, whose gated
-    edges are ``g[a:b], p[a:b], sim[a:b]``, sorted by GT row.
+    edges are ``g[a:b], p[a:b], sim[a:b]``, as indices into those gated
+    edges.
 
     Each frame is solved on its whole gated matrix, in which a gated-out pair
     costs 0. The matrices lie side by side in one flat buffer, filled in
@@ -199,7 +246,7 @@ def _solve_frames(
     holds no gated edge is dropped.
     """
     if frames.size == 0:
-        return g[:0], p[:0], sim[:0]
+        return frames
     g0, g1, p0, p1 = (
         np.searchsorted(labels, frames, side)
         for labels in (edges.gt_frame, edges.pred_frame)
@@ -230,18 +277,16 @@ def _solve_frames(
     at = np.searchsorted(cell, matched)
     hit = at < cell.size
     hit[hit] = cell[at[hit]] == matched[hit]
-    k = e[at[hit]]
-    return g[k], p[k], sim[k]
+    return e[at[hit]]
 
 
-def match_edges(
-    edges: EdgeList, alphas: tuple[float, ...]
-) -> Iterator[tuple[np.ndarray, np.ndarray, np.ndarray]]:
+def match_edges(edges: EdgeList, alphas: tuple[float, ...]) -> Iterator[np.ndarray]:
     """Gated max-total-similarity matching of every frame of an edge list,
     at each gate alpha in turn.
 
-    Yields, per alpha, the (GT row, prediction row, similarity) of the
-    matched pairs, sorted by GT row. In a frame where no row has two gated
+    Yields, per alpha, a boolean mask over the edges that marks the matched
+    pairs; as the edges are sorted by (GT row, prediction row), the matched
+    pairs come out in GT row order. In a frame where no row has two gated
     partners the gated pairs are forced and taken as they are. Every other
     (conflicted) frame is solved on its whole gated matrix by one
     linear_sum_assignment call per distinct matrix: a frame's gated edge sets
@@ -251,36 +296,33 @@ def match_edges(
     """
     for alpha in alphas:
         _check_alpha(alpha)
-    # the previous alpha's conflicted frames, their gated edge counts, and
-    # their matched pairs sorted by GT row
+    # the previous alpha's conflicted frames, their gated edge counts and mask
     prev_hard = prev_count = np.empty(0, np.int64)
-    prev = (prev_hard, prev_hard, np.empty(0))
+    prev = np.zeros(edges.sim.size, bool)
     for alpha in alphas:
-        keep = edges.sim >= alpha
-        g, p, sim = edges.gt[keep], edges.pred[keep], edges.sim[keep]
+        mask = edges.sim >= alpha
+        g, p = edges.gt[mask], edges.pred[mask]
         frame = edges.gt_frame[g]
         clash = (np.bincount(g)[g] > 1) | (np.bincount(p)[p] > 1)
-        hard = np.unique(frame[clash])
-        if hard.size == 0:
-            prev_hard = hard
-            yield g, p, sim
-            continue
-        # each conflicted frame's gated edges are contiguous
-        a, b = np.searchsorted(frame, hard, "left"), np.searchsorted(frame, hard, "right")
-        same = np.zeros(hard.size, bool)
-        if prev_hard.size:
-            at = np.minimum(np.searchsorted(prev_hard, hard), prev_hard.size - 1)
-            same = (prev_hard[at] == hard) & (prev_count[at] == b - a)
-        kept = np.isin(edges.gt_frame[prev[0]], hard[same])
-        new = _solve_frames(edges, g, p, sim, hard[~same], a[~same], b[~same])
-        paired = [np.concatenate((old[kept], x)) for old, x in zip(prev, new)]
-        order = np.argsort(paired[0])
-        prev = tuple(x[order] for x in paired)
-        prev_hard, prev_count = hard, b - a
-        forced = ~np.isin(frame, hard)
-        g, p, sim = (np.concatenate((x[forced], y)) for x, y in zip((g, p, sim), prev))
-        order = np.argsort(g)
-        yield g[order], p[order], sim[order]
+        hard = frame[clash]
+        if hard.size:
+            # frame is nondecreasing: the conflicted frames, each once, and
+            # the contiguous run of gated edges of each
+            hard = hard[np.r_[True, hard[1:] != hard[:-1]]]
+            a, b = np.searchsorted(frame, hard, "left"), np.searchsorted(frame, hard, "right")
+            same = np.zeros(hard.size, bool)
+            if prev_hard.size:
+                at = np.minimum(np.searchsorted(prev_hard, hard), prev_hard.size - 1)
+                same = (prev_hard[at] == hard) & (prev_count[at] == b - a)
+            gated = np.flatnonzero(mask)
+            conflicted = gated[_ranges(a, b - a)]
+            mask[conflicted] = np.repeat(same, b - a) & prev[conflicted]
+            new = ~same
+            solved = _solve_frames(edges, g, p, edges.sim[gated], hard[new], a[new], b[new])
+            mask[gated[solved]] = True
+            prev_count = b - a
+        prev_hard, prev = hard, mask
+        yield mask
 
 
 def hungarian(cost: np.ndarray | list[list[float]]) -> list[tuple[int, int]]:
@@ -318,7 +360,8 @@ def match_frame(
     sim = similarity_matrix(gt, pred, spec)
     r, c = np.nonzero(sim > 0)
     edges = EdgeList(r, c, sim[r, c], np.zeros(len(gt), int), np.zeros(len(pred), int))
-    rows, cols, _ = next(match_edges(edges, (alpha,)))
+    matched = next(match_edges(edges, (alpha,)))
+    rows, cols = r[matched], c[matched]
     matched_r = set(rows.tolist())
     matched_c = set(cols.tolist())
     pairs = tuple(

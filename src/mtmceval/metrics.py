@@ -8,17 +8,22 @@ row) pair of one frame with nonzero similarity, never as per-frame matrices.
 Only the pairs within reach of each other along x are scored (sweep and
 prune), in blocks of GT rows. A window frame empty on either side holds no
 edge, and one empty on both sides costs nothing. It also ranks the
-predictions for AP. Three consumers read that pass and compute nothing twice:
+predictions for AP, by one stable sort on confidence: the rows are already
+in (frame, track id) order, which is unique within a class. Three consumers
+read that pass and compute nothing twice:
 
 - ``_score_alphas`` matches the edges over the whole alpha grid in one
-  ``match_edges`` pass and gives HOTA, DetA, AssA and LocA per alpha, plus
-  the matched pairs at ``dur_alpha``. In a frame where no row has two gated
-  partners every gated pair is forced; these are taken for the whole window
-  at once. A conflicted frame is solved on its whole gated matrix, scattered
-  from its edges, once per distinct matrix: when its gated edges at one
-  alpha are those of the alpha before, it keeps the pairs found there;
+  ``match_edges`` pass, which yields a mask over the edges per alpha, and
+  gives HOTA, DetA, AssA and LocA per alpha, plus the matched pairs at
+  ``dur_alpha``. In a frame where no row has two gated partners every gated
+  pair is forced; these are taken for the whole window at once. A
+  conflicted frame is solved on its whole gated matrix, scattered from its
+  edges, once per distinct matrix: when its gated edges at one alpha are
+  those of the alpha before, it keeps the pairs found there. Each edge's
+  (GT id, prediction id) pair is numbered once, so an alpha's AssA counts
+  are one bincount over the masked edges;
 - ``_run_seconds`` counts runs of matched prediction ids over window
-  positions: AvgTrackDur;
+  positions from one sort of (dense id, position) keys: AvgTrackDur;
 - ``_average_precision`` matches predictions greedily in rank order, level
   by level: level k holds every frame's k-th ranked prediction, and frames
   share no GT, so a whole level is matched at once: AP.
@@ -97,27 +102,36 @@ def _window_rows(t: TrackTable, window: np.ndarray) -> tuple[np.ndarray, np.ndar
 
 
 def _class_rows(
-    t: TrackTable, window: np.ndarray, class_id: int
+    t: TrackTable, window: np.ndarray, class_id: int, kind: str
 ) -> tuple[np.ndarray, np.ndarray]:
     """(rows, window positions) of one class's rows on window frames,
-    ordered by (window position, track_id), ties in table order."""
+    ordered by (window position, track_id), ties in table order; a track id
+    twice in one frame raises ValueError."""
     rows, pos = _window_rows(t, window)
     mine = t.class_id[rows] == class_id
     rows, pos = rows[mine], pos[mine]
     by_id = np.lexsort((t.track_id[rows], pos))
-    return rows[by_id], pos[by_id]
+    rows, pos = rows[by_id], pos[by_id]
+    ids = t.track_id[rows]
+    twice = np.flatnonzero((pos[1:] == pos[:-1]) & (ids[1:] == ids[:-1]) & (ids[1:] != -1))
+    if twice.size:
+        k = rows[twice[0]]
+        raise ValueError(
+            f"{kind} track_id {t.track_id[k]} appears twice in frame {t.frame[k]} "
+            f"of class {class_id}"
+        )
+    return rows, pos
 
 
 def _class_edges(
     gt: TrackTable,
     pred: TrackTable,
-    window: EvalWindow,
+    win: np.ndarray,
     spec: SimilaritySpec,
     class_id: int,
 ) -> _ClassEdges:
-    win = np.asarray(window.frame_indices, dtype=np.int64)
-    g_rows, g_pos = _class_rows(gt, win, class_id)
-    p_rows, p_pos = _class_rows(pred, win, class_id)
+    g_rows, g_pos = _class_rows(gt, win, class_id, "ground-truth")
+    p_rows, p_pos = _class_rows(pred, win, class_id, "predicted")
     missing = [
         (pos[t.track_id[rows] == -1].min(initial=win.size), kind)
         for t, rows, pos, kind in (
@@ -133,12 +147,9 @@ def _class_edges(
 
     edges = edge_list(boxes(gt, g_rows), boxes(pred, p_rows), g_pos, p_pos, spec)
     g_ids, p_ids = gt.track_id[g_rows], pred.track_id[p_rows]
-    # confidence first, then a canonical order-independent tie-break; the
-    # sort is stable, so exact ties stay in row order
-    ranked = np.lexsort((
-        pred.z[p_rows], pred.y[p_rows], pred.x[p_rows], p_ids, pred.frame[p_rows],
-        -pred.conf[p_rows],
-    ))
+    # confidence first; the sort is stable and the rows are in (frame,
+    # track id) order, which is unique, so ties break on it
+    ranked = np.argsort(-pred.conf[p_rows], kind="stable")
     _, g_dense, gt_counts = np.unique(g_ids, return_inverse=True, return_counts=True)
     _, p_dense, pred_counts = np.unique(p_ids, return_inverse=True, return_counts=True)
     return _ClassEdges(edges, g_ids, p_ids, g_dense, p_dense, gt_counts, pred_counts, ranked)
@@ -147,52 +158,85 @@ def _class_edges(
 def _score_alphas(
     data: _ClassEdges, alphas: tuple[float, ...], dur_index: int
 ) -> tuple[list[tuple[float, float, float, float]], tuple[np.ndarray, np.ndarray]]:
-    """Per-alpha (HOTA, DetA, AssA, LocA) plus the matched prediction ids at
-    ``alphas[dur_index]`` and their window positions (for run counting).
+    """Per-alpha (HOTA, DetA, AssA, LocA) plus the dense ids of the matched
+    predictions at ``alphas[dur_index]`` and their window positions (for run
+    counting).
 
-    AssA weights each (GT id, prediction id) pair by its TP count; pairs are
-    counted on dense indices into each side's distinct ids, so any int64
-    track id is safe. LocA sums the matched similarities in GT row order.
+    AssA weights each (GT id, prediction id) pair by its TP count; each
+    edge's pair is numbered once, on dense indices into each side's distinct
+    ids, so any int64 track id is safe, and counted per alpha by bincount.
+    LocA sums the matched similarities in GT row order.
     """
+    e = data.edges
     total_gt = data.g_ids.size
     total_pred = data.p_ids.size
     n_pred = data.pred_counts.size
+    keys, pair = np.unique(data.g_dense[e.gt] * n_pred + data.p_dense[e.pred], return_inverse=True)
+    gt_n = data.gt_counts[keys // n_pred]
+    pred_n = data.pred_counts[keys % n_pred]
     scores = []
-    for k, (g, p, sim) in enumerate(match_edges(data.edges, alphas)):
+    for k, mask in enumerate(match_edges(e, alphas)):
         if k == dur_index:
-            matched = (data.p_ids[p], data.edges.gt_frame[g])
-        tp = g.size
+            matched = (data.p_dense[e.pred[mask]], e.gt_frame[e.gt[mask]])
+        tp = int(np.count_nonzero(mask))
         if tp == 0:
             # the class has GT in the window, so nothing matched scores 0
             scores.append((0.0, 0.0, 0.0, 0.0))
             continue
         deta = tp / (total_gt + total_pred - tp)
-        pairs, counts = np.unique(
-            data.g_dense[g] * n_pred + data.p_dense[p], return_counts=True
-        )
-        gt_n = data.gt_counts[pairs // n_pred]
-        pred_n = data.pred_counts[pairs % n_pred]
-        a_c = counts / (gt_n + pred_n - counts)
+        counts = np.bincount(pair[mask], minlength=keys.size)
+        seen = np.flatnonzero(counts)
+        counts = counts[seen]
+        a_c = counts / (gt_n[seen] + pred_n[seen] - counts)
         assa = float((counts * a_c).sum() / tp)
-        loca = float(sim.mean())
+        loca = float(e.sim[mask].mean())
         scores.append((math.sqrt(deta * assa), deta, assa, loca))
     return scores, matched
 
 
-def _run_seconds(ids: np.ndarray, positions: np.ndarray, f0: float) -> float:
-    """AvgTrackDur from matched prediction ids and the window positions they
-    were matched at: a run is a maximal span of consecutive window positions
-    where one id is matched; the result is the sum of run lengths /
-    (#runs * f0), 0 with no runs."""
+def _run_seconds(dense: np.ndarray, positions: np.ndarray, f0: float) -> float:
+    """AvgTrackDur from the dense ids (indices into the distinct ids) of
+    matched predictions and the window positions they were matched at: a run
+    is a maximal span of consecutive window positions where one id is
+    matched; the result is the sum of run lengths / (#runs * f0), 0 with no
+    runs."""
     if f0 <= 0:
         raise ValueError("f0 must be positive")
-    if ids.size == 0:
+    if dense.size == 0:
         return 0.0
-    distinct, dense = np.unique(ids, return_inverse=True)
-    keys = np.unique(positions * distinct.size + dense)
-    # a (position, id) starts a run unless the id was matched one position back
-    n_runs = int(np.count_nonzero(~np.isin(keys - distinct.size, keys)))
-    return keys.size / (n_runs * f0)
+    # (id, position) keys sorted, with a gap of at least two between one
+    # id's last position and the next id's first: a step of 0 repeats a key,
+    # a step above 1 starts a run
+    step = np.diff(np.sort(dense * (positions.max() + 2) + positions))
+    return (1 + np.count_nonzero(step)) / ((1 + np.count_nonzero(step > 1)) * f0)
+
+
+def _levels(frame: np.ndarray, ranked: np.ndarray) -> np.ndarray:
+    """Each prediction row's place among its frame's prediction rows in the
+    rank order ``ranked``; ``frame`` labels the rows and is nondecreasing, so
+    the (frame, rank) keys are unique and sort the rows within their
+    frames."""
+    n = ranked.size
+    rank = np.empty(n, dtype=np.int64)
+    rank[ranked] = np.arange(n)
+    level = np.empty(n, dtype=np.int64)
+    level[np.argsort(frame * n + rank)] = np.arange(n) - np.searchsorted(frame, frame)
+    return level
+
+
+def _level_order(p: np.ndarray, sim: np.ndarray, level: np.ndarray) -> np.ndarray:
+    """The order of edges, given in (GT row, prediction row) order, by
+    (level of the prediction row, prediction row, descending similarity, GT
+    row): one stable sort by the first two keys, then the edges that share
+    their prediction row with another, by similarity within it."""
+    key = level[p] * level.size + p
+    order = np.argsort(key, kind="stable")
+    key = key[order]
+    same = key[1:] == key[:-1]
+    shared = np.flatnonzero(np.r_[same, False] | np.r_[False, same])
+    edge = order[shared]
+    order[shared] = edge[np.lexsort((-sim[edge], key[shared]))]
+    return order
 
 
 def _average_precision(data: _ClassEdges, alpha: float) -> float:
@@ -211,15 +255,11 @@ def _average_precision(data: _ClassEdges, alpha: float) -> float:
     if n == 0:
         return 0.0
     e = data.edges
-    # each prediction row's place among its frame's predictions in rank order
-    frame = e.pred_frame[data.ranked]
-    by_frame = np.argsort(frame, kind="stable")
-    level = np.empty(n, dtype=np.int64)
-    level[data.ranked[by_frame]] = np.arange(n) - np.searchsorted(frame[by_frame], frame[by_frame])
+    level = _levels(e.pred_frame, data.ranked)
     keep = e.sim >= alpha
-    g, p, sim = e.gt[keep], e.pred[keep], e.sim[keep]
+    g, p = e.gt[keep], e.pred[keep]
     # a level's edges together, each prediction's best GT first
-    order = np.lexsort((g, -sim, p, level[p]))
+    order = _level_order(p, e.sim[keep], level)
     g, p, lv = g[order], p[order], level[p[order]]
     available = np.ones(npos, dtype=bool)
     hit = np.zeros(n, dtype=bool)
@@ -234,10 +274,13 @@ def _average_precision(data: _ClassEdges, alpha: float) -> float:
     cum_tp = np.cumsum(hit[data.ranked], dtype=float)
     precision = cum_tp / np.arange(1, n + 1)
     recall = cum_tp / npos
+    # at each of the 101 recall points, the best precision at that recall or
+    # above; recall only grows, so that is a suffix maximum
+    envelope = np.maximum.accumulate(precision[::-1])[::-1]
+    at = np.searchsorted(recall, np.linspace(0.0, 1.0, 101) - 1e-12)
     ap = 0.0
-    for r in np.linspace(0.0, 1.0, 101):
-        mask = recall >= r - 1e-12
-        ap += float(precision[mask].max()) if mask.any() else 0.0
+    for v in envelope[at[at < n]].tolist():
+        ap += v
     return ap / 101.0
 
 
@@ -251,8 +294,9 @@ def avg_track_dur(matches: list[FrameMatchSet], f0: float) -> float:
 
     Returns 0 when no tracker id is ever matched.
     """
+    ids = np.array([p for m in matches for _, p, _ in m.pairs], dtype=np.int64)
     return _run_seconds(
-        np.array([p for m in matches for _, p, _ in m.pairs], dtype=np.int64),
+        np.unique(ids, return_inverse=True)[1],
         np.repeat(np.arange(len(matches)), [len(m.pairs) for m in matches]),
         f0,
     )
@@ -272,7 +316,8 @@ def detection_ap(
     frame, each ground-truth box consumed at most once; an exact similarity
     tie goes to the GT with the lower track id.
     """
-    data = _class_edges(gt.table, pred.table, window, spec, class_id)
+    win = np.asarray(window.frame_indices, dtype=np.int64)
+    data = _class_edges(gt.table, pred.table, win, spec, class_id)
     return _average_precision(data, alpha)
 
 
@@ -417,7 +462,7 @@ def class_report(
 
     per_class: dict[int, ClassMetrics] = {}
     for c in sorted(gt_classes):
-        data = _class_edges(gt.table, pred.table, window, spec, c)
+        data = _class_edges(gt.table, pred.table, win, spec, c)
         scores, (ids, positions) = _score_alphas(data, all_alphas, dur_index)
         h, d, a, l = np.array(scores[: len(alphas)]).mean(axis=0)
         per_class[c] = ClassMetrics(

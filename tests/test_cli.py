@@ -419,9 +419,10 @@ def test_gen_anchors_rerun_byte_identical(tmp_path, capsys):
 
 
 def test_only_matching_imports_the_solver(tmp_path):
-    """scipy.optimize is most of the CLI's import time: a fresh process that
-    imports the CLI and runs convert and gen-anchors never loads it, and the
-    first matching (evaluate) does."""
+    """Loading the assignment solver costs start-up time: a fresh process
+    that imports the CLI and runs convert and gen-anchors never loads its
+    extension, scipy.optimize._lsap, and the first matching (evaluate)
+    does."""
     pos = tmp_path / "pos.csv"
     pos.write_text("0,3,0\n0,4,481\n1,3,1\n1,4,482\n")
     tracks = tmp_path / "tracks.csv"
@@ -437,7 +438,7 @@ def test_only_matching_imports_the_solver(tmp_path):
         "loaded = []\n"
         f"for argv in {steps!r}:\n"
         "    assert not argv or main(argv) == 0, argv\n"
-        "    loaded.append('scipy.optimize' in sys.modules)\n"
+        "    loaded.append('scipy.optimize._lsap' in sys.modules)\n"
         "print(json.dumps(loaded))\n"
     )
     src = str(Path(mtmceval.__file__).parents[1])

@@ -1,4 +1,8 @@
 import itertools
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -307,7 +311,8 @@ def test_match_edges_solves_each_distinct_matrix_once(monkeypatch):
     assert len(calls) == len(distinct)
     g0 = np.searchsorted(gt_frame, np.arange(len(frames)))
     p0 = np.searchsorted(pred_frame, np.arange(len(frames)))
-    for alpha, (g, p, sim) in zip(alphas, matched):
+    for alpha, mask in zip(alphas, matched):
+        g, p, sim = edges.gt[mask], edges.pred[mask], edges.sim[mask]
         f = gt_frame[g]
         got = sorted(zip(f.tolist(), (g - g0[f]).tolist(), (p - p0[f]).tolist(), sim.tolist()))
         want = sorted(
@@ -316,3 +321,60 @@ def test_match_edges_solves_each_distinct_matrix_once(monkeypatch):
             for gi, pi, s in match_frame(gt_f, pred_f, alpha, CD).pairs
         )
         assert got == want, alpha
+
+
+# --- loading the solver ---------------------------------------------------------
+
+
+def test_solver_loads_without_scipy_optimize_and_is_the_public_function():
+    """A fresh process solves without importing scipy.optimize, and a later
+    public import hands out the very function that was loaded."""
+    script = (
+        "import sys\n"
+        "import numpy as np\n"
+        "from mtmceval import matching\n"
+        "r, c = matching.linear_sum_assignment(np.array([[1.0, 0.0], [0.0, 1.0]]))\n"
+        "assert (r.tolist(), c.tolist()) == ([0, 1], [1, 0]), (r, c)\n"
+        "assert 'scipy.optimize' not in sys.modules\n"
+        "import scipy.optimize\n"
+        "from scipy.optimize import _lsap\n"
+        "assert matching._solver() is scipy.optimize.linear_sum_assignment\n"
+        "assert _lsap is sys.modules['scipy.optimize._lsap']\n"
+    )
+    src = str(Path(matching.__file__).parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    run = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
+                         text=True, timeout=120)
+    assert run.returncode == 0, run.stderr
+
+
+def test_solver_falls_back_to_the_public_import(monkeypatch):
+    """When the extension cannot be loaded by file, the solver comes from
+    scipy.optimize, and every alpha matches the same pairs."""
+    rng = np.random.default_rng(11)
+    label = np.repeat(np.arange(30), 4)
+    gt, pred = (np.column_stack((rng.uniform(0, 2, (120, 2)), np.full((120, 2), 0.6)))
+                for _ in range(2))
+    edges = edge_list(gt, pred, label, label, CD)
+    alphas = tuple(round(0.1 * i, 1) for i in range(1, 11))
+    want = list(match_edges(edges, alphas))
+    tried = []
+
+    def broken():
+        tried.append(True)
+        raise ImportError("no extension here")
+
+    monkeypatch.setattr(matching, "_lsap_from_file", broken)
+    matching._solver.cache_clear()
+    try:
+        got = list(match_edges(edges, alphas))
+        fallback = matching._solver()
+    finally:
+        matching._solver.cache_clear()
+    import scipy.optimize
+
+    assert tried == [True]
+    assert fallback is scipy.optimize.linear_sum_assignment
+    assert len(got) == len(want)
+    for a, b in zip(got, want):
+        assert np.array_equal(a, b)

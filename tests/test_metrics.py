@@ -1,10 +1,12 @@
+import dataclasses
 import hashlib
+import itertools
 import math
 
 import numpy as np
 import pytest
 
-from mtmceval.datamodel import Box3D, Detection, EvalWindow, make_sequence
+from mtmceval.datamodel import Box3D, Detection, EvalWindow, Sequence, make_sequence
 from mtmceval.matching import FrameMatchSet, SimilaritySpec
 from mtmceval import matching
 from mtmceval.metrics import (
@@ -286,6 +288,42 @@ def test_ap_exact_tie_goes_to_lower_gt_id(gt_order):
     assert rep.per_class[0].ap == 1.0
     assert detection_ap(gt, pred, win, CD2, alpha=0.5, class_id=0) == 1.0
     assert oracle_metrics(gt, pred, win, CD2, dur_alpha=0.5).per_class[0].ap == 1.0
+
+
+def test_avg_track_dur_exact_with_ids_near_the_int64_limit():
+    """Runs are counted on dense ids, so (id, position) keys cannot
+    overflow: id a is matched at every position, first on one object and
+    then on the other, id b at five; 11 matches in 2 runs."""
+    a, b = 2**62 + 3, 2**63 - 1
+    near = [a, a, a, b, b, a]
+    far = [b, b, b, a, a]
+    matches = [
+        fms(pairs=[(7, i, 1.0)] + ([(8, j, 1.0)] if f < len(far) else []))
+        for f, (i, j) in enumerate(itertools.zip_longest(near, far))
+    ]
+    assert avg_track_dur(matches, f0=1.0) == 5.5
+    gt = seq_from_positions({f: [(0.0, 0.0, 7), (3.0, 0.0, 8)] for f in range(6)})
+    pred = seq_from_positions({
+        f: [(0.0, 0.0, near[f])] + ([(3.0, 0.0, far[f])] if f < len(far) else [])
+        for f in range(6)
+    })
+    win = EvalWindow(frame_indices=gt.frame_indices, f0=1.0)
+    assert class_report(gt, pred, win, CD).per_class[0].avg_track_dur_seconds == 5.5
+
+
+@pytest.mark.parametrize("side, kind", [("gt", "ground-truth"), ("pred", "predicted")])
+def test_class_report_rejects_a_track_id_twice_in_a_frame(side, kind):
+    """Sequence.from_table does not validate, so a table can hold one track
+    id twice in a frame; scoring names it instead of scoring it."""
+    seq = seq_from_positions({0: [(0.0, 0.0, 1)], 1: [(0.0, 0.0, 1), (2.0, 0.0, 2)]})
+    t = seq.table
+    twice = Sequence.from_table(
+        dataclasses.replace(t, track_id=np.where(t.track_id == 2, 1, t.track_id)), seq.native_fps
+    )
+    gt, pred = (twice, seq) if side == "gt" else (seq, twice)
+    win = EvalWindow(frame_indices=(0, 1), f0=1.0)
+    with pytest.raises(ValueError, match=f"^{kind} track_id 1 appears twice in frame 1 of class 0$"):
+        class_report(gt, pred, win, CD)
 
 
 def test_class_report_large_track_ids():

@@ -11,9 +11,9 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from mtmceval.datamodel import FLOAT_COLUMNS, EvalWindow, Sequence
+from mtmceval.datamodel import FLOAT_COLUMNS, Box3D, Detection, EvalWindow, Sequence, make_sequence
 from mtmceval.matching import SimilaritySpec
-from mtmceval.metrics import class_report
+from mtmceval.metrics import _class_edges, _class_rows, _level_order, _levels, class_report
 from mtmceval.synthgen import DegradeSpec, degrade, gen_scene, merge_sequences, oracle_metrics
 
 BOUNDS = (-4.0, -4.0, 4.0, 4.0)
@@ -125,3 +125,55 @@ def test_class_report_agrees_with_oracle(scene):
     for c in got[0]:
         assert got[0][c] == pytest.approx(want[0][c], abs=1e-12), c
     assert got[1] == pytest.approx(want[1], abs=1e-12)
+
+
+@st.composite
+def tied_tables(draw):
+    """(gt, pred, window, similarity) of one class: boxes on a 1 m grid and
+    three confidence values, so exact similarity and confidence ties are
+    common; each frame holds up to six rows a side with distinct ids."""
+    n_frames = draw(st.integers(1, 5))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32)))
+
+    def side():
+        frames = {}
+        for f in range(n_frames):
+            ids = rng.permutation(12)[: rng.integers(0, 7)]
+            frames[f] = [
+                Detection(Box3D(*rng.integers(0, 4, 2).astype(float), 0.9, 1.0, 1.0, 1.8),
+                          class_id=0, confidence=float(rng.choice([0.25, 0.5, 0.75])),
+                          track_id=int(i))
+                for i in ids
+            ]
+        return make_sequence(frames, native_fps=1.0)
+
+    sim = draw(st.sampled_from([
+        SimilaritySpec(mode="center_distance", d_max=2.0), SimilaritySpec(mode="bev_iou"),
+    ]))
+    return side(), side(), EvalWindow(tuple(range(n_frames)), f0=1.0), sim
+
+
+@PROPERTY
+@given(tied_tables())
+def test_ap_rank_and_level_order_equal_their_lexsort_keys(scene):
+    """The AP rank (one stable sort by confidence over rows in (frame, track
+    id) order), the levels and the level order give the permutations of the
+    explicit multi-key lexsorts."""
+    gt, pred, window, sim = scene
+    win = np.asarray(window.frame_indices, dtype=np.int64)
+    data = _class_edges(gt.table, pred.table, win, sim, 0)
+    t = pred.table
+    rows, _ = _class_rows(t, win, 0, "predicted")
+    ranked = np.lexsort((t.z[rows], t.y[rows], t.x[rows], t.track_id[rows], t.frame[rows], -t.conf[rows]))
+    assert np.array_equal(data.ranked, ranked)
+
+    e, n = data.edges, ranked.size
+    frame = e.pred_frame[ranked]
+    by_frame = np.argsort(frame, kind="stable")
+    level = np.empty(n, dtype=np.int64)
+    level[ranked[by_frame]] = np.arange(n) - np.searchsorted(frame[by_frame], frame[by_frame])
+    assert np.array_equal(_levels(e.pred_frame, data.ranked), level)
+    for alpha in (0.05, 0.3, 0.5, 1.0):
+        keep = e.sim >= alpha
+        g, p, s = e.gt[keep], e.pred[keep], e.sim[keep]
+        assert np.array_equal(_level_order(p, s, level), np.lexsort((g, -s, p, level[p])))
