@@ -7,7 +7,7 @@ frame without rows survives. Box3D and Detection are only the per-row view
 of that table, built by ``_frames_from_table`` when a caller walks
 ``Sequence.frames``; a Sequence built from Detection objects converts them
 at construction and keeps no reference to them. The row rules live once, in
-``_row_rules``, for validate_sequence and the track CSV reader alike.
+``_row_rules``, for validate_sequence and the track CSV row check alike.
 Timestamps are never stored; time in seconds is always frame_index / native_fps.
 """
 
@@ -53,7 +53,8 @@ def normalize_yaw(yaw: float) -> float:
     wrapped = math.fmod(yaw + math.pi, 2.0 * math.pi)
     if wrapped < 0:
         wrapped += 2.0 * math.pi
-    return wrapped - math.pi
+    # 2 pi - tiny rounds to 2 pi for a yaw a few ulps below -pi
+    return wrapped - math.pi if wrapped < 2.0 * math.pi else -math.pi
 
 
 def normalize_yaws(yaw: np.ndarray) -> np.ndarray:
@@ -62,7 +63,8 @@ def normalize_yaws(yaw: np.ndarray) -> np.ndarray:
     with np.errstate(invalid="ignore"):
         wrapped = np.fmod(yaw + math.pi, 2.0 * math.pi)
     wrapped = np.where(wrapped < 0, wrapped + 2.0 * math.pi, wrapped)
-    return np.where(np.isfinite(yaw), wrapped - math.pi, yaw)
+    wrapped = np.where(wrapped < 2.0 * math.pi, wrapped - math.pi, -math.pi)
+    return np.where(np.isfinite(yaw), wrapped, yaw)
 
 
 @dataclass(frozen=True)
@@ -107,6 +109,7 @@ class Detection:
 
 FLOAT_COLUMNS = ("x", "y", "z", "w", "l", "h", "yaw", "conf")
 _BOX_FIELDS = ("x", "y", "z", "width", "length", "height", "yaw")
+_Rule = tuple[str, np.ndarray, Callable[[int], str]]
 
 
 @dataclass(frozen=True, eq=False)
@@ -347,10 +350,11 @@ class Violation:
         return f"{where}{self.field}: {self.message}"
 
 
-def _row_rules(t: TrackTable) -> list[tuple[str, np.ndarray, Callable[[int], str]]]:
+def _row_rules(t: TrackTable, has_id: np.ndarray) -> list[_Rule]:
     """Every per-row rule as (field, mask of the rows breaking it, message
-    for row i), in the order validate_sequence reports them. A duplicate is
-    a repeat of an earlier (track_id, class_id) in the same frame."""
+    for row i), in the order they are reported within a row. ``has_id``
+    marks the rows that carry a track_id. A duplicate is a repeat of an
+    earlier (track_id, class_id) in the same frame."""
     box = dict(zip(_BOX_FIELDS, (t.x, t.y, t.z, t.w, t.l, t.h, t.yaw)))
     owner = np.repeat(np.arange(t.frame_index.size), np.diff(t.offsets))
     by_key = np.lexsort((t.class_id, t.track_id, owner))
@@ -360,20 +364,20 @@ def _row_rules(t: TrackTable) -> list[tuple[str, np.ndarray, Callable[[int], str
         & (np.diff(t.track_id[by_key]) == 0)
         & (np.diff(t.class_id[by_key]) == 0)
     )
-    rules: list[tuple[str, np.ndarray, Callable[[int], str]]] = [
-        ("class_id", t.class_id < 0, lambda i: "must be non-negative"),
-        ("track_id", t.track_id < -1, lambda i: "must be non-negative"),
+    rules: list[_Rule] = [
         ("confidence", ~((t.conf >= 0.0) & (t.conf <= 1.0)),
          lambda i: f"{float(t.conf[i])} outside [0, 1]"),
     ]
     rules += [(n, ~np.isfinite(col), lambda i: "not finite") for n, col in box.items()]
     rules += [(n, box[n] <= 0, lambda i: "must be positive") for n in ("width", "length", "height")]
     rules += [
+        ("class_id", t.class_id < 0, lambda i: "must be non-negative"),
+        ("track_id", has_id & (t.track_id < 0), lambda i: "must be non-negative"),
         ("yaw", ~((t.yaw >= -math.pi) & (t.yaw < math.pi)),
          lambda i: f"{float(t.yaw[i])} not in [-pi, pi)"),
-        ("track_id", repeat & (t.track_id != -1),
+        ("track_id", repeat & has_id,
          lambda i: f"duplicate (track_id={int(t.track_id[i])}, "
-         f"class_id={int(t.class_id[i])}) in frame"),
+         f"class_id={int(t.class_id[i])}) in frame {int(t.frame[i])}"),
     ]
     return rules
 
@@ -397,7 +401,7 @@ def validate_sequence(seq: Sequence) -> list[Violation]:
                 idx, "frame_index", f"not strictly increasing (previous {fi[k - 1]})"
             )))
     owner = np.repeat(np.arange(len(fi)), np.diff(t.offsets))
-    for r, (name, broken, message) in enumerate(_row_rules(t)):
+    for r, (name, broken, message) in enumerate(_row_rules(t, t.track_id != -1)):
         for i in np.flatnonzero(broken).tolist():
             k = int(owner[i])
             found.append(((k, i, r), Violation(fi[k], name, message(i))))

@@ -11,11 +11,12 @@ comment only at the start of a line. Floats are written with the shortest
 decimal representation that round-trips exactly.
 
 Every function here reads and writes a Sequence's TrackTable column by
-column. parse_tracks reads a file in one pass: numpy's C reader
-(``np.loadtxt``) loads it and the row rules run on whole columns; when the
-reader fails or a rule is broken, the row-by-row reader runs instead. That
-reader is the only code that raises ParseError, naming the first bad line
-and column.
+column. parse_tracks reads a file with numpy's C reader (``np.loadtxt``),
+or, when that cannot read it, with the row-by-row reader, which checks only
+tokens and stops at the first bad one. Either table goes through one column
+check, ``_check_rows``: the frame rules and ``datamodel._row_rules``, the
+only place the row rules are written. It raises the ParseError of the first
+broken (data row, rule), naming the line and column.
 
 Position-record CSV (grid annotations): frame,person_id,position_id
 """
@@ -60,6 +61,7 @@ _LOADTXT_DTYPES = {
     )
     for n in (11, 13)
 }
+_Read = tuple[TrackTable, np.ndarray, int | None, "ParseError | None"]
 
 
 class ParseError(ValueError):
@@ -134,83 +136,53 @@ def _parse_int(token: str, line_no: int, column: str) -> int:
     return v
 
 
-def _parse_rows(lines: list[str]) -> TrackTable:
-    """The row-by-row reader: checks every row in file order and raises a
-    ParseError at the first broken rule."""
+def _parse_rows(lines: list[str]) -> _Read:
+    """The row-by-row reader, for files np.loadtxt cannot read. It checks
+    tokens only and stops at the first bad one. It returns the rows read
+    before it, the mask of those given a track_id (the table holds -1 for an
+    empty one), and the frame, if read, and the ParseError of the bad row."""
     ints: list[tuple[int, int, int]] = []
     floats: list[list[float]] = []
     velocities: list[tuple[float, float] | None] = []
-    last_frame: int | None = None
-    for line_no, raw in enumerate(lines, start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        parts = [p.strip() for p in line.split(",")]
-        if len(parts) not in (11, 13):
-            raise ParseError(
-                line_no, "row", f"expected 11 or 13 columns, got {len(parts)}"
-            )
-        frame = _parse_int(parts[0], line_no, "frame")
-        if frame < 0:
-            raise ParseError(line_no, "frame", "must be non-negative")
-        if last_frame is not None and frame < last_frame:
-            raise ParseError(
-                line_no, "frame", f"frame regression: {frame} after {last_frame}"
-            )
-        track_id = None if parts[1] == "" else _parse_int(parts[1], line_no, "track_id")
-        class_id = _parse_int(parts[2], line_no, "class_id")
-        vals = [
-            _parse_float(parts[3 + i], line_no, TRACK_COLUMNS[3 + i])
-            for i in range(8)
-        ]
-        velocity = None
-        if len(parts) == 13 and (parts[11] or parts[12]):
-            vx = _parse_float(parts[11], line_no, "vx")
-            vy = _parse_float(parts[12], line_no, "vy")
-            velocity = (vx, vy)
-        if not (0.0 <= vals[7] <= 1.0):
-            raise ParseError(line_no, "confidence", f"{vals[7]} outside [0, 1]")
-        for dim, name in zip(vals[3:6], ("width", "length", "height")):
-            if dim <= 0:
-                raise ParseError(line_no, name, "must be positive")
-        if class_id < 0:
-            raise ParseError(line_no, "class_id", "must be non-negative")
-        if track_id is not None and track_id < 0:
-            raise ParseError(line_no, "track_id", "must be non-negative")
-        if last_frame != frame:
-            seen_ids: set[tuple[int, int]] = set()
-            last_frame = frame
-        if track_id is not None:
-            if (track_id, class_id) in seen_ids:
-                raise ParseError(
-                    line_no,
-                    "track_id",
-                    f"duplicate (track_id={track_id}, class_id={class_id}) in "
-                    f"frame {frame}",
-                )
-            seen_ids.add((track_id, class_id))
-        ints.append((frame, -1 if track_id is None else track_id, class_id))
-        floats.append(vals)
-        velocities.append(velocity)
-    velocity_cols = None
-    if any(v is not None for v in velocities):
-        velocity_cols = np.array([v or (math.nan, math.nan) for v in velocities])
-    return table_from_rows(
+    has_id: list[bool] = []
+    frame = error = None
+    try:
+        for line_no, raw in enumerate(lines, start=1):
+            line = raw.strip()
+            if not line or line.startswith("#"):
+                continue
+            parts = [p.strip() for p in line.split(",")]
+            frame = None
+            if len(parts) not in (11, 13):
+                raise ParseError(line_no, "row", f"expected 11 or 13 columns, got {len(parts)}")
+            frame = _parse_int(parts[0], line_no, "frame")
+            track_id = -1 if parts[1] == "" else _parse_int(parts[1], line_no, "track_id")
+            class_id = _parse_int(parts[2], line_no, "class_id")
+            vals = [_parse_float(parts[i], line_no, TRACK_COLUMNS[i]) for i in range(3, 11)]
+            velocity = None
+            if len(parts) == 13 and (parts[11] or parts[12]):
+                velocity = (_parse_float(parts[11], line_no, "vx"),
+                            _parse_float(parts[12], line_no, "vy"))
+            ints.append((frame, track_id, class_id))
+            floats.append(vals)
+            velocities.append(velocity)
+            has_id.append(parts[1] != "")
+    except ParseError as exc:
+        error = exc
+    nan = (math.nan, math.nan)
+    table = table_from_rows(
         np.array(ints, dtype=np.int64).reshape(-1, 3),
         np.array(floats, dtype=np.float64).reshape(-1, 8),
-        velocity_cols,
+        np.array([v or nan for v in velocities]) if any(velocities) else None,
     )
+    return table, np.array(has_id, bool), frame if error else None, error
 
 
-def _parse_fast(lines: list[str]) -> TrackTable | None:
-    """The file through np.loadtxt and the column rules, or None when either
-    rejects it and the row reader must decide.
-
-    loadtxt would also cut a comment from the middle of a line, which the
-    row reader rejects, so a '#' anywhere but at a line start sends the file
-    to the row reader; so does an empty track_id or velocity, which loadtxt
-    cannot read.
-    """
+def _parse_fast(lines: list[str]) -> _Read | None:
+    """The file through np.loadtxt, or None when the row reader must read
+    its tokens: loadtxt cannot read them (an empty track_id or velocity) or
+    reads a non-finite value, or the file has a '#' after data on a line,
+    which loadtxt would cut as a comment and the row reader rejects."""
     first = next((l for l in lines if l.strip() and not l.lstrip().startswith("#")), None)
     dtype = None if first is None else _LOADTXT_DTYPES.get(first.count(",") + 1)
     if dtype is None or any(not l.startswith("#") for l in lines if "#" in l):
@@ -222,21 +194,41 @@ def _parse_fast(lines: list[str]) -> TrackTable | None:
     except (ValueError, Warning):
         return None
     names = dtype.names
+    floats = np.column_stack([rows[c] for c in names[3:]])
+    if not np.isfinite(floats).all():
+        return None
     t = table_from_rows(
         np.column_stack([rows[c] for c in names[:3]]),
-        np.column_stack([rows[c] for c in names[3:11]]),
-        np.column_stack([rows[c] for c in names[11:]]) if len(names) == 13 else None,
+        floats[:, :8],
+        floats[:, 8:] if len(names) == 13 else None,
     )
-    velocity = () if t.vx is None else (t.vx, t.vy)
-    if (
-        (t.frame < 0).any()
-        or (np.diff(t.frame) < 0).any()
-        or (t.track_id < 0).any()
-        or not all(np.isfinite(v).all() for v in velocity)
-        or any(broken.any() for _, broken, _ in _row_rules(t))
-    ):
-        return None
-    return t
+    return t, np.ones(t.frame.size, bool), None, None
+
+
+def _check_rows(lines: list[str], t: TrackTable, has_id: np.ndarray,
+                bad_frame: int | None, error: ParseError | None) -> None:
+    """Raise the ParseError of the first broken (data row, rule) of a
+    reader's table. A row's frame rules come first, then, on the row that
+    failed to read, its bad token, then the row rules of _row_rules."""
+    frame = t.frame if bad_frame is None else np.append(t.frame, bad_frame)
+    rules = [
+        ("frame", frame < 0, lambda i: "must be non-negative"),
+        ("frame", np.concatenate(([False], frame[1:] < frame[:-1])),
+         lambda i: f"frame regression: {frame[i]} after {frame[i - 1]}"),
+        *_row_rules(t, has_id),
+    ]
+    broken = [(int(np.argmax(b)), r) for r, (_, b, _) in enumerate(rules) if b.any()]
+    if error is not None:
+        # the bad row is not in the table: only its frame rules come first
+        broken.append((t.frame.size, len(rules)))
+    if not broken:
+        return
+    i, r = min(broken)
+    if r == len(rules):
+        raise error
+    data_lines = [n for n, raw in enumerate(lines, start=1) if raw.strip()[:1] not in ("", "#")]
+    name, _, message = rules[r]
+    raise ParseError(data_lines[i], name, message(i))
 
 
 def _lines(stream: TextIO | io.IOBase | bytes | str) -> list[str]:
@@ -261,10 +253,9 @@ def parse_tracks(
     order within a frame.
     """
     lines = _lines(stream)
-    table = _parse_fast(lines)
-    if table is None:
-        table = _parse_rows(lines)
-    return Sequence.from_table(table, native_fps=float(native_fps), scene_name=scene_name)
+    read = _parse_fast(lines) or _parse_rows(lines)
+    _check_rows(lines, *read)
+    return Sequence.from_table(read[0], native_fps=float(native_fps), scene_name=scene_name)
 
 
 def emit_tracks(seq: Sequence, sink: TextIO) -> int:

@@ -63,6 +63,24 @@ def test_validate_duplicate_identity_in_frame():
     assert "duplicate" in violations[0].message
 
 
+def test_validate_reports_each_row_in_the_track_reader_order():
+    first = Detection(box=Box3D(0, 0, 0.9, 0.6, 0.6, 1.8), class_id=-1, track_id=-2)
+    second = Detection(
+        box=Box3D(math.nan, 0, 0.9, -1.0, 0.6, 1.8), class_id=-1, confidence=1.5, track_id=-2
+    )
+    seq = make_sequence({4: [first, second]}, native_fps=1.0)
+    assert [str(v) for v in validate_sequence(seq)] == [
+        "frame 4: class_id: must be non-negative",
+        "frame 4: track_id: must be non-negative",
+        "frame 4: confidence: 1.5 outside [0, 1]",
+        "frame 4: x: not finite",
+        "frame 4: width: must be positive",
+        "frame 4: class_id: must be non-negative",
+        "frame 4: track_id: must be non-negative",
+        "frame 4: track_id: duplicate (track_id=-2, class_id=-1) in frame 4",
+    ]
+
+
 def test_validate_is_idempotent():
     seq = make_sequence({0: [_det(confidence=2.0)]}, native_fps=1.0)
     first = validate_sequence(seq)

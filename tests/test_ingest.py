@@ -1,10 +1,21 @@
+import hashlib
 import io
+import math
 
 import numpy as np
 import pytest
 
 from mtmceval import ingest
-from mtmceval.datamodel import FLOAT_COLUMNS, Box3D, Detection, Sequence, make_sequence
+from mtmceval.datamodel import (
+    FLOAT_COLUMNS,
+    Box3D,
+    Detection,
+    Sequence,
+    make_sequence,
+    normalize_yaw,
+    normalize_yaws,
+    validate_sequence,
+)
 from mtmceval.ingest import (
     GridConfig,
     ParseError,
@@ -306,20 +317,22 @@ def _number(rng, v):
     return f" {v!r} "
 
 
-def _valid_rows(rng, velocity):
-    """Data rows of a valid track file, frames ascending with gaps."""
+def _valid_rows(rng, velocity, detector_only=False):
+    """Data rows of a valid track file, frames ascending with gaps; with
+    detector_only, about half the rows have an empty track_id."""
     frames = np.unique(rng.integers(0, 2**40, size=int(rng.integers(1, 12))))
     rows = []
     for f in frames.tolist():
         n_rows = rng.integers(1, 6)
-        pairs = {(int(rng.choice(_IDS)), int(rng.integers(0, 4))) for _ in range(n_rows)}
+        pairs = {(_IDS[rng.integers(len(_IDS))], int(rng.integers(0, 4))) for _ in range(n_rows)}
         for tid, cls in sorted(pairs, key=lambda p: rng.random()):
             vals = [*rng.uniform(-1e3, 1e3, 3), *rng.uniform(1e-3, 5.0, 3),
-                    float(rng.uniform(-20, 20)), float(rng.choice([0.0, 1.0, rng.random()]))]
+                    float(rng.uniform(-20, 20)), (0.0, 1.0, rng.random())[rng.integers(3)]]
             if velocity:
                 vals += list(rng.normal(size=2))
             sign = "+" if rng.random() < 0.2 else ""
-            rows.append(",".join([f"{sign}{f}", f"{sign}{tid}", str(cls)]
+            track_id = "" if detector_only and rng.random() < 0.5 else f"{sign}{tid}"
+            rows.append(",".join([f"{sign}{f}", track_id, str(cls)]
                                  + [_number(rng, float(v)) for v in vals]))
     return rows
 
@@ -338,9 +351,11 @@ def _file(rng, rows):
 
 
 def _corrupt(rng, rows, kind):
-    """rows with one defect of the given kind."""
+    """rows with one more defect of the given kind, put on a data row, so
+    that it can be applied to its own output."""
     rows = list(rows)
-    i = int(rng.integers(len(rows)))
+    data = [k for k, r in enumerate(rows) if r.strip()]
+    i = data[int(rng.integers(len(data)))]
     parts = rows[i].split(",")
     if kind == "mid-line #":
         parts[-1] += " # note"
@@ -363,7 +378,7 @@ def _corrupt(rng, rows, kind):
         parts[6] = "0"
     rows[i] = ",".join(parts)
     if kind == "frame regression":
-        rows.append(rows[0])  # a duplicate instead when the file has one frame
+        rows.append(rows[data[0]])  # a duplicate instead when the file has one frame
     elif kind == "duplicate identity":
         rows.insert(i, rows[i])
     elif kind == "whitespace line":
@@ -377,35 +392,128 @@ CORRUPTIONS = ("mid-line #", "float in int column", "underscore", "nan", "inf", 
                "bad confidence", "zero width")
 
 
+def _corpus(n_files=2000):
+    """Seeded track files, each with 0-3 defects; every third has
+    detector-only rows and every fourth velocity columns. Yields whether a
+    file is plain (neither defects nor detector-only rows) and its text."""
+    rng = np.random.default_rng(20261019)
+    for case in range(n_files):
+        rows = _valid_rows(rng, velocity=case % 4 == 0, detector_only=case % 3 == 0)
+        defects = rng.integers(len(CORRUPTIONS), size=int(rng.integers(4))).tolist()
+        for k in defects:
+            rows = _corrupt(rng, rows, CORRUPTIONS[k])
+        yield not defects and case % 3 != 0, _file(rng, rows)
+
+
+def _outcome(text):
+    """parse_tracks' ParseError text, or the bytes of every table column."""
+    try:
+        t = parse_tracks(text).table
+    except ParseError as exc:
+        return f"ParseError: {exc}".encode()
+    cols = [getattr(t, name) for name in ("frame_index", "offsets", "frame", "track_id",
+                                         "class_id", *FLOAT_COLUMNS, "vx", "vy")]
+    return b"|".join(b"None" if c is None else c.dtype.str.encode() + c.tobytes() for c in cols)
+
+
+# SHA-256 over the outcomes of the corpus, taken before the row rules left the
+# row-by-row reader: every ParseError message and every table bit unchanged.
+CORPUS_DIGEST = "ceaaaac749e2cb02c22ccb3a237222fcccf7236b687937c56818667655b90297"
+
+
 def test_fast_reader_equals_row_reader():
-    """On valid files the two readers give equal tables, float bits
-    included; on corrupted ones the fast reader never accepts what the row
-    reader rejects, and parse_tracks raises the row reader's ParseError."""
-    rng = np.random.default_rng(20261018)
-    fast_accepted = 0
-    for case in range(400):
-        rows = _valid_rows(rng, velocity=case % 4 == 0)
-        kind = CORRUPTIONS[case % len(CORRUPTIONS)] if case >= 100 else None
-        if kind is not None:
-            rows = _corrupt(rng, rows, kind)
-        text = _file(rng, rows)
+    """Every file of the corpus parses to the pinned errors and tables; a
+    plain file is read by np.loadtxt, and a file that np.loadtxt reads, the
+    row reader reads whole, to an equal table with a track_id on every row."""
+    digest = hashlib.sha256()
+    fast_read = rejected = 0
+    for plain, text in _corpus():
+        outcome = _outcome(text)
+        digest.update(hashlib.sha256(outcome).digest())
+        rejected += outcome.startswith(b"ParseError")
         lines = ingest._lines(text)
         fast = ingest._parse_fast(lines)
-        try:
-            slow = ingest._parse_rows(lines)
-        except ParseError as exc:
-            assert fast is None, (kind, text)
-            with pytest.raises(ParseError) as again:
-                parse_tracks(text)
-            assert str(again.value) == str(exc)
-            continue
+        assert fast is not None or not plain, text
         if fast is not None:
-            _same_table(fast, slow)
-            fast_accepted += 1
-        elif kind is None:
-            pytest.fail(f"fast reader rejected a valid file:\n{text}")
-        _same_table(parse_tracks(text).table, slow)
-    assert fast_accepted >= 100
+            table, has_id, frame, error = ingest._parse_rows(lines)
+            assert error is None and frame is None and has_id.all(), text
+            _same_table(fast[0], table)
+            fast_read += 1
+    assert digest.hexdigest() == CORPUS_DIGEST
+    assert fast_read >= 400 and rejected >= 1000
+
+
+ROW = "{f},{t},{c},1,2,3,{w},1,1,0,{p}\n"
+
+
+def _parse_error(text):
+    with pytest.raises(ParseError) as exc:
+        parse_tracks(text)
+    return str(exc.value)
+
+
+def test_confidence_is_reported_before_class_id():
+    assert _parse_error(ROW.format(f=0, t=1, c=-1, w=1, p=1.5)) == (
+        "line 1, column 'confidence': 1.5 outside [0, 1]"
+    )
+
+
+def test_rule_break_is_reported_before_a_later_bad_token():
+    # data line 2 is file line 4; the bad token is on data line 4
+    text = ("# header\n" + ROW.format(f=0, t=1, c=0, w=1, p=0.5) + "\n"
+            + ROW.format(f=0, t=2, c=0, w=0, p=0.5) + "# note\n"
+            + ROW.format(f=1, t=1, c=0, w=1, p=0.5) + ROW.format(f=1, t=2, c=0, w="x", p=0.5))
+    assert _parse_error(text) == "line 4, column 'width': must be positive"
+
+
+def test_frame_regression_is_reported_before_a_bad_token_on_its_row():
+    text = ROW.format(f=5, t=1, c=0, w=1, p=0.5) + ROW.format(f=4, t=1, c=0, w="x", p=0.5)
+    assert _parse_error(text) == "line 2, column 'frame': frame regression: 4 after 5"
+
+
+def test_literal_minus_one_track_id_is_rejected_and_an_empty_one_accepted():
+    literal = ROW.format(f=0, t=-1, c=0, w=1, p=0.5)
+    assert _parse_error(literal) == "line 1, column 'track_id': must be non-negative"
+    empty = ROW.format(f=0, t="", c=0, w=1, p=0.5)
+    assert parse_tracks(empty).frames[0][1][0].track_id is None
+    # the row reader's table holds -1 for both, its mask tells them apart
+    assert _parse_error(empty + literal) == "line 2, column 'track_id': must be non-negative"
+
+
+def test_rule_break_alone_is_reported_without_the_row_reader(monkeypatch):
+    calls = []
+    row_reader = ingest._parse_rows
+    monkeypatch.setattr(ingest, "_parse_rows", lambda lines: calls.append(1) or row_reader(lines))
+    text = ROW.format(f=0, t=1, c=0, w=1, p=0.5) + ROW.format(f=0, t=2, c=0, w=1, p=1.5)
+    assert _parse_error(text) == "line 2, column 'confidence': 1.5 outside [0, 1]"
+    assert calls == []
+    assert parse_tracks(ROW.format(f=0, t="", c=0, w=1, p=0.5)).table.track_id.tolist() == [-1]
+    assert calls == [1]
+
+
+def test_yaw_just_below_minus_pi_wraps_to_minus_pi():
+    yaw = math.nextafter(-math.pi, -4.0)
+    assert yaw == -3.1415926535897936
+    box = Box3D(1, 2, 0.9, 0.6, 0.6, 1.8, yaw)
+    assert box.yaw == -math.pi
+    seq = make_sequence({0: [Detection(box, class_id=0, track_id=1)]}, native_fps=10.0)
+    assert validate_sequence(seq) == []
+    assert roundtrip(seq) == seq
+    parsed = parse_tracks(f"0,1,0,1,2,0.9,0.6,0.6,1.8,{yaw!r},1.0\n", native_fps=10.0)
+    assert parsed.table.yaw.tolist() == [-math.pi]
+    assert validate_sequence(parsed) == [] and parsed == seq
+    # a few ulps on either side of odd multiples of pi: in range, and the
+    # scalar and column forms agree bit for bit
+    yaws = []
+    for centre in (-3 * math.pi, -math.pi, math.pi, 3 * math.pi):
+        for direction in (-10.0, 10.0):
+            v = centre
+            for _ in range(4):
+                v = math.nextafter(v, direction)
+                yaws.append(v)
+    wrapped = [normalize_yaw(v) for v in yaws]
+    assert all(-math.pi <= w < math.pi for w in wrapped)
+    assert np.array(wrapped).tobytes() == normalize_yaws(np.array(yaws)).tobytes()
 
 
 def test_fast_reader_rejects_mid_line_comment():
