@@ -1,9 +1,18 @@
 """Anchor-bank regeneration: k-means over ground-truth box centers.
 
-Lloyd iterations from k-means++ seeding on raw metric coordinates (all axes
-share units, so no normalization). Deterministic for a fixed
-(points, k, seed); empty clusters are reseeded to the point farthest from its
-current centroid.
+Lloyd iterations from k-means++ seeding (Arthur & Vassilvitskii, SODA 2007)
+on raw metric coordinates (all axes share units, so no normalization).
+Deterministic for a fixed (points, k, seed). All clusters that are empty
+after a step are reseeded to the same point: the one farthest from its
+assigned centroid.
+
+The nearest-center step computes the product of all points with all centers
+in one matrix multiply, into an (n, k) buffer allocated once per call, so a
+call needs about n * k * 8 bytes. The distance sums, the clip to 0 and the
+argmin then run on row blocks of about NEAREST_BLOCK cells, which stay in
+cache. The product itself is not split into row chunks: BLAS rounds the last
+bit of some cells differently when it gets fewer rows, and that can move a
+point to another center and change the bank.
 """
 
 from __future__ import annotations
@@ -42,29 +51,53 @@ def collect_centers(gt: Sequence) -> np.ndarray:
     return np.column_stack((t.x, t.y, t.z))[order]
 
 
-def _sq_dists(points: np.ndarray, centers: np.ndarray) -> np.ndarray:
-    # |p - c|^2 via the expanded form; clip tiny negatives from cancellation
-    d2 = (
-        (points**2).sum(axis=1)[:, None]
-        + (centers**2).sum(axis=1)[None, :]
-        - 2.0 * points @ centers.T
-    )
-    return np.maximum(d2, 0.0)
+# distance cells per row block of the nearest-center step
+NEAREST_BLOCK = 1 << 17
 
 
-def _kmeans_pp_init(points: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarray:
-    n = len(points)
-    centers = np.empty((k, points.shape[1]))
-    centers[0] = points[rng.integers(n)]
-    d2 = ((points - centers[0]) ** 2).sum(axis=1)
-    for i in range(1, k):
-        total = d2.sum()
-        if total <= 0:
-            idx = int(rng.integers(n))
-        else:
-            idx = int(rng.choice(n, p=d2 / total))
-        centers[i] = points[idx]
-        d2 = np.minimum(d2, ((points - centers[i]) ** 2).sum(axis=1))
+def _nearest(
+    points: np.ndarray, pp: np.ndarray, centers: np.ndarray, g: np.ndarray
+) -> np.ndarray:
+    """Index of each point's nearest center, ties to the first, by the
+    expanded |p|^2 + |c|^2 - 2 p.c clipped at 0; g is the reused (n, k)
+    buffer of the product."""
+    n, k = g.shape
+    cc = (centers**2).sum(axis=1)
+    np.matmul(2.0 * points, centers.T, out=g)
+    rows = max(1, NEAREST_BLOCK // k)
+    buf = np.empty((min(rows, n), k))
+    labels = np.empty(n, dtype=np.intp)
+    for s in range(0, n, rows):
+        e = min(s + rows, n)
+        t = buf[: e - s]
+        np.add(pp[s:e, None], cc, out=t)
+        np.subtract(t, g[s:e], out=t)
+        np.maximum(t, 0.0, out=t)
+        t.argmin(axis=1, out=labels[s:e])
+    return labels
+
+
+def _kmeans_pp_init(cols: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarray:
+    """k-means++ seeding from the (3, n) coordinate columns."""
+    x, y, z = cols
+    n = len(x)
+    centers = np.empty((k, 3))
+    d2 = np.full(n, np.inf)
+    idx = rng.integers(n)
+    for i in range(k):
+        if i:
+            total = d2.sum()
+            if total <= 0:
+                idx = rng.integers(n)
+            else:
+                idx = rng.choice(n, p=d2 / total)
+        cx, cy, cz = cols[:, idx]
+        centers[i] = cx, cy, cz
+        # summed in the order of a row sum over (x, y, z)
+        d = (x - cx) ** 2
+        d += (y - cy) ** 2
+        d += (z - cz) ** 2
+        np.minimum(d2, d, out=d2)
     return centers
 
 
@@ -82,33 +115,37 @@ def kmeans(
     non-increasing.
     """
     points = np.asarray(points, dtype=float)
-    if points.ndim != 2:
-        raise ValueError("points must be a 2-D array")
+    if points.ndim != 2 or points.shape[1] != 3:
+        raise ValueError("points must be an (n, 3) array")
+    if not np.isfinite(points).all():
+        raise ValueError("points must be finite")
+    if isinstance(k, bool) or not isinstance(k, (int, np.integer)):
+        raise ValueError(f"k must be an integer, got {k!r}")
     if k < 1:
         raise ValueError("k must be >= 1")
-    if len(points) < k:
-        raise ValueError(f"need at least k={k} points, got {len(points)}")
+    n = len(points)
+    if n < k:
+        raise ValueError(f"need at least k={k} points, got {n}")
     rng = np.random.default_rng(seed)
-    centers = _kmeans_pp_init(points, k, rng)
+    cols = np.ascontiguousarray(points.T)
+    centers = _kmeans_pp_init(cols, k, rng)
+    pp = (points**2).sum(axis=1)
+    g = np.empty((n, k))
     history: list[float] = []
-    labels = np.zeros(len(points), dtype=int)
     for _ in range(max_iter):
-        d2 = _sq_dists(points, centers)
-        labels = d2.argmin(axis=1)
+        labels = _nearest(points, pp, centers, g)
         assigned = ((points - centers[labels]) ** 2).sum(axis=1)
         history.append(float(assigned.sum()))
         counts = np.bincount(labels, minlength=k)
-        sums = np.stack(
-            [np.bincount(labels, weights=col, minlength=k) for col in points.T], axis=1
-        )
+        sums = np.stack([np.bincount(labels, weights=c, minlength=k) for c in cols], axis=1)
         new_centers = sums / np.maximum(counts, 1)[:, None]
-        # reseed an empty cluster to the point farthest from its assigned centroid
+        # every empty cluster takes the one point farthest from its centroid
         new_centers[counts == 0] = points[assigned.argmax()]
         shift = float(np.abs(new_centers - centers).max())
         centers = new_centers
         if shift < tol:
             break
-    labels = _sq_dists(points, centers).argmin(axis=1)
+    labels = _nearest(points, pp, centers, g)
     inertia = float(((points - centers[labels]) ** 2).sum())
     history.append(inertia)
     return AnchorBank(

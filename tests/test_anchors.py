@@ -1,8 +1,12 @@
+import hashlib
 import io
+import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
 
+from mtmceval import anchors
 from mtmceval.anchors import (
     AnchorBank,
     collect_centers,
@@ -111,6 +115,8 @@ def test_kmeans_validates_arguments():
         kmeans(pts, k=4)
     with pytest.raises(ValueError):
         kmeans(np.zeros(5), k=1)
+    with pytest.raises(ValueError, match=r"\(n, 3\)"):
+        kmeans(np.zeros((5, 2)), k=1)
 
 
 def test_emit_parse_roundtrip():
@@ -151,3 +157,98 @@ def test_anchor_bank_validates():
         AnchorBank(centers=np.zeros((2, 3)), k=3, seed=0, inertia=0.0)
     with pytest.raises(ValueError):
         AnchorBank(centers=np.zeros((2, 3)), k=2, seed=0, inertia=-1.0)
+
+
+def test_kmeans_rejects_non_integer_k():
+    pts = np.zeros((5, 3))
+    for k in (2.0, np.float64(2.0), True, "2", None):
+        with pytest.raises(ValueError, match="^k must be an integer"):
+            kmeans(pts, k=k)
+    assert kmeans(pts, k=np.int64(2)).k == 2
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_kmeans_rejects_non_finite_points(bad):
+    pts = np.arange(15.0).reshape(5, 3)
+    pts[2, 1] = bad
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="^points must be finite$"):
+            kmeans(pts, k=2)
+
+
+def _rows_not_multiple():
+    # 1000 points: not a multiple of the default block's 436 rows at k = 300
+    rng = np.random.default_rng(11)
+    return rng.uniform(-10, 10, (1000, 3)), 300, 0
+
+
+def _k_above_block():
+    # with the block patched below k cells, every block is one row
+    rng = np.random.default_rng(12)
+    return rng.normal(0, 3, (500, 3)), 100, 1
+
+
+def _empty_reseed():
+    # 8 distinct points for k = 12: the seeding repeats centers, whose
+    # duplicates win no point and are reseeded
+    rng = np.random.default_rng(6)
+    base = rng.uniform(-5, 5, (8, 3))
+    return base[rng.integers(8, size=60)], 12, 0
+
+
+def _far_duplicates():
+    # duplicated points 3e7 from the origin: the expanded distance cancels
+    # below 0 for many pairs, so the clip to 0 and the first-center tie-break
+    # decide the labels, and clusters empty and are reseeded for 109 steps
+    rng = np.random.default_rng(7)
+    base = rng.uniform(-1, 1, (60, 3)) + np.array([3e7, -1.5e7, 1e7])
+    return base[rng.integers(60, size=100)], 10, 0
+
+
+# SHA-256 of emit_anchor_bank output followed by repr(inertia_history), taken
+# from the k-means that built the whole (n, k) distance matrix at every step
+BANK_DIGESTS = {
+    _rows_not_multiple: "d718c4cf0e4df231cfe6de0df6e4be9a7f779578bf5da5d32e1e979aa0be0a02",
+    _k_above_block: "669b6a38a91d1017d59d467da789f1d63b1229111233afdbd3f83a4b3dd276b3",
+    _empty_reseed: "c59674ac410b9891ddbe551550fa5714256e88d0babd583fdacd082cee474e73",
+    _far_duplicates: "cc0521cad1e4f521df415139f7794f3d3edfec98a0b4dea7bc7b370880da9b37",
+}
+
+
+@pytest.mark.parametrize("cells", [None, 64, 1000])
+@pytest.mark.parametrize("case", list(BANK_DIGESTS), ids=lambda f: f.__name__.strip("_"))
+def test_bank_bytes_are_pinned_for_any_block_size(monkeypatch, case, cells):
+    if cells is not None:
+        monkeypatch.setattr(anchors, "NEAREST_BLOCK", cells)
+    points, k, seed = case()
+    bank = kmeans(points, k=k, seed=seed)
+    sink = io.StringIO()
+    emit_anchor_bank(bank, sink)
+    text = sink.getvalue() + repr(bank.inertia_history)
+    assert hashlib.sha256(text.encode()).hexdigest() == BANK_DIGESTS[case]
+
+
+def test_every_empty_cluster_takes_the_same_farthest_point():
+    points, k, seed = _empty_reseed()
+    bank = kmeans(points, k=k, seed=seed)
+    # 8 distinct points for 12 centers: the 4 seeded last win no point at
+    # any step, and each step reseeds all of them to one point
+    n_distinct = len(np.unique(points, axis=0))
+    surplus = bank.centers[n_distinct:]
+    assert len(surplus) == k - n_distinct == 4
+    assert (surplus == surplus[0]).all()
+    assert (points == surplus[0]).all(axis=1).any()
+
+
+def test_kmeans_peak_memory_stays_near_one_distance_matrix():
+    rng = np.random.default_rng(8)
+    points = rng.uniform(-10, 10, (4000, 3))
+    k = 300
+    tracemalloc.start()
+    try:
+        kmeans(points, k=k, seed=0)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.5 * len(points) * k * 8

@@ -1,9 +1,11 @@
-"""The report bytes of the benchmark's scoring workloads, pinned.
+"""The output bytes of the benchmark's workloads, pinned.
 
-Each scoring workload of ``perfbench/workloads.py`` is generated at smoke
-size from seed 0 and scored in-process; the SHA-256 of its output must equal
-the one recorded here, taken before the edge-mask matching, run counting and
-AP ranking were rewritten. A speed-up that changes one report byte fails.
+Each workload of ``perfbench/workloads.py`` is generated at smoke size from
+seed 0 and scored in-process; the SHA-256 of its output (a report, a sweep
+or the ``anchors.csv`` bank) must equal the one recorded here. The report
+digests were taken before the edge-mask matching, run counting and AP
+ranking were rewritten, the bank digest before the k-means nearest-center
+step was. A speed-up that changes one output byte fails.
 """
 
 import hashlib
@@ -18,6 +20,7 @@ DIGESTS = {
     "long-window": "ac6c0aef4397eaf03d4d3a126dd90eb8c926c9a3c46c55e182827997ea6012b2",
     "dense-crowd": "4d92b8147ebe611bd78bfd37008cf86f2432088ba073319294a74c7cf6374bc7",
     "fps-sweep": "cc6490d9b4133616e30a774bfc1c3febb1cd32209795c4f917d35e7a068fc478",
+    "anchors": "41d3618623edf07c37eee7e6c67828e00e6f27106b4327d80020f921a05784b5",
 }
 
 
