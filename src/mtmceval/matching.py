@@ -13,16 +13,26 @@ sweep and prune: a GT row is scored only against the predictions of its
 frame whose x lies within the reach of a nonzero similarity. At a gate
 alpha, a frame in which no gated row has two gated partners holds only
 forced pairs, which are taken as they are; every other frame is solved on
-its whole gated matrix, scattered from its edges. ``match_edges`` walks the
-whole alpha grid, solves each distinct gated matrix of a frame once, and
-yields each alpha's matching as a boolean mask over the edges. The solver,
-scipy's compiled ``_lsap`` extension, is loaded on the first solve without
-importing scipy.optimize.
+its whole gated matrix, scattered from its edges.
+
+``match_edges`` walks the whole alpha grid from a layout of the edge list
+built once: each frame's edges, matrix shape and conflict level (the
+largest second-highest similarity of any of its rows), below which it
+holds only forced pairs. It solves each distinct gated matrix of a frame
+once, plans the next alpha while the current one's matrices are solved,
+on a thread pool when they are large and more than one CPU is usable, and
+yields each alpha's matching as a boolean mask over the edges, in alpha
+order; every matrix is the same on any thread, so every mask is too. The
+solver, scipy's compiled ``_lsap`` extension, is loaded on the first solve
+without importing scipy.optimize.
 """
 
 from __future__ import annotations
 
+import contextlib
 import functools
+import os
+import threading
 from dataclasses import dataclass
 from typing import Iterator
 
@@ -33,6 +43,11 @@ from .datamodel import Detection, check_real
 # candidate GT x prediction pairs per block when building an edge list, and
 # cost matrix cells per buffer when solving conflicted frames
 EDGE_BLOCK = 1 << 16
+# the mean cells per matrix from which an alpha's new matrices are solved on
+# a thread pool: smaller solves are too short for a second thread to pay
+POOL_CELLS = 1 << 10
+# at most this many solver threads; between solves each holds the GIL
+POOL_WORKERS = 2
 
 
 @dataclass(frozen=True)
@@ -128,6 +143,14 @@ def _ranges(start: np.ndarray, count: np.ndarray) -> np.ndarray:
     return np.arange(count.sum()) + np.repeat(start - np.cumsum(count) + count, count)
 
 
+def _runs(key: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The first index and the length of each run of equal values of ``key``."""
+    starts = np.ones(key.size, bool)
+    starts[1:] = key[1:] != key[:-1]
+    first = np.flatnonzero(starts)
+    return first, np.diff(np.append(first, key.size))
+
+
 def edge_list(
     gt: np.ndarray,
     pred: np.ndarray,
@@ -154,12 +177,32 @@ def edge_list(
     else:
         reach = (gt[:, 2] + pred[:, 2].max(initial=0.0)) / 2
     reach += 1e-9 * (np.abs(gx) + reach)
-    # (frame, x) keys as complex numbers, which numpy orders lexicographically
-    key = pred_frame + 1j * px
-    by_x = np.argsort(key, kind="stable")
-    key = key[by_x]
-    lo = np.searchsorted(key, gt_frame + 1j * (gx - reach), "left")
-    count = np.searchsorted(key, gt_frame + 1j * (gx + reach), "right") - lo
+    # each frame's predictions by x: a stable sort of (frame, x) keys as
+    # complex numbers, which numpy orders lexicographically
+    by_x = np.argsort(pred_frame + 1j * px, kind="stable")
+    # then searched on real keys 2 * r + u(x): r is the frame's rank among
+    # the prediction frames, and u maps x into [0, 1], growing with it (x is
+    # halved first, so no difference overflows). Rounding keeps the keys in
+    # order and each frame's within [2r, 2r + 1], so a search may take a few
+    # more candidates of its frame but never misses one nor leaves the frame.
+    first, size = _runs(pred_frame)
+    x0 = px.min(initial=0.0) / 2
+    span = px.max(initial=0.0) / 2 - x0 or 1.0
+
+    def u(x: np.ndarray) -> np.ndarray:
+        return np.clip((x / 2 - x0) / span, 0.0, 1.0)
+
+    key = np.repeat(2.0 * np.arange(first.size), size) + u(px[by_x])
+    # each GT row's frame rank, and whether its frame has predictions at all
+    g_first, g_size = _runs(gt_frame)
+    label = gt_frame[g_first]
+    at = np.searchsorted(pred_frame[first], label)
+    present = at < first.size
+    present[present] = pred_frame[first[at[present]]] == label[present]
+    base = np.repeat(2.0 * at, g_size)
+    lo = np.searchsorted(key, base + u(gx - reach), "left")
+    count = np.searchsorted(key, base + u(gx + reach), "right") - lo
+    count *= np.repeat(present, g_size)
     block = (np.cumsum(count) - count) // EDGE_BLOCK
     cuts = (np.flatnonzero(np.diff(block)) + 1).tolist()
     parts = []
@@ -227,57 +270,141 @@ def linear_sum_assignment(cost: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return _solver()(cost)
 
 
+# the function above; whoever replaces the module attribute (to count or time
+# the solves) may give a function that is not thread-safe
+_OWN_SOLVER = linear_sum_assignment
+
+
 def _check_alpha(alpha: float) -> None:
     if not (0.0 < alpha <= 1.0):
         raise ValueError(f"alpha must be in (0, 1], got {alpha}")
 
 
-def _solve_frames(
-    edges: EdgeList, g: np.ndarray, p: np.ndarray, sim: np.ndarray,
-    frames: np.ndarray, a: np.ndarray, b: np.ndarray,
-) -> np.ndarray:
-    """The optimal matched pairs of each frame in ``frames``, whose gated
-    edges are ``g[a:b], p[a:b], sim[a:b]``, as indices into those gated
-    edges.
+@dataclass(frozen=True)
+class _Layout:
+    """Where each frame of an edge list lies, for matching at any gate.
 
-    Each frame is solved on its whole gated matrix, in which a gated-out pair
-    costs 0. The matrices lie side by side in one flat buffer, filled in
-    chunks of whole frames of about EDGE_BLOCK cells; a matched cell that
-    holds no gated edge is dropped.
+    Per frame holding edges, in frame order: its run of ``count`` edges
+    from edge ``first``, the shape (``rows`` x ``cols``) of its whole
+    matrix, and its conflict ``level``, the largest second-highest
+    similarity of any of its GT rows or prediction rows; the frame is
+    conflicted at alpha exactly when its level is >= alpha. Per edge: its
+    ``cell`` in its frame's flattened matrix.
     """
-    if frames.size == 0:
-        return frames
+
+    first: np.ndarray
+    count: np.ndarray
+    rows: np.ndarray
+    cols: np.ndarray
+    level: np.ndarray
+    cell: np.ndarray
+
+
+def _second_highest(row: np.ndarray, sim: np.ndarray) -> np.ndarray:
+    """Per edge, the second-highest similarity of the edges of its row (the
+    highest when two edges share it, 0 for a row of one edge); ``row`` is
+    grouped into runs of equal values."""
+    first, size = _runs(row)
+    best = np.maximum.reduceat(sim, first)
+    top = sim == np.repeat(best, size)
+    second = np.maximum.reduceat(np.where(top, 0.0, sim), first)
+    tied = np.add.reduceat(top, first) > 1
+    return np.repeat(np.where(tied, best, second), size)
+
+
+def _layout(edges: EdgeList) -> _Layout:
+    frame = edges.gt_frame[edges.gt]
+    first, count = _runs(frame)
+    label = frame[first]
     g0, g1, p0, p1 = (
-        np.searchsorted(labels, frames, side)
+        np.searchsorted(labels, label, side)
         for labels in (edges.gt_frame, edges.pred_frame)
         for side in ("left", "right")
     )
-    rows, cols = g1 - g0, p1 - p0
-    start = np.cumsum(rows * cols) - rows * cols
-    # the gated edges of those frames, and the buffer cell of each
-    e = _ranges(a, b - a)
-    slot = np.repeat(np.arange(frames.size), b - a)
-    cell = start[slot] + (g[e] - g0[slot]) * cols[slot] + p[e] - p0[slot]
-    block = start // EDGE_BLOCK
-    cuts = (np.flatnonzero(np.diff(block)) + 1).tolist()
-    shape = list(zip(start.tolist(), rows.tolist(), cols.tolist()))
+    cols = p1 - p0
+    cell = (
+        (edges.gt - np.repeat(g0, count)) * np.repeat(cols, count)
+        + edges.pred - np.repeat(p0, count)
+    )
+    # a row with two gated partners makes its frame conflicted
+    by_pred = np.argsort(edges.pred, kind="stable")
+    conflict = _second_highest(edges.gt, edges.sim)
+    conflict[by_pred] = np.maximum(
+        conflict[by_pred], _second_highest(edges.pred[by_pred], edges.sim[by_pred])
+    )
+    return _Layout(first, count, g1 - g0, cols, np.maximum.reduceat(conflict, first), cell)
+
+
+def _solve_chunk(
+    lock: contextlib.AbstractContextManager, cell: np.ndarray, sim: np.ndarray,
+    shape: np.ndarray, count: np.ndarray, edge: np.ndarray,
+) -> np.ndarray:
+    """The matched edges of a chunk of conflicted frames, given their gated
+    edges, ``count`` per frame. The frames' matrices lie side by side in one
+    flat buffer, at (start, rows, cols) in the rows of ``shape``; an edge
+    costs minus its similarity at its ``cell``, and a gated-out pair costs
+    0. A matched cell that holds no gated edge is dropped: its cost is 0,
+    and the solver only reads the buffer. Each solve holds ``lock``."""
+    start, rows, cols = shape.T
+    size = start[-1] + rows[-1] * cols[-1]
+    pos = np.repeat(start, count) + cell[edge]
+    buf = np.zeros(size)
+    buf[pos] = -sim[edge]
+    which = np.empty(size, np.intp)
+    which[pos] = edge
     found_r, found_c = [], []
-    for lo, hi in zip([0, *cuts], [*cuts, frames.size]):
-        first, end = start[lo], start[hi - 1] + rows[hi - 1] * cols[hi - 1]
-        buf = np.zeros(end - first)
-        e0, e1 = np.searchsorted(cell, (first, end))
-        buf[cell[e0:e1] - first] = -sim[e[e0:e1]]
-        for s, n, m in shape[lo:hi]:
-            s -= first
+    for s, n, m in shape.tolist():
+        with lock:
             r, c = linear_sum_assignment(buf[s : s + n * m].reshape(n, m))
-            found_r.append(r)
-            found_c.append(c)
-    slot = np.repeat(np.arange(frames.size), np.minimum(rows, cols))
-    matched = start[slot] + np.concatenate(found_r) * cols[slot] + np.concatenate(found_c)
-    at = np.searchsorted(cell, matched)
-    hit = at < cell.size
-    hit[hit] = cell[at[hit]] == matched[hit]
-    return e[at[hit]]
+        found_r.append(r)
+        found_c.append(c)
+    k = np.minimum(rows, cols)
+    cells = np.repeat(start, k) + np.concatenate(found_r) * np.repeat(cols, k)
+    cells += np.concatenate(found_c)
+    return which[cells[buf[cells] < 0]]
+
+
+def _plan(layout: _Layout, sim: np.ndarray, alpha: float, before: np.ndarray):
+    """The work of one alpha, given each frame's gated edge count at the
+    alpha before (-1 for none): the forced pairs as a mask over the edges,
+    the frames that keep the previous alpha's pairs, the frames to solve in
+    chunks of about EDGE_BLOCK cells (the last three ``_solve_chunk``
+    arguments of each), their mean matrix size in cells, and each frame's
+    gated edge count here.
+
+    A frame's gated edge sets are nested across alphas, so a conflicted
+    frame with as many gated edges as at the alpha before has the same
+    matrix, bit for bit, and keeps its pairs.
+    """
+    gate = sim >= alpha
+    count = np.add.reduceat(gate, layout.first, dtype=np.intp)
+    hard = layout.level >= alpha
+    mask = gate & ~np.repeat(hard, layout.count)
+    reuse = hard & (count == before)
+    solve = hard & ~reuse
+    new = np.flatnonzero(solve)
+    if new.size == 0:
+        return mask, reuse, [], 0.0, count
+    e = np.flatnonzero(gate & np.repeat(solve, layout.count))
+    n, rows, cols = count[new], layout.rows[new], layout.cols[new]
+    size = rows * cols
+    start = np.cumsum(size) - size
+    stop = np.cumsum(n)
+    shape = np.column_stack((start, rows, cols))
+    cuts = (np.flatnonzero(np.diff(start // EDGE_BLOCK)) + 1).tolist()
+    chunks = [
+        (shape[lo:hi] - (start[lo], 0, 0), n[lo:hi], e[stop[lo] - n[lo] : stop[hi - 1]])
+        for lo, hi in zip([0, *cuts], [*cuts, new.size])
+    ]
+    return mask, reuse, chunks, size.mean(), count
+
+
+def _usable_cpus() -> int:
+    """The number of CPUs this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        return os.cpu_count() or 1
 
 
 def match_edges(edges: EdgeList, alphas: tuple[float, ...]) -> Iterator[np.ndarray]:
@@ -286,43 +413,65 @@ def match_edges(edges: EdgeList, alphas: tuple[float, ...]) -> Iterator[np.ndarr
 
     Yields, per alpha, a boolean mask over the edges that marks the matched
     pairs; as the edges are sorted by (GT row, prediction row), the matched
-    pairs come out in GT row order. In a frame where no row has two gated
-    partners the gated pairs are forced and taken as they are. Every other
-    (conflicted) frame is solved on its whole gated matrix by one
-    linear_sum_assignment call per distinct matrix: a frame's gated edge sets
-    are nested across alphas, so a conflicted frame with as many gated edges
-    as at the previous alpha has the same matrix, bit for bit, and keeps the
-    pairs found there.
+    pairs come out in GT row order. A frame below its conflict level holds
+    only forced pairs, taken as they are. Every other (conflicted) frame is
+    solved on its whole gated matrix by one linear_sum_assignment call per
+    distinct matrix, or keeps the pairs of the alpha before when its gated
+    edge count, and so its matrix, is unchanged.
+
+    While an alpha's matrices are solved, the next alpha is planned; at most
+    two alphas are in flight, and each mask is assembled after the one
+    before it. When this process may use more than one CPU and an alpha's
+    new matrices average at least POOL_CELLS cells, they are solved on a
+    thread pool (the solver releases the GIL), otherwise inline. Each
+    matrix, and so each mask, is the same either way. The pool is shut down
+    when the generator finishes, fails or is closed. Every solve goes
+    through the module attribute ``linear_sum_assignment``; when it has been
+    replaced, say by a function that counts or times the solves, the solves
+    run one at a time, since the replacement may not be thread-safe.
     """
     for alpha in alphas:
         _check_alpha(alpha)
-    # the previous alpha's conflicted frames, their gated edge counts and mask
-    prev_hard = prev_count = np.empty(0, np.int64)
-    prev = np.zeros(edges.sim.size, bool)
-    for alpha in alphas:
-        mask = edges.sim >= alpha
-        g, p = edges.gt[mask], edges.pred[mask]
-        frame = edges.gt_frame[g]
-        clash = (np.bincount(g)[g] > 1) | (np.bincount(p)[p] > 1)
-        hard = frame[clash]
-        if hard.size:
-            # frame is nondecreasing: the conflicted frames, each once, and
-            # the contiguous run of gated edges of each
-            hard = hard[np.r_[True, hard[1:] != hard[:-1]]]
-            a, b = np.searchsorted(frame, hard, "left"), np.searchsorted(frame, hard, "right")
-            same = np.zeros(hard.size, bool)
-            if prev_hard.size:
-                at = np.minimum(np.searchsorted(prev_hard, hard), prev_hard.size - 1)
-                same = (prev_hard[at] == hard) & (prev_count[at] == b - a)
-            gated = np.flatnonzero(mask)
-            conflicted = gated[_ranges(a, b - a)]
-            mask[conflicted] = np.repeat(same, b - a) & prev[conflicted]
-            new = ~same
-            solved = _solve_frames(edges, g, p, edges.sim[gated], hard[new], a[new], b[new])
-            mask[gated[solved]] = True
-            prev_count = b - a
-        prev_hard, prev = hard, mask
-        yield mask
+    layout = _layout(edges)
+    count = np.full(layout.first.size, -1)
+    cpus = _usable_cpus()
+    # a replaced solver is called by one thread at a time
+    lock = contextlib.nullcontext() if linear_sum_assignment is _OWN_SOLVER else threading.Lock()
+    solve = functools.partial(_solve_chunk, lock, layout.cell, edges.sim)
+    pool = held = prev = None
+    try:
+        for alpha in alphas:
+            mask, reuse, chunks, cells, count = _plan(layout, edges.sim, alpha, count)
+            jobs = [functools.partial(solve, *chunk) for chunk in chunks]
+            if jobs:
+                _solver()  # loaded here, never in a worker
+            if jobs and cpus > 1 and cells >= POOL_CELLS:
+                if pool is None:
+                    from concurrent.futures import ThreadPoolExecutor
+
+                    pool = ThreadPoolExecutor(min(cpus, POOL_WORKERS), "mtmceval-solve")
+                jobs = [pool.submit(job).result for job in jobs]
+            if held is not None:
+                prev = _assemble(layout, prev, *held)
+                yield prev
+            held = mask, reuse, jobs
+        if held is not None:
+            yield _assemble(layout, prev, *held)
+    finally:
+        if pool is not None:
+            pool.shutdown(cancel_futures=True)
+
+
+def _assemble(layout: _Layout, prev: np.ndarray | None, mask: np.ndarray,
+              reuse: np.ndarray, jobs: list) -> np.ndarray:
+    """One alpha's mask: its forced pairs, the previous alpha's pairs in the
+    frames that keep them, and the pairs of its chunks, each solved by
+    calling its job (or waiting for its pooled result)."""
+    if reuse.any():
+        mask |= prev & np.repeat(reuse, layout.count)
+    for job in jobs:
+        mask[job()] = True
+    return mask
 
 
 def hungarian(cost: np.ndarray | list[list[float]]) -> list[tuple[int, int]]:
@@ -360,7 +509,9 @@ def match_frame(
     sim = similarity_matrix(gt, pred, spec)
     r, c = np.nonzero(sim > 0)
     edges = EdgeList(r, c, sim[r, c], np.zeros(len(gt), int), np.zeros(len(pred), int))
-    matched = next(match_edges(edges, (alpha,)))
+    masks = match_edges(edges, (alpha,))
+    matched = next(masks)
+    masks.close()
     rows, cols = r[matched], c[matched]
     matched_r = set(rows.tolist())
     matched_c = set(cols.tolist())

@@ -447,7 +447,9 @@ def class_report(
     win = np.asarray(window.frame_indices, dtype=np.int64)
 
     def classes(t: TrackTable) -> set[int]:
-        return set(np.unique(t.class_id[_window_rows(t, win)[0]]).tolist())
+        # with return_counts, np.unique does not import numpy.ma (numpy 2.4)
+        ids, _ = np.unique(t.class_id[_window_rows(t, win)[0]], return_counts=True)
+        return set(ids.tolist())
 
     gt_classes = classes(gt.table)
     notes: list[str] = []

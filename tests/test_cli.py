@@ -432,13 +432,20 @@ def test_only_matching_imports_the_solver(tmp_path):
         ["gen-anchors", "--gt", str(tracks), "--out", str(tmp_path / "a.csv"), "--k", "2"],
         ["evaluate", "--gt", str(tracks), "--pred", str(tracks), "--native-fps", "2"],
     ]
+    assert modules_after(steps, "scipy.optimize._lsap") == [False, False, False, True]
+
+
+def modules_after(steps, module):
+    """Whether ``module`` is in sys.modules of a fresh process that imports
+    the CLI and then runs each step's argv (none for an empty one), after
+    each step."""
     script = (
         "import json, sys\n"
         "from mtmceval.cli import main\n"
         "loaded = []\n"
         f"for argv in {steps!r}:\n"
         "    assert not argv or main(argv) == 0, argv\n"
-        "    loaded.append('scipy.optimize._lsap' in sys.modules)\n"
+        f"    loaded.append({module!r} in sys.modules)\n"
         "print(json.dumps(loaded))\n"
     )
     src = str(Path(mtmceval.__file__).parents[1])
@@ -446,7 +453,21 @@ def test_only_matching_imports_the_solver(tmp_path):
     run = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
                          text=True, timeout=120)
     assert run.returncode == 0, run.stderr
-    assert json.loads(run.stdout.splitlines()[-1]) == [False, False, False, True]
+    return json.loads(run.stdout.splitlines()[-1])
+
+
+def test_evaluate_and_sweep_fps_never_import_numpy_ma(tmp_path):
+    """numpy.ma and its submodules add about 0.06 s to an interpreter's
+    start; neither scoring command loads them."""
+    gt_path, pred_dir = make_sweep_dir(tmp_path)
+    steps = [
+        [],
+        ["evaluate", "--gt", str(gt_path), "--pred", str(pred_dir / "2fps.csv"),
+         "--native-fps", "2", "--per-class"],
+        ["sweep-fps", "--gt", str(gt_path), "--pred-dir", str(pred_dir),
+         "--rates", "2,1", "--native-fps", "2", "--eval-fps", "1"],
+    ]
+    assert modules_after(steps, "numpy.ma") == [False, False, False]
 
 
 # --- synth --------------------------------------------------------------------

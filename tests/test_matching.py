@@ -2,13 +2,18 @@ import itertools
 import os
 import subprocess
 import sys
+import threading
+import time
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mtmceval import matching
-from mtmceval.datamodel import Box3D, Detection
+from mtmceval.datamodel import Box3D, Detection, EvalWindow
 from mtmceval.matching import (
     FrameMatchSet,
     SimilaritySpec,
@@ -18,6 +23,8 @@ from mtmceval.matching import (
     match_frame,
     similarity_matrix,
 )
+from mtmceval.metrics import _class_edges, class_report, report_to_json
+from mtmceval.synthgen import DegradeSpec, degrade, gen_scene
 
 BEV = SimilaritySpec(mode="bev_iou")
 CD = SimilaritySpec(mode="center_distance", d_max=1.0)
@@ -226,8 +233,8 @@ def grid_footprints(rng, n, origin):
 def nonzero_entries(gt, pred, gt_frame, pred_frame, spec):
     """(GT row, prediction row, similarity) of every nonzero entry of each
     frame's full similarity matrix, in (GT row, prediction row) order."""
-    parts = []
-    for f in range(1 + max(gt_frame.max(initial=0), pred_frame.max(initial=0))):
+    parts = [(np.empty(0, int), np.empty(0, int), np.empty(0))]
+    for f in np.union1d(gt_frame, pred_frame):
         gi, pi = np.flatnonzero(gt_frame == f), np.flatnonzero(pred_frame == f)
         sim = similarity_matrix(gt[gi], pred[pi], spec)
         r, c = np.nonzero(sim)
@@ -268,6 +275,43 @@ def test_edge_list_equals_nonzero_matrix_entries(spec):
         g, p, sim = nonzero_entries(gt, pred, gt_frame, pred_frame, spec)
         assert np.array_equal(edges.gt, g) and np.array_equal(edges.pred, p), seed
         assert edges.sim.tobytes() == sim.tobytes(), seed
+
+
+@st.composite
+def framed_footprints(draw):
+    """(gt, pred, gt_frame, pred_frame, spec): footprints on a 0.25 m grid
+    around one origin of |x| up to 1e9, on up to 12 frames drawn from a
+    million window positions, either side of a frame possibly empty, with
+    touching boxes and centres exactly d_max apart."""
+    origin = float(draw(st.sampled_from([0, -10**9, 10**9]) | st.integers(-10**9, 10**9)))
+    labels = sorted(draw(st.sets(st.integers(0, 10**6), min_size=1, max_size=12)))
+    spec = draw(st.sampled_from([BEV, CD, SimilaritySpec(mode="center_distance", d_max=1.5)]))
+    box = st.tuples(st.integers(-12, 12), st.integers(-4, 4),
+                    st.sampled_from([0.5, 1.0, 1.5, 2.0]), st.sampled_from([0.5, 1.0, 2.0]))
+    sides = ([], []), ([], [])
+    for f in labels:
+        for rows, frame in sides:
+            for kx, ky, w, l in draw(st.lists(box, max_size=5)):
+                rows.append((origin + 0.25 * kx, 0.25 * ky, w, l))
+                frame.append(f)
+    (gt, gt_frame), (pred, pred_frame) = (
+        (np.array(rows, float).reshape(-1, 4), np.array(frame, np.int64)) for rows, frame in sides
+    )
+    return gt, pred, gt_frame, pred_frame, spec
+
+
+@settings(derandomize=True, database=None, max_examples=150, deadline=None)
+@given(framed_footprints())
+def test_edge_list_arrays_are_the_nonzero_matrix_entries(case):
+    """Far from the origin, at negative x and over sparse window positions,
+    the edge list holds exactly the nonzero entries of the per-frame
+    matrices, in (GT row, prediction row) order, and keeps the frames."""
+    gt, pred, gt_frame, pred_frame, spec = case
+    edges = edge_list(gt, pred, gt_frame, pred_frame, spec)
+    g, p, sim = nonzero_entries(gt, pred, gt_frame, pred_frame, spec)
+    assert edges.gt.tolist() == g.tolist() and edges.pred.tolist() == p.tolist()
+    assert edges.sim.tobytes() == sim.tobytes()
+    assert edges.gt_frame is gt_frame and edges.pred_frame is pred_frame
 
 
 def test_match_edges_solves_each_distinct_matrix_once(monkeypatch):
@@ -378,3 +422,212 @@ def test_solver_falls_back_to_the_public_import(monkeypatch):
     assert len(got) == len(want)
     for a, b in zip(got, want):
         assert np.array_equal(a, b)
+
+
+# --- the matcher against a reference ------------------------------------------
+
+
+def reference_match_edges(edges, alphas):
+    """The matcher as it was before frames got a layout: at each alpha, a
+    degree test over the gated edges finds the conflicted frames, and each
+    distinct gated matrix is solved once, inline."""
+    prev_hard = prev_count = np.empty(0, np.int64)
+    prev = np.zeros(edges.sim.size, bool)
+    for alpha in alphas:
+        mask = edges.sim >= alpha
+        g, p = edges.gt[mask], edges.pred[mask]
+        frame = edges.gt_frame[g]
+        clash = (np.bincount(g)[g] > 1) | (np.bincount(p)[p] > 1)
+        hard = frame[clash]
+        if hard.size:
+            hard = hard[np.r_[True, hard[1:] != hard[:-1]]]
+            a, b = np.searchsorted(frame, hard, "left"), np.searchsorted(frame, hard, "right")
+            same = np.zeros(hard.size, bool)
+            if prev_hard.size:
+                at = np.minimum(np.searchsorted(prev_hard, hard), prev_hard.size - 1)
+                same = (prev_hard[at] == hard) & (prev_count[at] == b - a)
+            gated = np.flatnonzero(mask)
+            for f, k0, k1, keep in zip(hard.tolist(), a.tolist(), b.tolist(), same.tolist()):
+                mine = gated[k0:k1]
+                if keep:
+                    mask[mine] = prev[mine]
+                    continue
+                (g0, g1), (p0, p1) = (
+                    (np.searchsorted(labels, f, "left"), np.searchsorted(labels, f, "right"))
+                    for labels in (edges.gt_frame, edges.pred_frame)
+                )
+                cost = np.zeros((g1 - g0, p1 - p0))
+                cost[edges.gt[mine] - g0, edges.pred[mine] - p0] = -edges.sim[mine]
+                r, c = matching.linear_sum_assignment(cost)
+                won = set(zip((r + g0).tolist(), (c + p0).tolist()))
+                pairs = zip(edges.gt[mine].tolist(), edges.pred[mine].tolist())
+                mask[mine] = [pair in won for pair in pairs]
+            prev_count = b - a
+        prev_hard, prev = hard, mask
+        yield mask
+
+
+TIED_SIMS = (0.25, 0.3, 0.5, 0.5, 0.75, 1.0)
+
+
+@st.composite
+def tied_edge_lists(draw):
+    """(edges, alphas): frames of up to 7 x 7 rows whose similarities come
+    from a handful of values, so exact ties are common; frames with rows but
+    no edge, frames of one side only, and rows of a single edge occur.
+    Alphas include the similarity values themselves, in any order, repeated
+    or descending."""
+    gt_frame, pred_frame, cells = [], [], []
+    for f in range(draw(st.integers(1, 8))):
+        n, m = draw(st.integers(0, 7)), draw(st.integers(0, 7))
+        g0, p0 = len(gt_frame), len(pred_frame)
+        gt_frame += [f] * n
+        pred_frame += [f] * m
+        density = draw(st.sampled_from([0.0, 0.2, 0.6, 1.0]))
+        for i in range(n):
+            for j in range(m):
+                if draw(st.floats(0, 1)) < density:
+                    cells.append((g0 + i, p0 + j, draw(st.sampled_from(TIED_SIMS))))
+    g, p, sim = np.array(cells, float).reshape(-1, 3).T
+    edges = matching.EdgeList(g.astype(np.int64), p.astype(np.int64), sim,
+                              np.array(gt_frame, np.int64), np.array(pred_frame, np.int64))
+    grid = st.sampled_from(TIED_SIMS + (0.05, 0.2, 0.4, 0.6, 0.95))
+    alphas = draw(st.lists(grid, min_size=1, max_size=8))
+    if draw(st.booleans()):
+        alphas = sorted(alphas, reverse=True)
+    return edges, tuple(alphas)
+
+
+@pytest.mark.parametrize("pooled", [False, True], ids=["inline", "pooled"])
+@settings(derandomize=True, database=None, max_examples=120, deadline=None)
+@given(tied_edge_lists(), st.sampled_from([1, 7, 40, 1 << 16]))
+def test_match_edges_equals_the_reference_matcher(pooled, case, block):
+    """Every alpha's mask is that of the reference matcher, inline or on
+    the thread pool (any matrix size, two CPUs), for any chunk size."""
+    edges, alphas = case
+    with mock.patch.multiple(matching, EDGE_BLOCK=block, POOL_CELLS=0 if pooled else 1 << 62,
+                             _usable_cpus=lambda: 2):
+        got = list(match_edges(edges, alphas))
+    want = list(reference_match_edges(edges, alphas))
+    assert len(got) == len(want) == len(alphas)
+    for a, b in zip(got, want):
+        assert a.tolist() == b.tolist()
+
+
+# --- the solver thread pool ---------------------------------------------------
+
+
+POOLED = dict(POOL_CELLS=0, _usable_cpus=lambda: 2)
+INLINE = dict(POOL_CELLS=1 << 62, _usable_cpus=lambda: 2)
+
+
+def crowd():
+    """30 people in 6 x 6 m over 20 frames with false positives: most frames
+    of every gate reach the solver."""
+    bounds = (0.0, 0.0, 6.0, 6.0)
+    gt = gen_scene(30, 10.0, 2.0, bounds, "constant_velocity", seed=3)
+    pred = degrade(gt, DegradeSpec(drop_prob=0.05, loc_noise_sigma=0.2, id_switch_prob=0.05,
+                                   fp_rate=3.0, seed=3, fp_bounds=bounds))
+    return gt, pred, EvalWindow(gt.frame_indices, f0=2.0)
+
+
+def solver_threads(patches):
+    """class_report of the crowd under ``patches``: the report bytes and the
+    names of the threads the solver ran on."""
+    names = []
+    real = matching.linear_sum_assignment
+
+    def recording(cost):
+        names.append(threading.current_thread().name)
+        return real(cost)
+
+    gt, pred, window = crowd()
+    with mock.patch.multiple(matching, linear_sum_assignment=recording, **patches):
+        report = report_to_json(class_report(gt, pred, window, CD))
+    return report, set(names)
+
+
+def test_crowded_report_bytes_are_the_same_pooled_and_inline():
+    inline, inline_threads = solver_threads(INLINE)
+    pooled, pooled_threads = solver_threads(POOLED)
+    assert inline_threads == {threading.current_thread().name}
+    assert pooled_threads and all(n.startswith("mtmceval-solve") for n in pooled_threads)
+    assert pooled == inline
+
+
+def test_no_solver_thread_outlives_its_matching():
+    """The pool is shut down when class_report is done, when match_frame
+    closes its generator after one alpha, and when a solve raises."""
+    baseline = threading.active_count()
+    gt, pred, window = crowd()
+    with mock.patch.multiple(matching, **POOLED):
+        class_report(gt, pred, window, CD)
+        assert threading.active_count() == baseline
+        dets = [det(0.1 * i, 0.0, track_id=i) for i in range(4)]
+        assert len(match_frame(dets, dets, 0.5, CD).pairs) == 4
+        assert threading.active_count() == baseline
+
+        def failing(cost):
+            raise RuntimeError("solver failed")
+
+        with mock.patch.object(matching, "linear_sum_assignment", failing):
+            with pytest.raises(RuntimeError, match="solver failed"):
+                class_report(gt, pred, window, CD)
+        assert threading.active_count() == baseline
+
+
+def test_one_usable_cpu_starts_no_thread():
+    started = []
+    real = threading.Thread.start
+
+    def counting(thread):
+        started.append(thread.name)
+        real(thread)
+
+    gt, pred, window = crowd()
+    with mock.patch.multiple(matching, POOL_CELLS=0, _usable_cpus=lambda: 1), \
+            mock.patch.object(threading.Thread, "start", counting):
+        class_report(gt, pred, window, CD)
+    assert started == []
+
+
+def test_pooled_masks_hold_with_more_workers_than_cores_and_fast_switching():
+    """Eight solver threads on many small chunks, switching every
+    microsecond, give the inline masks."""
+    gt, pred, window = crowd()
+    win = np.asarray(window.frame_indices)
+    edges = _class_edges(gt.table, pred.table, win, CD, 0).edges
+    alphas = tuple(round(0.05 * i, 2) for i in range(1, 20))
+    with mock.patch.multiple(matching, **INLINE):
+        want = [m.tolist() for m in match_edges(edges, alphas)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with mock.patch.multiple(matching, EDGE_BLOCK=64, POOL_WORKERS=8,
+                                 POOL_CELLS=0, _usable_cpus=lambda: 16):
+            for _ in range(3):
+                assert [m.tolist() for m in match_edges(edges, alphas)] == want
+    finally:
+        sys.setswitchinterval(interval)
+
+
+def test_a_replaced_solver_is_never_entered_by_two_threads():
+    """A function put in place of the solver, say one that times each call,
+    need not be thread-safe: with the pool running, it is called by one
+    thread at a time, and still from the solver threads."""
+    inside, most, names = [], [], set()
+    real = matching.linear_sum_assignment
+
+    def timing(cost):
+        inside.append(1)
+        most.append(len(inside))
+        names.add(threading.current_thread().name)
+        time.sleep(0.0005)
+        inside.pop()
+        return real(cost)
+
+    gt, pred, window = crowd()
+    with mock.patch.multiple(matching, linear_sum_assignment=timing, **POOLED):
+        class_report(gt, pred, window, CD)
+    assert max(most) == 1
+    assert any(n.startswith("mtmceval-solve") for n in names)
