@@ -90,10 +90,7 @@ def _kmeans_pp_init(cols: np.ndarray, k: int, rng: np.random.Generator) -> np.nd
             if total <= 0:
                 idx = rng.integers(n)
             else:
-                # rng.choice(n, p=d2 / total) without its checks and copies
-                cdf = (d2 / total).cumsum()
-                cdf /= cdf[-1]
-                idx = cdf.searchsorted(rng.random(), side="right")
+                idx = rng.choice(n, p=d2 / total)
         cx, cy, cz = cols[:, idx]
         centers[i] = cx, cy, cz
         # summed in the order of a row sum over (x, y, z)

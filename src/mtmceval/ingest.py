@@ -53,15 +53,13 @@ TRACK_COLUMNS = (
     "confidence",
 )
 
-# np.loadtxt's row types for the 11- and 13-column layouts, with the
-# track_id read as an integer or, in a file whose first row has none, as text
+# np.loadtxt's row types for the 11- and 13-column layouts
 _LOADTXT_DTYPES = {
-    (n, text_ids): np.dtype(
-        [(c, object if text_ids and c == "track_id" else np.int64) for c in TRACK_COLUMNS[:3]]
+    n: np.dtype(
+        [(c, np.int64) for c in TRACK_COLUMNS[:3]]
         + [(c, np.float64) for c in (TRACK_COLUMNS[3:] + ("vx", "vy"))[: n - 3]]
     )
     for n in (11, 13)
-    for text_ids in (False, True)
 }
 _Read = tuple[TrackTable, np.ndarray, int | None, "ParseError | None"]
 
@@ -182,18 +180,11 @@ def _parse_rows(lines: list[str]) -> _Read:
 
 def _parse_fast(lines: list[str]) -> _Read | None:
     """The file through np.loadtxt, or None when the row reader must read
-    its tokens: loadtxt cannot read them (an empty velocity, or an empty
-    track_id after a first row with one) or reads a non-finite value, or the
-    file has a '#' after data on a line, which loadtxt would cut as a
-    comment and the row reader rejects.
-
-    When the first row has an empty track_id (a detector-only file), the
-    track_ids are read as text: an empty one is -1 and unmarked in the mask,
-    and the others go through int(), as in the row reader."""
+    its tokens: loadtxt cannot read them (an empty track_id or velocity) or
+    reads a non-finite value, or the file has a '#' after data on a line,
+    which loadtxt would cut as a comment and the row reader rejects."""
     first = next((l for l in lines if l.strip() and not l.lstrip().startswith("#")), None)
-    cells = [] if first is None else first.split(",")
-    text_ids = len(cells) > 1 and not cells[1].strip()
-    dtype = _LOADTXT_DTYPES.get((len(cells), text_ids))
+    dtype = None if first is None else _LOADTXT_DTYPES.get(first.count(",") + 1)
     if dtype is None or any(not l.startswith("#") for l in lines if "#" in l):
         return None
     try:
@@ -206,20 +197,12 @@ def _parse_fast(lines: list[str]) -> _Read | None:
     floats = np.column_stack([rows[c] for c in names[3:]])
     if not np.isfinite(floats).all():
         return None
-    track_id, has_id = rows["track_id"], np.ones(rows.size, bool)
-    if text_ids:
-        has_id = track_id != ""
-        track_id = np.full(rows.size, -1, np.int64)
-        try:
-            track_id[has_id] = rows["track_id"][has_id].astype(np.int64)
-        except (ValueError, OverflowError):
-            return None
     t = table_from_rows(
-        np.column_stack((rows["frame"], track_id, rows["class_id"])),
+        np.column_stack([rows[c] for c in names[:3]]),
         floats[:, :8],
         floats[:, 8:] if len(names) == 13 else None,
     )
-    return t, has_id, None, None
+    return t, np.ones(t.frame.size, bool), None, None
 
 
 def _check_rows(lines: list[str], t: TrackTable, has_id: np.ndarray,

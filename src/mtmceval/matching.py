@@ -19,18 +19,19 @@ its whole gated matrix, scattered from its edges.
 built once: each frame's edges, matrix shape and conflict level (the
 largest second-highest similarity of any of its rows), below which it
 holds only forced pairs. It solves each distinct gated matrix of a frame
-once, plans the next alpha while the current one's matrices are solved,
-on a thread pool when they are large and more than one CPU is usable, and
-yields each alpha's matching as a boolean mask over the edges, in alpha
-order; every matrix is the same on any thread, so every mask is too. The
-solver, scipy's compiled ``_lsap`` extension, is loaded on the first solve
-without importing scipy.optimize.
+once, on a thread pool when an alpha's matrices are large and more than one
+CPU is usable, and yields each alpha's matching as a boolean mask over the
+edges once all of that alpha's matrices are solved; every matrix is the
+same on any thread, so every mask is too. The solver, scipy's compiled
+``_lsap`` extension, is loaded on the first solve without importing
+scipy.optimize.
 """
 
 from __future__ import annotations
 
 import contextlib
 import functools
+import itertools
 import os
 import threading
 from dataclasses import dataclass
@@ -177,32 +178,12 @@ def edge_list(
     else:
         reach = (gt[:, 2] + pred[:, 2].max(initial=0.0)) / 2
     reach += 1e-9 * (np.abs(gx) + reach)
-    # each frame's predictions by x: a stable sort of (frame, x) keys as
-    # complex numbers, which numpy orders lexicographically
-    by_x = np.argsort(pred_frame + 1j * px, kind="stable")
-    # then searched on real keys 2 * r + u(x): r is the frame's rank among
-    # the prediction frames, and u maps x into [0, 1], growing with it (x is
-    # halved first, so no difference overflows). Rounding keeps the keys in
-    # order and each frame's within [2r, 2r + 1], so a search may take a few
-    # more candidates of its frame but never misses one nor leaves the frame.
-    first, size = _runs(pred_frame)
-    x0 = px.min(initial=0.0) / 2
-    span = px.max(initial=0.0) / 2 - x0 or 1.0
-
-    def u(x: np.ndarray) -> np.ndarray:
-        return np.clip((x / 2 - x0) / span, 0.0, 1.0)
-
-    key = np.repeat(2.0 * np.arange(first.size), size) + u(px[by_x])
-    # each GT row's frame rank, and whether its frame has predictions at all
-    g_first, g_size = _runs(gt_frame)
-    label = gt_frame[g_first]
-    at = np.searchsorted(pred_frame[first], label)
-    present = at < first.size
-    present[present] = pred_frame[first[at[present]]] == label[present]
-    base = np.repeat(2.0 * at, g_size)
-    lo = np.searchsorted(key, base + u(gx - reach), "left")
-    count = np.searchsorted(key, base + u(gx + reach), "right") - lo
-    count *= np.repeat(present, g_size)
+    # (frame, x) keys as complex numbers, which numpy orders lexicographically
+    key = pred_frame + 1j * px
+    by_x = np.argsort(key, kind="stable")
+    key = key[by_x]
+    lo = np.searchsorted(key, gt_frame + 1j * (gx - reach), "left")
+    count = np.searchsorted(key, gt_frame + 1j * (gx + reach), "right") - lo
     block = (np.cumsum(count) - count) // EDGE_BLOCK
     cuts = (np.flatnonzero(np.diff(block)) + 1).tolist()
     parts = []
@@ -419,16 +400,15 @@ def match_edges(edges: EdgeList, alphas: tuple[float, ...]) -> Iterator[np.ndarr
     distinct matrix, or keeps the pairs of the alpha before when its gated
     edge count, and so its matrix, is unchanged.
 
-    While an alpha's matrices are solved, the next alpha is planned; at most
-    two alphas are in flight, and each mask is assembled after the one
-    before it. When this process may use more than one CPU and an alpha's
-    new matrices average at least POOL_CELLS cells, they are solved on a
-    thread pool (the solver releases the GIL), otherwise inline. Each
-    matrix, and so each mask, is the same either way. The pool is shut down
-    when the generator finishes, fails or is closed. Every solve goes
-    through the module attribute ``linear_sum_assignment``; when it has been
-    replaced, say by a function that counts or times the solves, the solves
-    run one at a time, since the replacement may not be thread-safe.
+    When this process may use more than one CPU and an alpha's new matrices
+    average at least POOL_CELLS cells, they are solved on a thread pool (the
+    solver releases the GIL), otherwise inline. An alpha's matrices are all
+    solved before the next alpha is planned, and each matrix, and so each
+    mask, is the same on any thread. The pool is shut down when the
+    generator finishes, fails or is closed. Every solve goes through the
+    module attribute ``linear_sum_assignment``; when it has been replaced,
+    say by a function that counts or times the solves, the solves run one at
+    a time, since the replacement may not be thread-safe.
     """
     for alpha in alphas:
         _check_alpha(alpha)
@@ -438,40 +418,29 @@ def match_edges(edges: EdgeList, alphas: tuple[float, ...]) -> Iterator[np.ndarr
     # a replaced solver is called by one thread at a time
     lock = contextlib.nullcontext() if linear_sum_assignment is _OWN_SOLVER else threading.Lock()
     solve = functools.partial(_solve_chunk, lock, layout.cell, edges.sim)
-    pool = held = prev = None
+    pool = mask = None
     try:
         for alpha in alphas:
+            prev = mask
             mask, reuse, chunks, cells, count = _plan(layout, edges.sim, alpha, count)
-            jobs = [functools.partial(solve, *chunk) for chunk in chunks]
-            if jobs:
+            if reuse.any():
+                mask |= prev & np.repeat(reuse, layout.count)
+            if chunks:
                 _solver()  # loaded here, never in a worker
-            if jobs and cpus > 1 and cells >= POOL_CELLS:
-                if pool is None:
-                    from concurrent.futures import ThreadPoolExecutor
+                if cpus > 1 and cells >= POOL_CELLS:
+                    if pool is None:
+                        from concurrent.futures import ThreadPoolExecutor
 
-                    pool = ThreadPoolExecutor(min(cpus, POOL_WORKERS), "mtmceval-solve")
-                jobs = [pool.submit(job).result for job in jobs]
-            if held is not None:
-                prev = _assemble(layout, prev, *held)
-                yield prev
-            held = mask, reuse, jobs
-        if held is not None:
-            yield _assemble(layout, prev, *held)
+                        pool = ThreadPoolExecutor(min(cpus, POOL_WORKERS), "mtmceval-solve")
+                    found = pool.map(solve, *zip(*chunks))
+                else:
+                    found = itertools.starmap(solve, chunks)
+                for matched in found:
+                    mask[matched] = True
+            yield mask
     finally:
         if pool is not None:
             pool.shutdown(cancel_futures=True)
-
-
-def _assemble(layout: _Layout, prev: np.ndarray | None, mask: np.ndarray,
-              reuse: np.ndarray, jobs: list) -> np.ndarray:
-    """One alpha's mask: its forced pairs, the previous alpha's pairs in the
-    frames that keep them, and the pairs of its chunks, each solved by
-    calling its job (or waiting for its pooled result)."""
-    if reuse.any():
-        mask |= prev & np.repeat(reuse, layout.count)
-    for job in jobs:
-        mask[job()] = True
-    return mask
 
 
 def hungarian(cost: np.ndarray | list[list[float]]) -> list[tuple[int, int]]:

@@ -252,60 +252,3 @@ def test_kmeans_peak_memory_stays_near_one_distance_matrix():
     finally:
         tracemalloc.stop()
     assert peak < 1.5 * len(points) * k * 8
-
-
-def reference_kmeans_pp_init(cols, k, rng):
-    """k-means++ seeding as it was, drawing each next center with
-    Generator.choice."""
-    x, y, z = cols
-    n = len(x)
-    centers = np.empty((k, 3))
-    d2 = np.full(n, np.inf)
-    idx = rng.integers(n)
-    for i in range(k):
-        if i:
-            total = d2.sum()
-            idx = rng.integers(n) if total <= 0 else rng.choice(n, p=d2 / total)
-        centers[i] = cols[:, idx]
-        d = (x - centers[i, 0]) ** 2
-        d += (y - centers[i, 1]) ** 2
-        d += (z - centers[i, 2]) ** 2
-        np.minimum(d2, d, out=d2)
-    return centers
-
-
-def test_seeding_picks_the_centers_rng_choice_picks():
-    """The seeding's own inversion of the cumulative distribution draws the
-    same centers from the same random stream as Generator.choice, over many
-    seeds, point sets with repeated points and k up to n."""
-    for seed in range(300):
-        rng = np.random.default_rng([seed, 7])
-        n = int(rng.integers(1, 120))
-        points = rng.normal(size=(n, 3)) * 10.0 ** rng.integers(-3, 4)
-        points[rng.random(n) < 0.3] = points[0]
-        cols = np.ascontiguousarray(points.T)
-        k = int(rng.integers(1, n + 1))
-        a, b = np.random.default_rng(seed), np.random.default_rng(seed)
-        got = anchors._kmeans_pp_init(cols, k, a)
-        want = reference_kmeans_pp_init(cols, k, b)
-        assert got.tobytes() == want.tobytes(), seed
-        assert a.random() == b.random(), seed
-
-
-class _ZeroDraws:
-    """A random source whose every draw is 0."""
-
-    def integers(self, n):
-        return 0
-
-    def random(self):
-        return 0.0
-
-
-def test_a_zero_draw_never_seeds_on_a_point_of_zero_weight():
-    """Like Generator.choice, the inversion takes the first point whose
-    cumulative weight exceeds the draw, so a draw of exactly 0 skips the
-    points already at a center."""
-    cols = np.array([[0.0, 0.0, 1.0], [0.0, 0.0, 0.0], [0.0, 0.0, 0.0]])
-    centers = anchors._kmeans_pp_init(cols, 2, _ZeroDraws())
-    assert centers.tolist() == [[0.0, 0.0, 0.0], [1.0, 0.0, 0.0]]

@@ -424,10 +424,9 @@ CORPUS_DIGEST = "ceaaaac749e2cb02c22ccb3a237222fcccf7236b687937c56818667655b9029
 def test_fast_reader_equals_row_reader():
     """Every file of the corpus parses to the pinned errors and tables; a
     plain file is read by np.loadtxt, and a file that np.loadtxt reads, the
-    row reader reads whole, to an equal table with a track_id on the same
-    rows. Detector-only files are among those np.loadtxt reads."""
+    row reader reads whole, to an equal table with a track_id on every row."""
     digest = hashlib.sha256()
-    fast_read = rejected = without_ids = 0
+    fast_read = rejected = 0
     for plain, text in _corpus():
         outcome = _outcome(text)
         digest.update(hashlib.sha256(outcome).digest())
@@ -437,13 +436,11 @@ def test_fast_reader_equals_row_reader():
         assert fast is not None or not plain, text
         if fast is not None:
             table, has_id, frame, error = ingest._parse_rows(lines)
-            assert error is None and frame is None, text
-            assert has_id.tolist() == fast[1].tolist(), text
+            assert error is None and frame is None and has_id.all(), text
             _same_table(fast[0], table)
             fast_read += 1
-            without_ids += not has_id.all()
     assert digest.hexdigest() == CORPUS_DIGEST
-    assert fast_read >= 400 and rejected >= 1000 and without_ids >= 50
+    assert fast_read >= 400 and rejected >= 1000
 
 
 ROW = "{f},{t},{c},1,2,3,{w},1,1,0,{p}\n"
@@ -490,30 +487,8 @@ def test_rule_break_alone_is_reported_without_the_row_reader(monkeypatch):
     text = ROW.format(f=0, t=1, c=0, w=1, p=0.5) + ROW.format(f=0, t=2, c=0, w=1, p=1.5)
     assert _parse_error(text) == "line 2, column 'confidence': 1.5 outside [0, 1]"
     assert calls == []
-    assert _parse_error(ROW.format(f=0, t="x", c=0, w=1, p=0.5)) == \
-        "line 1, column 'track_id': not an integer: 'x'"
+    assert parse_tracks(ROW.format(f=0, t="", c=0, w=1, p=0.5)).table.track_id.tolist() == [-1]
     assert calls == [1]
-
-
-def test_detector_only_files_never_reach_the_row_reader(monkeypatch):
-    """A file whose first row has no track_id is read by np.loadtxt with
-    its track_ids as text: empty ones and ids alike, with every row rule,
-    and a literal -1 is still an id that breaks one."""
-    calls = []
-    row_reader = ingest._parse_rows
-    monkeypatch.setattr(ingest, "_parse_rows", lambda lines: calls.append(1) or row_reader(lines))
-    text = "".join(ROW.format(f=f, t=t, c=0, w=1, p=0.5)
-                   for f, t in [(0, ""), (1, ""), (1, "7"), (2, " +3 "), (3, "")])
-    t = parse_tracks("# header\n" + text).table
-    assert t.track_id.tolist() == [-1, -1, 7, 3, -1]
-    assert calls == []
-    empty, minus_one, seven = (ROW.format(f=3, t=t, c=0, w=1, p=0.5) for t in ("", -1, 7))
-    assert _parse_error(empty + minus_one) == "line 2, column 'track_id': must be non-negative"
-    assert _parse_error(empty.replace("0.5", "1.5")) == \
-        "line 1, column 'confidence': 1.5 outside [0, 1]"
-    assert _parse_error(text + seven + seven) == \
-        "line 7, column 'track_id': duplicate (track_id=7, class_id=0) in frame 3"
-    assert calls == []
 
 
 def test_yaw_just_below_minus_pi_wraps_to_minus_pi():

@@ -517,8 +517,9 @@ def test_match_edges_equals_the_reference_matcher(pooled, case, block):
 # --- the solver thread pool ---------------------------------------------------
 
 
-POOLED = dict(POOL_CELLS=0, _usable_cpus=lambda: 2)
-INLINE = dict(POOL_CELLS=1 << 62, _usable_cpus=lambda: 2)
+# chunks of a few frames each, so that an alpha's chunks run on both threads
+POOLED = dict(POOL_CELLS=0, EDGE_BLOCK=1 << 12, _usable_cpus=lambda: 2)
+INLINE = dict(POOL_CELLS=1 << 62, EDGE_BLOCK=1 << 12, _usable_cpus=lambda: 2)
 
 
 def crowd():
