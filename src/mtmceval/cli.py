@@ -15,7 +15,7 @@ from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
 
 from .anchors import collect_centers, emit_anchor_bank, kmeans
-from .datamodel import Sequence, check_int, check_real
+from .datamodel import EvalWindow, Sequence, check_int, check_real
 from .fpslab import (
     SweepSpec,
     controlled_window,
@@ -177,14 +177,13 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
     try:
         window = controlled_window(gt, cfg.native_fps, cfg.eval_fps or cfg.native_fps)
         if args.max_frames is not None:
-            kept = [f for f in window.frame_indices if f < args.max_frames]
-            if not kept:
+            kept = window.frames[window.frames < args.max_frames]
+            if not kept.size:
                 raise InputError(
                     f"--max-frames {args.max_frames}: no window frame lies below "
-                    f"{args.max_frames} (the window starts at frame "
-                    f"{window.frame_indices[0]})"
+                    f"{args.max_frames} (the window starts at frame {window.frames[0]})"
                 )
-            window = replace(window, frame_indices=kept)
+            window = EvalWindow(kept, window.f0)
         report = class_report(
             gt,
             pred,

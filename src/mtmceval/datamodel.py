@@ -8,6 +8,7 @@ of that table, built by ``_frames_from_table`` when a caller walks
 ``Sequence.frames``; a Sequence built from Detection objects converts them
 at construction and keeps no reference to them. The row rules live once, in
 ``_row_rules``, for validate_sequence and the track CSV row check alike.
+An EvalWindow likewise stores its frames once, as a sorted int64 array.
 Timestamps are never stored; time in seconds is always frame_index / native_fps.
 """
 
@@ -318,23 +319,39 @@ class Sequence:
         )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False, eq=False)
 class EvalWindow:
     """The fixed set of frames to score, plus the reference rate f0 used to
-    convert run lengths from frames to seconds."""
+    convert run lengths from frames to seconds.
 
-    frame_indices: tuple[int, ...]
+    ``frames`` is the one stored form: a sorted, unique, read-only int64
+    array of native frame indices. The frames may be given as a tuple, list,
+    range or integer array, in any order, with repeats; input already
+    strictly increasing is kept as it is, an int64 array without a copy, so
+    its owner must not write to it afterwards. ``frame_indices`` is a tuple
+    view, built on first read. Windows compare by identity.
+    """
+
+    frames: np.ndarray
     f0: float
 
-    def __post_init__(self) -> None:
-        if not self.frame_indices:
+    def __init__(self, frame_indices: Iterable[int] | np.ndarray, f0: float) -> None:
+        frames = np.asarray(frame_indices, dtype=np.int64).view()
+        if not frames.size:
             raise ValueError("EvalWindow needs at least one frame")
-        check_real("f0", self.f0)
-        idx = tuple(sorted(set(int(i) for i in self.frame_indices)))
-        object.__setattr__(self, "frame_indices", idx)
+        check_real("f0", f0)
+        if not np.all(frames[1:] > frames[:-1]):
+            # with return_counts, np.unique does not import numpy.ma (numpy 2.4)
+            frames = np.unique(frames, return_counts=True)[0]
+        frames.flags.writeable = False
+        self.__dict__.update(frames=frames, f0=f0)
+
+    @cached_property
+    def frame_indices(self) -> tuple[int, ...]:
+        return tuple(self.frames.tolist())
 
     def __len__(self) -> int:
-        return len(self.frame_indices)
+        return self.frames.size
 
 
 @dataclass(frozen=True)

@@ -8,9 +8,10 @@ detections. Each rate's stride divides the window's, so windows nest.
 
 from __future__ import annotations
 
+import json
 from dataclasses import dataclass, field
 
-import json
+import numpy as np
 
 from .datamodel import EvalWindow, Sequence, check_real
 from .matching import SimilaritySpec
@@ -82,11 +83,10 @@ def controlled_window(gt: Sequence, native_fps: float, eval_fps: float) -> EvalW
     the last GT frame, with s = native_fps / eval_fps and first the first GT
     frame; f0 = eval_fps. Grid frames without GT rows stay in the window."""
     s = stride_for(native_fps, eval_fps)
-    fi = gt.table.frame_index.tolist()
-    if not fi:
+    fi = gt.table.frame_index
+    if not fi.size:
         raise ValueError("ground truth has no frames to window")
-    indices = range(fi[0], fi[-1] + 1, s)
-    return EvalWindow(frame_indices=tuple(indices), f0=eval_fps)
+    return EvalWindow(np.arange(fi[0], fi[-1] + 1, s), f0=eval_fps)
 
 
 def fps_sweep(
@@ -108,7 +108,7 @@ def fps_sweep(
         out = tracker_outputs[rate]
         s = stride_for(spec.native_fps, rate)
         fi = out.table.frame_index
-        off = fi[(fi - window.frame_indices[0]) % s != 0].tolist()
+        off = fi[(fi - window.frames[0]) % s != 0].tolist()
         if off:
             raise ValueError(
                 f"tracker output at rate {rate} has rows off its frame grid: "

@@ -2,9 +2,11 @@
 
 All metrics come from one pass per class over the evaluation window
 (``_class_edges``), reading column slices of the two sequences' track tables.
-It orders each side's rows on window frames by (window position, track id)
-and builds one edge list (``matching.EdgeList``): every (GT row, prediction
-row) pair of one frame with nonzero similarity, never as per-frame matrices.
+Each table frame is looked up in the window's frame array, so the cost
+follows the rows, not the window's span. The pass orders each side's rows on
+window frames by (window position, track id) and builds one edge list
+(``matching.EdgeList``): every (GT row, prediction row) pair of one frame
+with nonzero similarity, never as per-frame matrices.
 Only the pairs within reach of each other along x are scored (sweep and
 prune), in blocks of GT rows. A window frame empty on either side holds no
 edge, and one empty on both sides costs nothing. It also ranks the
@@ -89,16 +91,15 @@ class _ClassEdges:
 
 
 def _window_rows(t: TrackTable, window: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(rows, window positions) of the table rows on window frames, frame by
-    frame in window order, the rows of a frame in table order; only the
-    frames in the window are touched."""
-    by_index = np.argsort(t.frame_index, kind="stable")
-    at = np.searchsorted(t.frame_index, window, sorter=by_index)
-    found = at < by_index.size
-    found[found] = t.frame_index[by_index[at[found]]] == window[found]
-    frames = by_index[at[found]]
+    """(rows, window positions) of the table rows on window frames, in table
+    order; each table frame, a repeated one too, is looked up in the window,
+    so the cost follows the table, not the window's span."""
+    at = np.searchsorted(window, t.frame_index)
+    found = at < window.size
+    found[found] = window[at[found]] == t.frame_index[found]
+    frames = np.flatnonzero(found)
     counts = np.diff(t.offsets)[frames]
-    return _ranges(t.offsets[frames], counts), np.repeat(np.flatnonzero(found), counts)
+    return _ranges(t.offsets[frames], counts), np.repeat(at[frames], counts)
 
 
 def _class_rows(
@@ -316,8 +317,7 @@ def detection_ap(
     frame, each ground-truth box consumed at most once; an exact similarity
     tie goes to the GT with the lower track id.
     """
-    win = np.asarray(window.frame_indices, dtype=np.int64)
-    data = _class_edges(gt.table, pred.table, win, spec, class_id)
+    data = _class_edges(gt.table, pred.table, window.frames, spec, class_id)
     return _average_precision(data, alpha)
 
 
@@ -444,11 +444,10 @@ def class_report(
     """
     if not alpha_grid:
         raise ValueError("alpha_grid must be nonempty")
-    win = np.asarray(window.frame_indices, dtype=np.int64)
 
     def classes(t: TrackTable) -> set[int]:
         # with return_counts, np.unique does not import numpy.ma (numpy 2.4)
-        ids, _ = np.unique(t.class_id[_window_rows(t, win)[0]], return_counts=True)
+        ids, _ = np.unique(t.class_id[_window_rows(t, window.frames)[0]], return_counts=True)
         return set(ids.tolist())
 
     gt_classes = classes(gt.table)
@@ -464,7 +463,7 @@ def class_report(
 
     per_class: dict[int, ClassMetrics] = {}
     for c in sorted(gt_classes):
-        data = _class_edges(gt.table, pred.table, win, spec, c)
+        data = _class_edges(gt.table, pred.table, window.frames, spec, c)
         scores, (ids, positions) = _score_alphas(data, all_alphas, dur_index)
         h, d, a, l = np.array(scores[: len(alphas)]).mean(axis=0)
         per_class[c] = ClassMetrics(
@@ -490,8 +489,8 @@ def class_report(
         class_average=class_average,
         window_size=len(window),
         f0=window.f0,
-        first_frame=window.frame_indices[0],
-        last_frame=window.frame_indices[-1],
+        first_frame=int(window.frames[0]),
+        last_frame=int(window.frames[-1]),
         alpha_grid=alphas,
         dur_alpha=dur_alpha,
         similarity_mode=spec.mode,

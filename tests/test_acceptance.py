@@ -6,11 +6,13 @@ run reads as a checklist. Tolerances and budgets are asserted, not logged.
 
 import itertools
 import json
+import threading
 import time
 
 import numpy as np
 import pytest
 
+from mtmceval import matching
 from mtmceval.anchors import collect_centers, kmeans
 from mtmceval.cli import main
 from mtmceval.datamodel import EvalWindow
@@ -301,7 +303,8 @@ def test_conversion_geometry(tmp_path, capsys):
 
 def test_throughput_and_thread_invariance(tmp_path, capsys, monkeypatch):
     """A 9000-frame, 20-object evaluation over the full alpha grid finishes
-    inside ten seconds, and reports are byte-identical across thread caps."""
+    inside ten seconds, and reports are byte-identical whether crowded frames
+    are solved inline or on the solver thread pool."""
     gt = gen_scene(
         n_objects=20, duration_s=300.0, fps=30.0, bounds=(-12, -12, 12, 12), seed=8
     )
@@ -320,9 +323,20 @@ def test_throughput_and_thread_invariance(tmp_path, capsys, monkeypatch):
         emit_tracks(stride_subsample(gt, 30), fh)
     with pred_path.open("w", newline="\n") as fh:
         emit_tracks(stride_subsample(pred, 30), fh)
-    reports = []
-    for threads in ("1", "4"):
-        monkeypatch.setenv("MTMCEVAL_THREADS", threads)
+    reports, solved_on = [], []
+    real = matching._solve_chunk
+    # one usable CPU solves inline; two, with every alpha's matrices
+    # counting as large, solve on the pool
+    for threads, pool_cells in ((1, matching.POOL_CELLS), (2, 0)):
+        names = set()
+
+        def recording(*args):
+            names.add(threading.current_thread().name)
+            return real(*args)
+
+        monkeypatch.setattr(matching, "_usable_cpus", lambda: threads)
+        monkeypatch.setattr(matching, "POOL_CELLS", pool_cells)
+        monkeypatch.setattr(matching, "_solve_chunk", recording)
         out = tmp_path / f"r{threads}.json"
         code = main(
             ["evaluate", "--gt", str(gt_path), "--pred", str(pred_path),
@@ -330,6 +344,9 @@ def test_throughput_and_thread_invariance(tmp_path, capsys, monkeypatch):
         )
         assert code == 0
         reports.append(out.read_bytes())
+        solved_on.append(names)
+    assert solved_on[0] == {threading.current_thread().name}
+    assert any(n.startswith("mtmceval-solve") for n in solved_on[1])
     assert reports[0] == reports[1]
     print(
         f"\nPASS: throughput and thread invariance (9000x20 in {elapsed:.2f}s; "

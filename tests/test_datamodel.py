@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -110,6 +111,21 @@ def test_eval_window_sorts_and_validates():
     w = EvalWindow(frame_indices=(5, 1, 3), f0=2.0)
     assert w.frame_indices == (1, 3, 5)
     assert len(w) == 3
+    for given in ([7, 3, 7, 1, 3], (1, 3, 7), range(1, 8, 2), np.array([1, 3, 7], np.int64)):
+        w = EvalWindow(given, 2.0)
+        want = sorted(set(given.tolist() if isinstance(given, np.ndarray) else given))
+        assert w.frames.dtype == np.int64 and w.frames.tolist() == want
+        assert len(w) == len(want) and w.f0 == 2.0
+        assert type(w.frame_indices) is tuple and w.frame_indices == tuple(want)
+        assert all(type(i) is int for i in w.frame_indices)
+    given = np.arange(0, 9, 2)
+    assert np.shares_memory(EvalWindow(given, 1.0).frames, given) and given.flags.writeable
+    with pytest.raises(ValueError, match="read-only"):
+        w.frames[0] = 0
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        w.f0 = 1.0
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        w.frames = np.arange(3)
     with pytest.raises(ValueError):
         EvalWindow(frame_indices=(), f0=1.0)
     with pytest.raises(ValueError):

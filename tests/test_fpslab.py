@@ -1,5 +1,6 @@
 import json
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -175,6 +176,27 @@ def test_window_frames_empty_on_both_sides_cost_nothing():
     start = time.perf_counter()
     m = class_report(gt, gt, window, CD).per_class[0]
     assert time.perf_counter() - start < 2.0
+    assert (m.hota, m.deta, m.assa, m.loca, m.ap) == (1.0, 1.0, 1.0, 1.0, 1.0)
+    assert m.avg_track_dur_seconds == 1 / 30.0
+
+
+def test_window_cost_follows_the_rows_not_the_span():
+    """The same two-row GT with its rows 10**7 frames apart: the window is
+    one int64 array, and only the table's frames are looked up in it."""
+    row = "{},1,0,0.0,0.0,0.9,0.6,0.6,1.8,0.0,1.0\n"
+    gt = parse_tracks(row.format(0) + row.format(10**7), native_fps=30.0)
+    tracemalloc.start()
+    try:
+        start = time.perf_counter()
+        window = controlled_window(gt, 30.0, 30.0)
+        m = class_report(gt, gt, window, CD).per_class[0]
+        elapsed = time.perf_counter() - start
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(window) == 10**7 + 1
+    assert elapsed < 1.0
+    assert peak < 200e6
     assert (m.hota, m.deta, m.assa, m.loca, m.ap) == (1.0, 1.0, 1.0, 1.0, 1.0)
     assert m.avg_track_dur_seconds == 1 / 30.0
 

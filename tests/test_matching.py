@@ -596,8 +596,7 @@ def test_pooled_masks_hold_with_more_workers_than_cores_and_fast_switching():
     """Eight solver threads on many small chunks, switching every
     microsecond, give the inline masks."""
     gt, pred, window = crowd()
-    win = np.asarray(window.frame_indices)
-    edges = _class_edges(gt.table, pred.table, win, CD, 0).edges
+    edges = _class_edges(gt.table, pred.table, window.frames, CD, 0).edges
     alphas = tuple(round(0.05 * i, 2) for i in range(1, 20))
     with mock.patch.multiple(matching, **INLINE):
         want = [m.tolist() for m in match_edges(edges, alphas)]

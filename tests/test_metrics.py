@@ -326,6 +326,23 @@ def test_class_report_rejects_a_track_id_twice_in_a_frame(side, kind):
         class_report(gt, pred, win, CD)
 
 
+def test_a_frame_index_listed_twice_scores_the_rows_of_both_entries():
+    """A Sequence may list one frame index twice (validate_sequence reports
+    it); every row on a window frame is scored, and a track id repeated
+    across the two entries is named like one repeated within an entry."""
+    a, b = det(0.0, 0.0, 1), det(3.0, 0.0, 2)
+    gt = Sequence(((0, (a,)), (0, (b,))), 1.0)
+    pred = make_sequence({0: [a, b]}, native_fps=1.0)
+    win = EvalWindow(frame_indices=(0,), f0=1.0)
+    for g, p in ((gt, pred), (pred, gt)):
+        m = class_report(g, p, win, CD).per_class[0]
+        assert (m.hota, m.deta, m.assa, m.loca, m.ap) == (1.0, 1.0, 1.0, 1.0, 1.0)
+    twice = Sequence(((0, (a,)), (0, (det(3.0, 0.0, 1),))), 1.0)
+    message = "^ground-truth track_id 1 appears twice in frame 0 of class 0$"
+    with pytest.raises(ValueError, match=message):
+        class_report(twice, pred, win, CD)
+
+
 def test_class_report_large_track_ids():
     big = 2**40
     gt = make_sequence(

@@ -160,7 +160,7 @@ def test_ap_rank_and_level_order_equal_their_lexsort_keys(scene):
     id) order), the levels and the level order give the permutations of the
     explicit multi-key lexsorts."""
     gt, pred, window, sim = scene
-    win = np.asarray(window.frame_indices, dtype=np.int64)
+    win = window.frames
     data = _class_edges(gt.table, pred.table, win, sim, 0)
     t = pred.table
     rows, _ = _class_rows(t, win, 0, "predicted")
