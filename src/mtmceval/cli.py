@@ -318,14 +318,10 @@ def cmd_synth(args: argparse.Namespace) -> int:
             raise InputError(f"{args.spec}: unknown scene key {key!r}")
     scene = {**_SCENE_DEFAULTS, **scene}
     try:
-        gt = gen_scene(**{**scene, "bounds": tuple(scene["bounds"])})
+        gt = gen_scene(**scene)
+        # false positives fall in the arena unless fp_bounds says otherwise;
         # defaults go into a copy, so the provenance copy stays the input
-        deg = dict(deg)
-        if "fp_bounds" not in deg and deg.get("fp_rate", 0) > 0:
-            deg["fp_bounds"] = tuple(scene["bounds"])
-        if "fp_bounds" in deg and deg["fp_bounds"] is not None:
-            deg["fp_bounds"] = tuple(deg["fp_bounds"])
-        pred = degrade(gt, DegradeSpec(**deg))
+        pred = degrade(gt, DegradeSpec(**{"fp_bounds": scene["bounds"], **deg}))
     except (TypeError, ValueError) as exc:
         raise InputError(f"{args.spec}: {exc}") from None
     with Path(args.out_gt).open("w", encoding="utf-8", newline="\n") as fh:

@@ -3,11 +3,13 @@
 A Sequence stores its detections as one TrackTable and nothing else: a
 struct of arrays with one row per detection, rows grouped by ascending frame
 in input order, plus the frame-index array and per-frame row offsets, so a
-frame without rows survives. Box3D and Detection are only the per-row view
-of that table, built by ``_frames_from_table`` when a caller walks
-``Sequence.frames``; a Sequence built from Detection objects converts them
-at construction and keeps no reference to them. The row rules live once, in
-``_row_rules``, for validate_sequence and the track CSV row check alike.
+frame without rows survives; a row's frame is derived from those two, never
+stored. Every reader hands its 1-D columns to ``table_from_columns``. Box3D
+and Detection are only the per-row view of that table, built by
+``_frames_from_table`` when a caller walks ``Sequence.frames``; a Sequence
+built from Detection objects converts them at construction and keeps no
+reference to them. The row rules live once, in ``_row_rules``, for
+validate_sequence and the track CSV row check alike.
 An EvalWindow likewise stores its frames once, as a sorted int64 array.
 Timestamps are never stored; time in seconds is always frame_index / native_fps.
 """
@@ -47,6 +49,13 @@ def check_real(name: str, value: object, upper: float = math.inf, zero: bool = F
         low = "[0" if zero else "(0"
         rule = "finite and positive" if upper == math.inf else f"in {low}, {upper:g}]"
         raise ValueError(f"{name} must be {rule}, got {value!r}")
+
+
+def check_finite(name: str, value: object) -> None:
+    """Raise ValueError naming the value unless it is a finite real number,
+    not a bool."""
+    if isinstance(value, bool) or not (isinstance(value, numbers.Real) and math.isfinite(value)):
+        raise ValueError(f"{name} must be a finite number, got {value!r}")
 
 
 def normalize_yaw(yaw: float) -> float:
@@ -118,14 +127,14 @@ class TrackTable:
     """Detections as columns, one row each, grouped by frame in input order.
 
     Frame k of ``frame_index`` owns rows ``offsets[k]:offsets[k + 1]``; a
-    frame may own none. ``track_id`` is -1 where a row has no track id;
-    ``vx``/``vy`` are None when no row carries a velocity and NaN on rows
-    without one.
+    frame may own none. ``owner`` (each row's k) and ``frame`` (each row's
+    frame index) are derived from these on first read, never stored.
+    ``track_id`` is -1 where a row has no track id; ``vx``/``vy`` are None
+    when no row carries a velocity and NaN on rows without one.
     """
 
     frame_index: np.ndarray
     offsets: np.ndarray
-    frame: np.ndarray
     track_id: np.ndarray
     class_id: np.ndarray
     x: np.ndarray
@@ -140,8 +149,18 @@ class TrackTable:
     vy: np.ndarray | None = None
 
     def _row_columns(self) -> tuple[str, ...]:
-        names = ("frame", "track_id", "class_id") + FLOAT_COLUMNS
+        names = ("track_id", "class_id") + FLOAT_COLUMNS
         return names + (("vx", "vy") if self.vx is not None else ())
+
+    @cached_property
+    def owner(self) -> np.ndarray:
+        """Each row's position in ``frame_index``."""
+        return np.repeat(np.arange(self.frame_index.size), np.diff(self.offsets))
+
+    @cached_property
+    def frame(self) -> np.ndarray:
+        """Each row's frame index."""
+        return self.frame_index[self.owner]
 
     @cached_property
     def order(self) -> np.ndarray:
@@ -155,13 +174,11 @@ class TrackTable:
         """The rows that the boolean mask ``rows`` keeps, under the frames
         that the boolean mask ``frames`` keeps; a kept frame stays even when
         none of its rows does."""
-        counts = np.diff(self.offsets)
-        keep_frames = np.ones(counts.size, bool) if frames is None else frames
-        keep = np.repeat(keep_frames, counts)
+        keep_frames = np.ones(self.frame_index.size, bool) if frames is None else frames
+        keep = keep_frames[self.owner]
         if rows is not None:
             keep &= rows
-        owner = np.repeat(np.arange(counts.size), counts)[keep]
-        kept = np.bincount(owner, minlength=counts.size)[keep_frames]
+        kept = np.bincount(self.owner[keep], minlength=keep_frames.size)[keep_frames]
         cols = {n: getattr(self, n)[keep] for n in self._row_columns()}
         return TrackTable(
             frame_index=self.frame_index[keep_frames],
@@ -170,24 +187,19 @@ class TrackTable:
         )
 
 
-def table_from_rows(
-    ints: np.ndarray, floats: np.ndarray, velocity: np.ndarray | None
-) -> TrackTable:
-    """A table from rows grouped by frame: ``ints`` (n, 3) frame, track_id,
-    class_id; ``floats`` (n, 8) in FLOAT_COLUMNS order, the yaw normalised
-    here as Box3D does; ``velocity`` (n, 2) or None."""
-    frame, track_id, class_id = ints.T.copy()
-    x, y, z, w, l, h, yaw, conf = floats.T.copy()
-    new_frame = np.ones(frame.size, bool)
+def table_from_columns(frame: np.ndarray, *columns: np.ndarray) -> TrackTable:
+    """A table from 1-D columns of rows grouped by frame: frame, track_id,
+    class_id, the FLOAT_COLUMNS and optionally vx and vy. Each column is
+    copied once into a contiguous array; the yaw is normalised as Box3D
+    does. The frame column gives only the frame indices and offsets."""
+    new_frame = np.ones(len(frame), bool)
     new_frame[1:] = frame[1:] != frame[:-1]
     starts = np.flatnonzero(new_frame)
-    vx = vy = None
-    if velocity is not None:
-        vx, vy = velocity.T.copy()
-    return TrackTable(
-        frame[starts], np.append(starts, frame.size), frame, track_id, class_id,
-        x, y, z, w, l, h, normalize_yaws(yaw), conf, vx=vx, vy=vy,
-    )
+    names = ("track_id", "class_id") + FLOAT_COLUMNS + ("vx", "vy")
+    cols = {n: np.array(c, np.float64 if k > 1 else np.int64)
+            for k, (n, c) in enumerate(zip(names, columns))}
+    cols["yaw"] = normalize_yaws(cols["yaw"])
+    return TrackTable(np.asarray(frame, np.int64)[starts], np.append(starts, len(frame)), **cols)
 
 
 def _table_from_frames(frames: Iterable[tuple[int, Iterable[Detection]]]) -> TrackTable:
@@ -210,7 +222,7 @@ def _table_from_frames(frames: Iterable[tuple[int, Iterable[Detection]]]) -> Tra
     counts = np.array([len(ds) for _, ds in frames], dtype=np.int64)
     frame_index = np.array([fi for fi, _ in frames], dtype=np.int64)
     return TrackTable(
-        frame_index, np.concatenate(([0], np.cumsum(counts))), np.repeat(frame_index, counts),
+        frame_index, np.concatenate(([0], np.cumsum(counts))),
         track_id, column(dets, "class_id", np.int64),
         *(column(boxes, a) for a in _BOX_FIELDS), column(dets, "confidence"), vx=vx, vy=vy,
     )
@@ -225,8 +237,7 @@ def _frozen(cls: type, **values: object):
 
 
 def _frames_from_table(t: TrackTable) -> tuple[tuple[int, tuple[Detection, ...]], ...]:
-    n = t.frame.size
-    velocity = [None] * n
+    velocity = [None] * t.track_id.size
     if t.vx is not None:
         velocity = [None if a != a else (a, b) for a, b in zip(t.vx.tolist(), t.vy.tolist())]
     cols = [t.track_id.tolist(), t.class_id.tolist()]
@@ -250,7 +261,7 @@ def _frames_from_table(t: TrackTable) -> tuple[tuple[int, tuple[Detection, ...]]
 
 def _velocity(t: TrackTable) -> np.ndarray:
     # absent velocity columns read as all NaN, as the row view reads both
-    return np.full((2, t.frame.size), math.nan) if t.vx is None else np.stack((t.vx, t.vy))
+    return np.full((2, t.track_id.size), math.nan) if t.vx is None else np.stack((t.vx, t.vy))
 
 
 class Sequence:
@@ -305,7 +316,7 @@ class Sequence:
         if not isinstance(other, Sequence):
             return NotImplemented
         a, b = self.table, other.table
-        names = ("frame_index", "offsets", "frame", "track_id", "class_id") + FLOAT_COLUMNS
+        names = ("frame_index", "offsets", "track_id", "class_id") + FLOAT_COLUMNS
         return (
             (self.native_fps, self.scene_name) == (other.native_fps, other.scene_name)
             and all(np.array_equal(getattr(a, n), getattr(b, n)) for n in names)
@@ -373,9 +384,9 @@ def _row_rules(t: TrackTable, has_id: np.ndarray) -> list[_Rule]:
     marks the rows that carry a track_id. A duplicate is a repeat of an
     earlier (track_id, class_id) in the same frame."""
     box = dict(zip(_BOX_FIELDS, (t.x, t.y, t.z, t.w, t.l, t.h, t.yaw)))
-    owner = np.repeat(np.arange(t.frame_index.size), np.diff(t.offsets))
+    owner = t.owner
     by_key = np.lexsort((t.class_id, t.track_id, owner))
-    repeat = np.zeros(t.frame.size, bool)
+    repeat = np.zeros(owner.size, bool)
     repeat[by_key[1:]] = (
         (np.diff(owner[by_key]) == 0)
         & (np.diff(t.track_id[by_key]) == 0)
@@ -417,10 +428,9 @@ def validate_sequence(seq: Sequence) -> list[Violation]:
             found.append(((k, -1, 1), Violation(
                 idx, "frame_index", f"not strictly increasing (previous {fi[k - 1]})"
             )))
-    owner = np.repeat(np.arange(len(fi)), np.diff(t.offsets))
     for r, (name, broken, message) in enumerate(_row_rules(t, t.track_id != -1)):
         for i in np.flatnonzero(broken).tolist():
-            k = int(owner[i])
+            k = int(t.owner[i])
             found.append(((k, i, r), Violation(fi[k], name, message(i))))
     return [v for _, v in sorted(found, key=lambda kv: kv[0])]
 

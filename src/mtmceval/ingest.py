@@ -36,7 +36,10 @@ from .datamodel import (
     Sequence,
     TrackTable,
     _row_rules,
-    table_from_rows,
+    check_finite,
+    check_int,
+    check_real,
+    table_from_columns,
 )
 
 TRACK_COLUMNS = (
@@ -96,12 +99,14 @@ class GridConfig:
     class_id: int = 0
 
     def __post_init__(self) -> None:
-        if self.step <= 0:
-            raise ValueError("step must be positive")
-        if self.grid_width < 1:
-            raise ValueError("grid_width must be >= 1")
-        if self.person_height <= 0:
-            raise ValueError("person_height must be positive")
+        for name in ("step", "person_height", "person_width", "person_length"):
+            check_real(name, getattr(self, name))
+        for name in ("origin_x", "origin_y", "recenter_x", "recenter_y"):
+            check_finite(name, getattr(self, name))
+        check_int("grid_width", self.grid_width, low=1)
+        if self.grid_height is not None:
+            check_int("grid_height", self.grid_height, low=1)
+        check_int("class_id", self.class_id)
 
     def cell_to_xy(self, position_id: int) -> tuple[float, float]:
         col = position_id % self.grid_width
@@ -170,10 +175,10 @@ def _parse_rows(lines: list[str]) -> _Read:
     except ParseError as exc:
         error = exc
     nan = (math.nan, math.nan)
-    table = table_from_rows(
-        np.array(ints, dtype=np.int64).reshape(-1, 3),
-        np.array(floats, dtype=np.float64).reshape(-1, 8),
-        np.array([v or nan for v in velocities]) if any(velocities) else None,
+    table = table_from_columns(
+        *np.array(ints, dtype=np.int64).reshape(-1, 3).T,
+        *np.array(floats, dtype=np.float64).reshape(-1, 8).T,
+        *(np.array([v or nan for v in velocities]).T if any(velocities) else ()),
     )
     return table, np.array(has_id, bool), frame if error else None, error
 
@@ -193,16 +198,11 @@ def _parse_fast(lines: list[str]) -> _Read | None:
             rows = np.loadtxt(lines, dtype=dtype, delimiter=",", comments="#", ndmin=1)
     except (ValueError, Warning):
         return None
-    names = dtype.names
-    floats = np.column_stack([rows[c] for c in names[3:]])
-    if not np.isfinite(floats).all():
+    columns = [rows[c] for c in dtype.names]
+    if not all(np.isfinite(c).all() for c in columns[3:]):
         return None
-    t = table_from_rows(
-        np.column_stack([rows[c] for c in names[:3]]),
-        floats[:, :8],
-        floats[:, 8:] if len(names) == 13 else None,
-    )
-    return t, np.ones(t.frame.size, bool), None, None
+    t = table_from_columns(*columns)
+    return t, np.ones(t.track_id.size, bool), None, None
 
 
 def _check_rows(lines: list[str], t: TrackTable, has_id: np.ndarray,
@@ -334,15 +334,16 @@ def convert_positions(
         grid.cell_to_xy(int(pos[i]))  # raises naming the grid
         raise ValueError(f"person_id must be non-negative, got {person[i]}")
     order = np.argsort(frame, kind="stable")
-    ids = np.column_stack((frame, person, np.full(frame.size, grid.class_id)))[order]
+    col, row = col[order], row[order]
     per_row = (grid.person_height / 2.0, grid.person_width, grid.person_length,
                grid.person_height, 0.0, 1.0)
-    floats = np.empty((frame.size, 8))
-    floats[:, 0] = grid.origin_x + grid.step * col + grid.recenter_x
-    floats[:, 1] = grid.origin_y + grid.step * row + grid.recenter_y
-    floats[:, 2:] = [float(v) for v in per_row]
     return Sequence.from_table(
-        table_from_rows(ids, floats[order], None),
+        table_from_columns(
+            frame[order], person[order], np.full(frame.size, grid.class_id),
+            grid.origin_x + grid.step * col + grid.recenter_x,
+            grid.origin_y + grid.step * row + grid.recenter_y,
+            *(np.full(frame.size, float(v)) for v in per_row),
+        ),
         native_fps=float(native_fps),
         scene_name=scene_name,
     )

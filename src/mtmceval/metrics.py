@@ -51,7 +51,7 @@ from typing import Callable
 
 import numpy as np
 
-from .datamodel import EvalWindow, Sequence, TrackTable
+from .datamodel import EvalWindow, Sequence, TrackTable, check_finite
 from .matching import (
     EdgeList,
     FrameMatchSet,
@@ -326,9 +326,14 @@ def _roi_contains(
 ) -> Callable[[np.ndarray, np.ndarray], np.ndarray]:
     """The point-in-ROI test on coordinate columns for an axis-aligned
     (xmin, ymin, xmax, ymax) rectangle or a convex polygon given as a vertex
-    list; a malformed or degenerate ROI raises ValueError or TypeError."""
-    if isinstance(roi, tuple) and len(roi) == 4 and not isinstance(roi[0], tuple):
-        xmin, ymin, xmax, ymax = (float(v) for v in roi)
+    list; a malformed or degenerate ROI, or a coordinate that is not a
+    finite number, raises ValueError or TypeError."""
+    rect = isinstance(roi, tuple) and len(roi) == 4 and not isinstance(roi[0], tuple)
+    coords = list(roi) if rect else [c for x, y in roi for c in (x, y)]
+    for c in coords:
+        check_finite("ROI coordinate", c)
+    if rect:
+        xmin, ymin, xmax, ymax = map(float, coords)
         if xmax <= xmin or ymax <= ymin:
             raise ValueError("degenerate ROI rectangle")
         return lambda x, y: (xmin <= x) & (x <= xmax) & (ymin <= y) & (y <= ymax)

@@ -25,7 +25,9 @@ from .datamodel import (
     EvalWindow,
     Sequence,
     TrackTable,
+    check_finite,
     check_int,
+    check_real,
     make_sequence,
     normalize_yaws,
 )
@@ -59,16 +61,27 @@ class DegradeSpec:
 
     def __post_init__(self) -> None:
         for name in ("drop_prob", "id_switch_prob"):
-            v = getattr(self, name)
-            if not (0.0 <= v <= 1.0):
-                raise ValueError(f"{name} must be in [0, 1]")
-        if self.loc_noise_sigma < 0:
-            raise ValueError("loc_noise_sigma must be non-negative")
-        if self.fp_rate < 0:
-            raise ValueError("fp_rate must be non-negative")
-        if self.fp_rate > 0 and self.fp_bounds is None:
+            check_real(name, getattr(self, name), 1.0, zero=True)
+        check_real("loc_noise_sigma", self.loc_noise_sigma, zero=True)
+        check_real("fp_rate", self.fp_rate, zero=True)
+        check_int("seed", self.seed)
+        if self.fp_bounds is not None:
+            _check_bounds("fp_bounds", self.fp_bounds)
+            object.__setattr__(self, "fp_bounds", tuple(self.fp_bounds))
+        elif self.fp_rate > 0:
             raise ValueError("fp_bounds required when fp_rate > 0")
         check_int("fp_class_id", self.fp_class_id)
+
+
+def _check_bounds(name: str, bounds: tuple[float, float, float, float]) -> None:
+    """Raise ValueError naming the bounds unless they are four finite
+    numbers (xmin, ymin, xmax, ymax) enclosing a positive area."""
+    if not isinstance(bounds, (tuple, list)) or len(bounds) != 4:
+        raise ValueError(f"{name} must be (xmin, ymin, xmax, ymax), got {bounds!r}")
+    for v in bounds:
+        check_finite(f"{name} entry", v)
+    if not (bounds[0] < bounds[2] and bounds[1] < bounds[3]):
+        raise ValueError(f"{name} must enclose a positive area, got {bounds!r}")
 
 
 def gen_scene(
@@ -87,12 +100,15 @@ def gen_scene(
     Objects bounce off the arena walls (reflective bounds); motion is one of
     static, constant_velocity, waypoint. duration_s * fps must be integral.
     """
-    if n_objects < 0:
-        raise ValueError("n_objects must be non-negative")
+    check_int("n_objects", n_objects)
+    check_real("duration_s", duration_s)
+    check_real("fps", fps)
+    _check_bounds("bounds", bounds)
+    check_int("seed", seed)
     check_int("class_id", class_id)
+    for speed in speed_range:
+        check_real("speed_range entry", speed, zero=True)
     xmin, ymin, xmax, ymax = bounds
-    if xmax <= xmin or ymax <= ymin:
-        raise ValueError("arena bounds must have positive area")
     if motion not in ("static", "constant_velocity", "waypoint"):
         raise ValueError(f"unknown motion model {motion!r}")
     n_frames_f = duration_s * fps
@@ -152,10 +168,9 @@ def gen_scene(
     # rows frame by frame, objects by ascending track id within a frame
     n = n_objects * n_frames
     x, y, yaw = pose.transpose(1, 0, 2).reshape(n, 3).T
-    frame_index = np.arange(n_frames, dtype=np.int64)
     table = TrackTable(
-        frame_index, np.arange(n_frames + 1, dtype=np.int64) * n_objects,
-        np.repeat(frame_index, n_objects), np.tile(np.arange(n_objects, dtype=np.int64), n_frames),
+        np.arange(n_frames, dtype=np.int64), np.arange(n_frames + 1, dtype=np.int64) * n_objects,
+        np.tile(np.arange(n_objects, dtype=np.int64), n_frames),
         np.full(n, class_id, dtype=np.int64), x.copy(), y.copy(), np.full(n, h / 2),
         np.full(n, w), np.full(n, l), np.full(n, h), normalize_yaws(yaw), np.ones(n),
     )
@@ -187,9 +202,8 @@ def degrade(gt: Sequence, spec: DegradeSpec) -> Sequence:
     t = gt.table
     if (t.track_id == -1).any():
         raise ValueError("degrade requires GT track_ids")
-    owner = np.repeat(np.arange(t.frame_index.size), np.diff(t.offsets))
     # frames in stored order, each frame's rows by (class_id, track_id)
-    order = np.lexsort((t.track_id, t.class_id, owner)).tolist()
+    order = np.lexsort((t.track_id, t.class_id, t.owner)).tolist()
     keys = list(zip(t.class_id.tolist(), t.track_id.tolist()))
     next_id = int(t.track_id.max(initial=-1)) + 1
     current: dict[tuple[int, int], int] = {}
@@ -247,7 +261,7 @@ def degrade(gt: Sequence, spec: DegradeSpec) -> Sequence:
 
     # yaw is normalised again, as each output Box3D did; that can move its last bit
     table = TrackTable(
-        t.frame_index, offsets, np.repeat(t.frame_index, np.diff(offsets)),
+        t.frame_index, offsets,
         np.array(ids, dtype=np.int64), column("class_id", spec.fp_class_id),
         np.where(fp, d1, column("x", 0.0) + spec.loc_noise_sigma * d1),
         np.where(fp, d2, column("y", 0.0) + spec.loc_noise_sigma * d2),

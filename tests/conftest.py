@@ -1,6 +1,17 @@
+import warnings
+
 import pytest
 
 from mtmceval import datamodel
+
+# Hypothesis imports this module when a property fails, to print a patch of
+# the falsifying example; it imports libcst, which warns about
+# mypy_extensions.TypedDict, and pyproject.toml turns that DeprecationWarning
+# into an error that aborts the whole run. Importing it once here, with the
+# warning ignored, lets a failing property be reported as a failure.
+with warnings.catch_warnings():
+    warnings.simplefilter("ignore", DeprecationWarning)
+    import hypothesis.extra._patching  # noqa: F401
 
 
 @pytest.fixture

@@ -230,6 +230,10 @@ def test_evaluate_detector_only_prediction_exits_2(tmp_path, capsys):
         ({"roi": {"a": 1}}, [], "roi"),
         ({}, ["--eval-fps", "inf"], "eval_fps"),
         ({"d_max": True}, [], "d_max"),
+        ({"roi": [-100, -100, math.nan, 100]}, [], "roi"),
+        ({"roi": [0, 0, math.inf, 4]}, [], "roi"),
+        ({"roi": [[math.nan, 0], [4, 0], [0, 4]]}, [], "roi"),
+        ({"roi": [True, 0, 4, 4]}, [], "roi"),
     ],
 )
 def test_bad_config_or_flag_exits_2(tmp_path, capsys, config, flags, named):
@@ -379,6 +383,38 @@ def test_convert_missing_positions(tmp_path, capsys):
     )
     assert code == 2
     assert "x.csv" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "grid, named",
+    [
+        ({"person_width": 0}, "person_width"),
+        ({"person_length": -0.5}, "person_length"),
+        ({"person_height": math.inf}, "person_height"),
+        ({"step": math.nan}, "step"),
+        ({"class_id": -1}, "class_id"),
+        ({"class_id": 1.5}, "class_id"),
+        ({"origin_x": math.inf}, "origin_x"),
+        ({"origin_y": "x"}, "origin_y"),
+        ({"recenter_x": math.nan}, "recenter_x"),
+        ({"recenter_y": True}, "recenter_y"),
+        ({"grid_width": 2.5}, "grid_width"),
+        ({"grid_height": 0}, "grid_height"),
+    ],
+)
+def test_convert_bad_grid_config_exits_2_naming_the_field(tmp_path, capsys, grid, named):
+    """Each of these once wrote a track file (or crashed), and gen-anchors
+    then refused that file."""
+    pos = tmp_path / "pos.csv"
+    pos.write_text("0,3,0\n1,3,1\n")
+    cfg = tmp_path / "grid.json"
+    cfg.write_text(json.dumps(grid))
+    out = tmp_path / "t.csv"
+    code = main(["convert", "--positions", str(pos), "--out", str(out),
+                 "--grid-config", str(cfg)])
+    assert code == 2
+    assert f"{named} must be" in capsys.readouterr().err
+    assert not out.exists()
 
 
 # --- gen-anchors --------------------------------------------------------------
@@ -586,6 +622,84 @@ def test_synth_bad_spec_shape_exits_2_naming_it(tmp_path, capsys, spec, named):
          "--out-pred", str(tmp_path / "p.csv")]
     )
     assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and named in err
+
+
+@pytest.mark.parametrize(
+    "part, values, named",
+    [
+        ("degrade", {"loc_noise_sigma": math.nan}, "loc_noise_sigma must be"),
+        ("degrade", {"drop_prob": "x"}, "drop_prob must be"),
+        ("degrade", {"id_switch_prob": math.nan}, "id_switch_prob must be"),
+        ("degrade", {"fp_rate": math.inf}, "fp_rate must be"),
+        ("degrade", {"fp_rate": "x"}, "fp_rate must be"),
+        ("degrade", {"seed": -1}, "seed must be"),
+        ("degrade", {"fp_rate": 0.5, "fp_bounds": [0, 0, math.nan, 1]}, "fp_bounds entry must be"),
+        ("degrade", {"fp_bounds": [0, 0, 1]}, "fp_bounds must be"),
+        ("degrade", {"fp_bounds": 5}, "fp_bounds must be"),
+        ("scene", {"bounds": 5}, "bounds must be"),
+        ("scene", {"bounds": [math.nan, -8, 8, 8]}, "bounds entry must be"),
+        ("scene", {"bounds": [8, -8, -8, 8]}, "bounds must enclose a positive area"),
+        ("scene", {"n_objects": 2.5}, "n_objects must be"),
+        ("scene", {"seed": -1}, "seed must be"),
+        ("scene", {"fps": math.inf}, "fps must be"),
+        ("scene", {"duration_s": math.nan}, "duration_s must be"),
+    ],
+)
+def test_synth_bad_spec_value_exits_2_naming_it(tmp_path, capsys, part, values, named):
+    spec = json.loads(synth_spec(tmp_path).read_text())
+    spec[part].update(values)
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps(spec))
+    pred = tmp_path / "p.csv"
+    code = main(
+        ["synth", "--spec", str(path), "--out-gt", str(tmp_path / "g.csv"),
+         "--out-pred", str(pred)]
+    )
+    assert code == 2
+    assert named in capsys.readouterr().err
+    assert not pred.exists()
+
+
+# --- exit 2 on unreadable inputs ---------------------------------------------
+
+
+@pytest.mark.parametrize(
+    "command, given, named",
+    [
+        ("evaluate", None, "input.json"),
+        ("evaluate", "{", "input.json"),
+        ("evaluate", "[1, 2]", "input.json"),
+        ("convert", None, "input.json"),
+        ("convert", "{", "input.json"),
+        ("convert", '{"stepp": 1}', "input.json"),
+        ("synth", None, "input.json"),
+        ("synth", "{", "input.json"),
+        ("sweep-fps", "2,x", "--rates"),
+        ("sweep-fps", "2,1", "rate 1.0 has rows off its frame grid"),
+    ],
+)
+def test_unreadable_input_exits_2_naming_it(tmp_path, capsys, command, given, named):
+    """A config, grid config or spec file that is missing (None), not JSON
+    or not valid; for sweep-fps, a --rates list that is not numbers and a
+    1 fps file holding every 2 fps frame."""
+    gt, pred_dir = make_sweep_dir(tmp_path)
+    path = tmp_path / "input.json"
+    if given is not None:
+        path.write_text(given)
+    (pred_dir / "1fps.csv").write_bytes((pred_dir / "2fps.csv").read_bytes())
+    pos = tmp_path / "pos.csv"
+    pos.write_text("0,3,0\n")
+    out = str(tmp_path / "out.csv")
+    args = {
+        "evaluate": ["--gt", str(gt), "--pred", str(gt), "--config", str(path)],
+        "convert": ["--positions", str(pos), "--out", out, "--grid-config", str(path)],
+        "synth": ["--spec", str(path), "--out-gt", out, "--out-pred", out],
+        "sweep-fps": ["--gt", str(gt), "--pred-dir", str(pred_dir), "--native-fps", "2",
+                      "--eval-fps", "1", "--rates", str(given)],
+    }[command]
+    assert main([command, *args]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and named in err
 

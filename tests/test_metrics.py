@@ -531,6 +531,19 @@ def test_filter_degenerate_roi():
         postprocess_filter(seq, [(0, 0), (1, 1), (2, 2)], 0.0)
 
 
+@pytest.mark.parametrize(
+    "roi",
+    [(-100, -100, math.nan, 100), (0, 0, math.inf, 4), [(math.nan, 0), (4, 0), (0, 4)],
+     (True, 0, 4, 4), [("0", 0), (4, 0), (0, 4)]],
+)
+def test_filter_rejects_a_roi_coordinate_that_is_not_a_finite_number(roi):
+    """A NaN corner once kept no detection at all, and scored every
+    prediction as missing; a bool or a string read as a number."""
+    seq = seq_from_positions({0: [(0.0, 0.0, 1)]})
+    with pytest.raises(ValueError, match="ROI coordinate must be a finite number"):
+        postprocess_filter(seq, roi, 0.0)
+
+
 def test_filter_without_roi():
     far = make_sequence({0: [det(2e9, 0.0, 1, conf=0.9), det(0.0, 0.0, 2, conf=0.2)]},
                         native_fps=1.0)

@@ -18,7 +18,7 @@ from mtmceval.synthgen import DegradeSpec, degrade, gen_scene, merge_sequences, 
 
 BOUNDS = (-4.0, -4.0, 4.0, 4.0)
 FIELDS = ("hota", "deta", "assa", "loca", "avg_track_dur_seconds", "ap")
-ROW_COLUMNS = ("frame", "track_id", "class_id") + FLOAT_COLUMNS
+ROW_COLUMNS = ("track_id", "class_id") + FLOAT_COLUMNS
 PROPERTY = settings(derandomize=True, database=None, max_examples=30, deadline=None)
 
 
@@ -104,7 +104,7 @@ def test_class_report_ignores_a_frame_shift(scene, shift):
 
     def shifted(seq):
         t = seq.table
-        return with_columns(seq, frame_index=t.frame_index + shift, frame=t.frame + shift)
+        return with_columns(seq, frame_index=t.frame_index + shift)
 
     moved = EvalWindow(tuple(f + shift for f in window.frame_indices), window.f0)
     assert metrics(class_report(shifted(gt), shifted(pred), moved, sim)) == metrics(
