@@ -9,10 +9,12 @@ produce byte-identical outputs.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import sys
 from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
+from typing import Iterator, TextIO
 
 from .anchors import collect_centers, emit_anchor_bank, kmeans
 from .datamodel import EvalWindow, Sequence, check_int, check_real
@@ -60,6 +62,45 @@ _SCENE_DEFAULTS = {
 
 class InputError(Exception):
     """User-facing input problem; maps to exit code 2."""
+
+
+@contextlib.contextmanager
+def _reading(path: str | Path, what: str) -> Iterator[TextIO]:
+    """``path`` open as UTF-8 text, a leading byte order mark skipped; a file
+    that cannot be opened or read, or is not UTF-8, raises InputError
+    naming it as ``what``."""
+    try:
+        with open(path, encoding="utf-8-sig") as fh:
+            yield fh
+    except FileNotFoundError:
+        raise InputError(f"{what} not found: {path}") from None
+    except OSError as exc:
+        raise InputError(f"cannot read {what} {path}: {exc.strerror or exc}") from None
+    except UnicodeDecodeError as exc:
+        raise InputError(f"{what} {path} is not UTF-8 text: {exc}") from None
+
+
+@contextlib.contextmanager
+def _writing(path: str | Path) -> Iterator[TextIO]:
+    """``path`` open for UTF-8 text with LF line endings; a file that cannot
+    be written raises InputError naming it."""
+    try:
+        with open(path, "w", encoding="utf-8", newline="\n") as fh:
+            yield fh
+    except OSError as exc:
+        raise InputError(f"cannot write {path}: {exc.strerror or exc}") from None
+
+
+def _load_json(path: str, what: str) -> dict:
+    """The JSON object in a file, which InputError names as ``what``."""
+    with _reading(path, what) as fh:
+        try:
+            raw = json.load(fh)
+        except json.JSONDecodeError as exc:
+            raise InputError(f"{what} {path}: {exc}") from None
+    if not isinstance(raw, dict):
+        raise InputError(f"{what} {path}: expected a JSON object")
+    return raw
 
 
 @dataclass(frozen=True)
@@ -126,14 +167,7 @@ def load_config(path: str | None) -> ToolConfig:
     fields, every one optional."""
     if path is None:
         return ToolConfig()
-    try:
-        raw = json.loads(Path(path).read_text())
-    except FileNotFoundError:
-        raise InputError(f"config file not found: {path}") from None
-    except json.JSONDecodeError as exc:
-        raise InputError(f"config file {path}: {exc}") from None
-    if not isinstance(raw, dict):
-        raise InputError(f"config file {path}: expected a JSON object")
+    raw = _load_json(path, "config file")
     keys = {f.name for f in fields(ToolConfig)}
     kwargs: dict = {}
     for key, value in raw.items():
@@ -149,15 +183,12 @@ def load_config(path: str | None) -> ToolConfig:
         raise InputError(f"config file {path}: {exc}") from None
 
 
-def _load_tracks(path: str, native_fps: float) -> Sequence:
-    p = Path(path)
-    if not p.exists():
-        raise InputError(f"track file not found: {path}")
-    try:
-        with p.open("r", encoding="utf-8") as fh:
-            return parse_tracks(fh, native_fps=native_fps, scene_name=p.stem)
-    except ParseError as exc:
-        raise InputError(f"{path}: {exc}") from None
+def _load_tracks(path: str | Path, native_fps: float) -> Sequence:
+    with _reading(path, "track file") as fh:
+        try:
+            return parse_tracks(fh, native_fps=native_fps, scene_name=Path(path).stem)
+        except ParseError as exc:
+            raise InputError(f"{path}: {exc}") from None
 
 
 def _apply_overrides(cfg: ToolConfig, args: argparse.Namespace) -> ToolConfig:
@@ -206,7 +237,8 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
                 f"dur={m.avg_track_dur_seconds:.6f}s\n"
             )
     if args.out:
-        Path(args.out).write_text(report_to_json(report))
+        with _writing(args.out) as fh:
+            fh.write(report_to_json(report))
     return 0
 
 
@@ -238,7 +270,7 @@ def cmd_sweep_fps(args: argparse.Namespace) -> int:
         path = pred_dir / f"{rate:g}fps.csv"
         if not path.exists():
             raise InputError(f"missing prediction file for rate {rate:g}: {path}")
-        pred = _load_tracks(str(path), cfg.native_fps / stride_for(cfg.native_fps, rate))
+        pred = _load_tracks(path, cfg.native_fps / stride_for(cfg.native_fps, rate))
         outputs[rate] = postprocess_filter(pred, cfg.roi, cfg.conf_threshold)
     try:
         rows = fps_sweep(gt, outputs, spec)
@@ -246,7 +278,8 @@ def cmd_sweep_fps(args: argparse.Namespace) -> int:
         raise InputError(str(exc)) from None
     sys.stdout.write(sweep_to_text(rows))
     if args.out:
-        Path(args.out).write_text(sweep_to_json(rows))
+        with _writing(args.out) as fh:
+            fh.write(sweep_to_json(rows))
     return 0
 
 
@@ -255,30 +288,29 @@ def cmd_convert(args: argparse.Namespace) -> int:
     grid = cfg.grid
     if args.grid_config:
         try:
-            grid = GridConfig(**json.loads(Path(args.grid_config).read_text()))
-        except FileNotFoundError:
-            raise InputError(f"grid config not found: {args.grid_config}") from None
-        except (json.JSONDecodeError, TypeError, ValueError) as exc:
+            grid = GridConfig(**_load_json(args.grid_config, "grid config"))
+        except (TypeError, ValueError) as exc:
             raise InputError(f"grid config {args.grid_config}: {exc}") from None
-    path = Path(args.positions)
-    if not path.exists():
-        raise InputError(f"positions file not found: {args.positions}")
-    try:
-        with path.open("r", encoding="utf-8") as fh:
+    with _reading(args.positions, "positions file") as fh:
+        try:
             records = parse_positions(fh)
-        seq = convert_positions(records, grid, native_fps=args.fps, scene_name=path.stem)
+        except ParseError as exc:
+            raise InputError(f"{args.positions}: {exc}") from None
+    try:
+        seq = convert_positions(
+            records, grid, native_fps=args.fps, scene_name=Path(args.positions).stem
+        )
         seq = estimate_velocities(seq)
-    except (ParseError, ValueError) as exc:
+    except ValueError as exc:
         raise InputError(f"{args.positions}: {exc}") from None
     out = Path(args.out)
     if args.split is None:
-        with out.open("w", encoding="utf-8", newline="\n") as fh:
+        with _writing(out) as fh:
             emit_tracks(seq, fh)
         return 0
     train = seq.table.frame_index < args.split
     for keep, part in ((train, "_train"), (~train, "_test")):
-        dest = out.with_name(out.stem + part + out.suffix)
-        with dest.open("w", encoding="utf-8", newline="\n") as fh:
+        with _writing(out.with_name(out.stem + part + out.suffix)) as fh:
             emit_tracks(Sequence.from_table(seq.table.select(frames=keep), seq.native_fps), fh)
     return 0
 
@@ -291,21 +323,13 @@ def cmd_gen_anchors(args: argparse.Namespace) -> int:
         bank = kmeans(points, k=cfg.anchor_k, seed=cfg.seed)
     except ValueError as exc:
         raise InputError(str(exc)) from None
-    with Path(args.out).open("w", encoding="utf-8", newline="\n") as fh:
+    with _writing(args.out) as fh:
         emit_anchor_bank(bank, fh)
     return 0
 
 
 def cmd_synth(args: argparse.Namespace) -> int:
-    path = Path(args.spec)
-    if not path.exists():
-        raise InputError(f"spec file not found: {args.spec}")
-    try:
-        raw = json.loads(path.read_text())
-    except json.JSONDecodeError as exc:
-        raise InputError(f"{args.spec}: {exc}") from None
-    if not isinstance(raw, dict):
-        raise InputError(f"{args.spec}: expected a JSON object")
+    raw = _load_json(args.spec, "spec file")
     for key in raw:
         if key not in ("scene", "degrade"):
             raise InputError(f"{args.spec}: unknown spec key {key!r}")
@@ -324,12 +348,12 @@ def cmd_synth(args: argparse.Namespace) -> int:
         pred = degrade(gt, DegradeSpec(**{"fp_bounds": scene["bounds"], **deg}))
     except (TypeError, ValueError) as exc:
         raise InputError(f"{args.spec}: {exc}") from None
-    with Path(args.out_gt).open("w", encoding="utf-8", newline="\n") as fh:
+    with _writing(args.out_gt) as fh:
         emit_tracks(gt, fh)
-    with Path(args.out_pred).open("w", encoding="utf-8", newline="\n") as fh:
+    with _writing(args.out_pred) as fh:
         emit_tracks(pred, fh)
-    out_spec = args.out_spec or str(Path(args.out_pred)) + ".spec.json"
-    Path(out_spec).write_text(json.dumps(raw, sort_keys=True, indent=2) + "\n")
+    with _writing(args.out_spec or args.out_pred + ".spec.json") as fh:
+        fh.write(json.dumps(raw, sort_keys=True, indent=2) + "\n")
     return 0
 
 

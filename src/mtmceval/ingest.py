@@ -238,7 +238,10 @@ def _lines(stream: TextIO | io.IOBase | bytes | str) -> list[str]:
         stream = io.StringIO(stream)
     elif isinstance(stream, io.IOBase) and not isinstance(stream, io.TextIOBase):
         stream = io.TextIOWrapper(stream, encoding="utf-8")
-    return list(stream)
+    lines = list(stream)
+    if lines:
+        lines[0] = lines[0].removeprefix("\ufeff")  # a UTF-8 byte order mark
+    return lines
 
 
 def parse_tracks(
@@ -301,6 +304,8 @@ def parse_positions(stream: TextIO | str) -> list[tuple[int, int, int]]:
         frame = _parse_int(parts[0], line_no, "frame")
         person = _parse_int(parts[1], line_no, "person_id")
         pos = _parse_int(parts[2], line_no, "position_id")
+        if frame < 0:
+            raise ParseError(line_no, "frame", "must be non-negative")
         if pos < 0:
             raise ParseError(line_no, "position_id", "must be non-negative")
         records.append((frame, person, pos))

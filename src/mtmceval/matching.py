@@ -20,22 +20,19 @@ built once: each frame's edges, matrix shape and conflict level (the
 largest second-highest similarity of any of its rows), below which it
 holds only forced pairs. It solves each distinct gated matrix of a frame
 once, on a thread pool when an alpha's matrices are large and more than one
-CPU is usable, and yields each alpha's matching as a boolean mask over the
-edges once all of that alpha's matrices are solved; every matrix is the
-same on any thread, so every mask is too. The solver, scipy's compiled
-``_lsap`` extension, is loaded on the first solve without importing
-scipy.optimize.
+CPU is usable, and returns a list of each alpha's matching as a boolean mask
+over the edges; every matrix is the same on any thread, so every mask is
+too. The solver, scipy's compiled ``_lsap`` extension, is loaded on the
+first solve without importing scipy.optimize.
 """
 
 from __future__ import annotations
 
 import contextlib
 import functools
-import itertools
 import os
 import threading
 from dataclasses import dataclass
-from typing import Iterator
 
 import numpy as np
 
@@ -322,17 +319,16 @@ def _solve_chunk(
 ) -> np.ndarray:
     """The matched edges of a chunk of conflicted frames, given their gated
     edges, ``count`` per frame. The frames' matrices lie side by side in one
-    flat buffer, at (start, rows, cols) in the rows of ``shape``; an edge
-    costs minus its similarity at its ``cell``, and a gated-out pair costs
-    0. A matched cell that holds no gated edge is dropped: its cost is 0,
-    and the solver only reads the buffer. Each solve holds ``lock``."""
+    flat buffer, 8 bytes a cell, at (start, rows, cols) in the rows of
+    ``shape``; an edge costs minus its similarity at its ``cell``, and a
+    gated-out pair costs 0. A matched cell that holds no gated edge is
+    dropped: its cost is 0. The edges' buffer positions increase (frames and
+    their edges come in order), so bisecting them finds each matched edge.
+    Each solve holds ``lock``."""
     start, rows, cols = shape.T
-    size = start[-1] + rows[-1] * cols[-1]
     pos = np.repeat(start, count) + cell[edge]
-    buf = np.zeros(size)
+    buf = np.zeros(start[-1] + rows[-1] * cols[-1])
     buf[pos] = -sim[edge]
-    which = np.empty(size, np.intp)
-    which[pos] = edge
     found_r, found_c = [], []
     for s, n, m in shape.tolist():
         with lock:
@@ -342,7 +338,7 @@ def _solve_chunk(
     k = np.minimum(rows, cols)
     cells = np.repeat(start, k) + np.concatenate(found_r) * np.repeat(cols, k)
     cells += np.concatenate(found_c)
-    return which[cells[buf[cells] < 0]]
+    return edge[np.searchsorted(pos, cells[buf[cells] < 0])]
 
 
 def _plan(layout: _Layout, sim: np.ndarray, alpha: float, before: np.ndarray):
@@ -388,11 +384,11 @@ def _usable_cpus() -> int:
         return os.cpu_count() or 1
 
 
-def match_edges(edges: EdgeList, alphas: tuple[float, ...]) -> Iterator[np.ndarray]:
+def match_edges(edges: EdgeList, alphas: tuple[float, ...]) -> list[np.ndarray]:
     """Gated max-total-similarity matching of every frame of an edge list,
     at each gate alpha in turn.
 
-    Yields, per alpha, a boolean mask over the edges that marks the matched
+    Returns, per alpha, a boolean mask over the edges that marks the matched
     pairs; as the edges are sorted by (GT row, prediction row), the matched
     pairs come out in GT row order. A frame below its conflict level holds
     only forced pairs, taken as they are. Every other (conflicted) frame is
@@ -404,11 +400,11 @@ def match_edges(edges: EdgeList, alphas: tuple[float, ...]) -> Iterator[np.ndarr
     average at least POOL_CELLS cells, they are solved on a thread pool (the
     solver releases the GIL), otherwise inline. An alpha's matrices are all
     solved before the next alpha is planned, and each matrix, and so each
-    mask, is the same on any thread. The pool is shut down when the
-    generator finishes, fails or is closed. Every solve goes through the
-    module attribute ``linear_sum_assignment``; when it has been replaced,
-    say by a function that counts or times the solves, the solves run one at
-    a time, since the replacement may not be thread-safe.
+    mask, is the same on any thread. The pool is shut down before this
+    returns or raises. Every solve goes through the module attribute
+    ``linear_sum_assignment``; when it has been replaced, say by a function
+    that counts or times the solves, the solves run one at a time, since the
+    replacement may not be thread-safe.
     """
     for alpha in alphas:
         _check_alpha(alpha)
@@ -418,13 +414,12 @@ def match_edges(edges: EdgeList, alphas: tuple[float, ...]) -> Iterator[np.ndarr
     # a replaced solver is called by one thread at a time
     lock = contextlib.nullcontext() if linear_sum_assignment is _OWN_SOLVER else threading.Lock()
     solve = functools.partial(_solve_chunk, lock, layout.cell, edges.sim)
-    pool = mask = None
+    masks, pool = [], None
     try:
         for alpha in alphas:
-            prev = mask
             mask, reuse, chunks, cells, count = _plan(layout, edges.sim, alpha, count)
             if reuse.any():
-                mask |= prev & np.repeat(reuse, layout.count)
+                mask |= masks[-1] & np.repeat(reuse, layout.count)
             if chunks:
                 _solver()  # loaded here, never in a worker
                 if cpus > 1 and cells >= POOL_CELLS:
@@ -434,20 +429,21 @@ def match_edges(edges: EdgeList, alphas: tuple[float, ...]) -> Iterator[np.ndarr
                         pool = ThreadPoolExecutor(min(cpus, POOL_WORKERS), "mtmceval-solve")
                     found = pool.map(solve, *zip(*chunks))
                 else:
-                    found = itertools.starmap(solve, chunks)
+                    found = map(solve, *zip(*chunks))
                 for matched in found:
                     mask[matched] = True
-            yield mask
+            masks.append(mask)
     finally:
         if pool is not None:
             pool.shutdown(cancel_futures=True)
+    return masks
 
 
 def hungarian(cost: np.ndarray | list[list[float]]) -> list[tuple[int, int]]:
     """Minimum-cost maximum partial assignment over an n x m cost matrix.
 
     Returns min(n, m) (row, col) pairs sorted by row; deterministic for a
-    fixed input. Empty matrix yields an empty assignment.
+    fixed input. An empty matrix gives an empty assignment.
     """
     cost = np.asarray(cost, dtype=float)
     if cost.size == 0:
@@ -478,9 +474,7 @@ def match_frame(
     sim = similarity_matrix(gt, pred, spec)
     r, c = np.nonzero(sim > 0)
     edges = EdgeList(r, c, sim[r, c], np.zeros(len(gt), int), np.zeros(len(pred), int))
-    masks = match_edges(edges, (alpha,))
-    matched = next(masks)
-    masks.close()
+    (matched,) = match_edges(edges, (alpha,))
     rows, cols = r[matched], c[matched]
     matched_r = set(rows.tolist())
     matched_c = set(cols.tolist())

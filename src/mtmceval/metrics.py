@@ -15,7 +15,7 @@ in (frame, track id) order, which is unique within a class. Three consumers
 read that pass and compute nothing twice:
 
 - ``_score_alphas`` matches the edges over the whole alpha grid in one
-  ``match_edges`` pass, which yields a mask over the edges per alpha, and
+  ``match_edges`` pass, which returns a mask over the edges per alpha, and
   gives HOTA, DetA, AssA and LocA per alpha, plus the matched pairs at
   ``dur_alpha``. In a frame where no row has two gated partners every gated
   pair is forced; these are taken for the whole window at once. A
@@ -326,8 +326,12 @@ def _roi_contains(
 ) -> Callable[[np.ndarray, np.ndarray], np.ndarray]:
     """The point-in-ROI test on coordinate columns for an axis-aligned
     (xmin, ymin, xmax, ymax) rectangle or a convex polygon given as a vertex
-    list; a malformed or degenerate ROI, or a coordinate that is not a
-    finite number, raises ValueError or TypeError."""
+    list; a malformed, degenerate, concave or self-crossing ROI, or a
+    coordinate that is not a finite number, raises ValueError or TypeError.
+
+    The polygon test intersects the half-planes of its edges, which is the
+    polygon only when it is convex: its turns never change sign and add up
+    to one full turn (a pentagram's turns add up to two)."""
     rect = isinstance(roi, tuple) and len(roi) == 4 and not isinstance(roi[0], tuple)
     coords = list(roi) if rect else [c for x, y in roi for c in (x, y)]
     for c in coords:
@@ -348,6 +352,14 @@ def _roi_contains(
     )
     if area2 == 0:
         raise ValueError("degenerate ROI polygon (zero area)")
+    turns = []
+    for (ax, ay), (bx, by), (cx, cy) in zip(verts[-1:] + verts[:-1], verts, verts[1:] + verts[:1]):
+        ux, uy, vx, vy = bx - ax, by - ay, cx - bx, cy - by
+        turns.append(math.atan2(ux * vy - uy * vx, ux * vx + uy * vy))
+    # a turn within float error of straight is a collinear vertex
+    concave = min(turns) < -1e-9 and max(turns) > 1e-9
+    if concave or round(abs(sum(turns)) / math.tau) != 1:
+        raise ValueError("ROI polygon must be convex and must not cross itself")
     orient = 1.0 if area2 > 0 else -1.0
 
     def inside(x: np.ndarray, y: np.ndarray) -> np.ndarray:

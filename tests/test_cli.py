@@ -234,6 +234,8 @@ def test_evaluate_detector_only_prediction_exits_2(tmp_path, capsys):
         ({"roi": [0, 0, math.inf, 4]}, [], "roi"),
         ({"roi": [[math.nan, 0], [4, 0], [0, 4]]}, [], "roi"),
         ({"roi": [True, 0, 4, 4]}, [], "roi"),
+        ({"roi": [[0, 0], [10, 0], [10, 10], [5, 2], [0, 10]]}, [], "roi"),
+        ({"roi": [[0, 10], [6, -8], [-10, 3], [10, 3], [-6, -8]]}, [], "roi"),
     ],
 )
 def test_bad_config_or_flag_exits_2(tmp_path, capsys, config, flags, named):
@@ -377,6 +379,16 @@ def test_convert_bad_fps_exits_2(tmp_path, capsys, fps):
     assert "native_fps must be finite and positive" in capsys.readouterr().err
 
 
+def test_convert_refuses_a_negative_frame(tmp_path, capsys):
+    """convert once wrote frame -1, and gen-anchors then refused the file."""
+    pos = tmp_path / "pos.csv"
+    pos.write_text("-1,3,0\n0,3,1\n")
+    out = tmp_path / "t.csv"
+    assert main(["convert", "--positions", str(pos), "--out", str(out)]) == 2
+    assert "line 1, column 'frame': must be non-negative" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_convert_missing_positions(tmp_path, capsys):
     code = main(
         ["convert", "--positions", str(tmp_path / "x.csv"), "--out", str(tmp_path / "o.csv")]
@@ -472,16 +484,17 @@ def test_only_matching_imports_the_solver(tmp_path):
 
 
 def modules_after(steps, module):
-    """Whether ``module`` is in sys.modules of a fresh process that imports
-    the CLI and then runs each step's argv (none for an empty one), after
-    each step."""
+    """Whether ``module`` or a submodule of it is in sys.modules of a fresh
+    process that imports the CLI and then runs each step's argv (none for an
+    empty one), after each step."""
     script = (
         "import json, sys\n"
         "from mtmceval.cli import main\n"
         "loaded = []\n"
         f"for argv in {steps!r}:\n"
         "    assert not argv or main(argv) == 0, argv\n"
-        f"    loaded.append({module!r} in sys.modules)\n"
+        f"    loaded.append(any(m == {module!r} or m.startswith({module + '.'!r})\n"
+        "                      for m in sys.modules))\n"
         "print(json.dumps(loaded))\n"
     )
     src = str(Path(mtmceval.__file__).parents[1])
@@ -504,6 +517,20 @@ def test_evaluate_and_sweep_fps_never_import_numpy_ma(tmp_path):
          "--rates", "2,1", "--native-fps", "2", "--eval-fps", "1"],
     ]
     assert modules_after(steps, "numpy.ma") == [False, False, False]
+
+
+def test_start_up_loads_neither_scipy_nor_the_solver_pool(tmp_path):
+    """Importing the CLI loads no scipy, numpy.ma or concurrent.futures. An
+    evaluate whose conflicted matrices (two overlapping people here) are all
+    smaller than POOL_CELLS solves them inline: it loads the solver's
+    extension, but starts no pool, so concurrent.futures stays unloaded."""
+    tracks = tmp_path / "tracks.csv"
+    tracks.write_text("0,1,0,0.0,0,0.9,0.6,0.6,1.8,0,1\n0,2,0,0.2,0,0.9,0.6,0.6,1.8,0,1\n")
+    steps = [[], ["evaluate", "--gt", str(tracks), "--pred", str(tracks)]]
+    assert modules_after(steps, "scipy") == [False, True]
+    assert modules_after(steps, "scipy.optimize._lsap") == [False, True]
+    assert modules_after(steps, "numpy.ma") == [False, False]
+    assert modules_after(steps, "concurrent.futures") == [False, False]
 
 
 # --- synth --------------------------------------------------------------------
@@ -665,43 +692,92 @@ def test_synth_bad_spec_value_exits_2_naming_it(tmp_path, capsys, part, values, 
 # --- exit 2 on unreadable inputs ---------------------------------------------
 
 
+# a case whose input path is a directory
+DIRECTORY = "<directory>"
+
+
 @pytest.mark.parametrize(
     "command, given, named",
     [
         ("evaluate", None, "input.json"),
         ("evaluate", "{", "input.json"),
         ("evaluate", "[1, 2]", "input.json"),
+        ("evaluate", DIRECTORY, "input.json"),
+        ("evaluate --gt", DIRECTORY, "input.json"),
+        ("evaluate --gt", b"\xff\n", "input.json"),
+        ("evaluate --out", None, "input.json"),
         ("convert", None, "input.json"),
         ("convert", "{", "input.json"),
         ("convert", '{"stepp": 1}', "input.json"),
+        ("convert --positions", DIRECTORY, "input.json"),
+        ("gen-anchors --out", None, "input.json"),
         ("synth", None, "input.json"),
         ("synth", "{", "input.json"),
+        ("synth --out-gt", None, "input.json"),
         ("sweep-fps", "2,x", "--rates"),
         ("sweep-fps", "2,1", "rate 1.0 has rows off its frame grid"),
     ],
 )
 def test_unreadable_input_exits_2_naming_it(tmp_path, capsys, command, given, named):
     """A config, grid config or spec file that is missing (None), not JSON
-    or not valid; for sweep-fps, a --rates list that is not numbers and a
-    1 fps file holding every 2 fps frame."""
+    or not valid; a config, track or positions file that is a directory or
+    not UTF-8; an output under a directory that does not exist; for
+    sweep-fps, a --rates list that is not numbers and a 1 fps file holding
+    every 2 fps frame."""
     gt, pred_dir = make_sweep_dir(tmp_path)
     path = tmp_path / "input.json"
-    if given is not None:
+    if given == DIRECTORY:
+        path.mkdir()
+    elif isinstance(given, bytes):
+        path.write_bytes(given)
+    elif given is not None:
         path.write_text(given)
     (pred_dir / "1fps.csv").write_bytes((pred_dir / "2fps.csv").read_bytes())
     pos = tmp_path / "pos.csv"
     pos.write_text("0,3,0\n")
+    spec = synth_spec(tmp_path)
     out = str(tmp_path / "out.csv")
+    lost = str(path / "out.csv")
     args = {
         "evaluate": ["--gt", str(gt), "--pred", str(gt), "--config", str(path)],
+        "evaluate --gt": ["--gt", str(path), "--pred", str(gt)],
+        "evaluate --out": ["--gt", str(gt), "--pred", str(gt), "--out", lost],
         "convert": ["--positions", str(pos), "--out", out, "--grid-config", str(path)],
+        "convert --positions": ["--positions", str(path), "--out", out],
+        "gen-anchors --out": ["--gt", str(gt), "--out", lost, "--k", "2"],
         "synth": ["--spec", str(path), "--out-gt", out, "--out-pred", out],
+        "synth --out-gt": ["--spec", str(spec), "--out-gt", lost, "--out-pred", out],
         "sweep-fps": ["--gt", str(gt), "--pred-dir", str(pred_dir), "--native-fps", "2",
                       "--eval-fps", "1", "--rates", str(given)],
     }[command]
-    assert main([command, *args]) == 2
+    assert main([command.split()[0], *args]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and named in err
+
+
+def test_files_are_utf8_whatever_the_locale(tmp_path):
+    """Under an ASCII locale, a config naming a class in UTF-8 is read as
+    UTF-8, and a track file that starts with a UTF-8 byte order mark scores
+    as the same file without it."""
+    gt = tmp_path / "gt.csv"
+    write_tracks(gt)
+    bom = tmp_path / "bom.csv"
+    bom.write_bytes(b"\xef\xbb\xbf" + gt.read_bytes())
+    cfg = tmp_path / "cfg.json"
+    cfg.write_bytes('{"class_names": {"0": "café"}}'.encode())
+    src = str(Path(mtmceval.__file__).parents[1])
+    env = {**os.environ, "LC_ALL": "C", "PYTHONUTF8": "0", "PYTHONIOENCODING": "utf-8",
+           "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    reports = []
+    for pred in (gt, bom):
+        run = subprocess.run(
+            [sys.executable, "-m", "mtmceval.cli", "evaluate", "--gt", str(bom),
+             "--pred", str(pred), "--config", str(cfg)],
+            env=env, capture_output=True, timeout=120,
+        )
+        assert run.returncode == 0, run.stderr
+        reports.append(run.stdout.decode())
+    assert "café" in reports[0] and reports[0] == reports[1]
 
 
 # --- sweep-fps ----------------------------------------------------------------

@@ -216,6 +216,22 @@ def test_parse_positions_rows():
         parse_positions("0,1\n")
 
 
+def test_parse_positions_rejects_a_negative_frame():
+    """convert once wrote frame -1, which the track reader then refused."""
+    with pytest.raises(ParseError, match="line 1, column 'frame': must be non-negative"):
+        parse_positions("-1,3,0\n0,3,1\n")
+
+
+@pytest.mark.parametrize("header", ["", "# frame,track_id\n"])
+def test_a_leading_byte_order_mark_is_skipped(header):
+    """A file saved with a UTF-8 byte order mark once failed on its first
+    line: the mark was read as part of the frame token or the comment."""
+    text = header + "0,7,0,1.0,2.0,0.9,0.6,0.6,1.8,0.0,0.98\n"
+    want = parse_tracks(text).frames
+    assert want and parse_tracks("\ufeff" + text).frames == want
+    assert parse_tracks(b"\xef\xbb\xbf" + text.encode()).frames == want
+
+
 def _seq_with_track(xs, frames, fps, track_id=0):
     frame_map = {}
     for f, x in zip(frames, xs):

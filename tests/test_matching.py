@@ -4,6 +4,7 @@ import subprocess
 import sys
 import threading
 import time
+import tracemalloc
 from pathlib import Path
 from unittest import mock
 
@@ -23,7 +24,7 @@ from mtmceval.matching import (
     match_frame,
     similarity_matrix,
 )
-from mtmceval.metrics import _class_edges, class_report, report_to_json
+from mtmceval.metrics import DEFAULT_ALPHA_GRID, _class_edges, class_report, report_to_json
 from mtmceval.synthgen import DegradeSpec, degrade, gen_scene
 
 BEV = SimilaritySpec(mode="bev_iou")
@@ -558,7 +559,7 @@ def test_crowded_report_bytes_are_the_same_pooled_and_inline():
 
 def test_no_solver_thread_outlives_its_matching():
     """The pool is shut down when class_report is done, when match_frame
-    closes its generator after one alpha, and when a solve raises."""
+    has matched at its one alpha, and when a solve raises."""
     baseline = threading.active_count()
     gt, pred, window = crowd()
     with mock.patch.multiple(matching, **POOLED):
@@ -609,6 +610,30 @@ def test_pooled_masks_hold_with_more_workers_than_cores_and_fast_switching():
                 assert [m.tolist() for m in match_edges(edges, alphas)] == want
     finally:
         sys.setswitchinterval(interval)
+
+
+def test_a_crowded_frame_costs_one_float_per_matrix_cell():
+    """One frame of 1,000 people, each predicted 0.15 m off, is solved on
+    its whole 1,000 x 1,000 gated matrix at most gates: the cost buffer, 8
+    bytes a cell, is all the matching holds per cell, with no index beside
+    it mapping a cell back to its edge."""
+    rng = np.random.default_rng(0)
+    n = 1000
+    gt = np.column_stack((rng.uniform(0, 30, (n, 2)), np.full((n, 2), 0.6)))
+    pred = gt.copy()
+    pred[:, :2] += rng.normal(0, 0.15, (n, 2))
+    frame = np.zeros(n, np.int64)
+    edges = edge_list(gt, pred, frame, frame, BEV)
+    matching._solver()
+    with mock.patch.multiple(matching, POOL_CELLS=1 << 62):
+        tracemalloc.start()
+        try:
+            masks = list(match_edges(edges, DEFAULT_ALPHA_GRID))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    assert masks[0].sum() > 900
+    assert peak < 1.5 * 8 * n * n
 
 
 def test_a_replaced_solver_is_never_entered_by_two_threads():

@@ -544,6 +544,34 @@ def test_filter_rejects_a_roi_coordinate_that_is_not_a_finite_number(roi):
         postprocess_filter(seq, roi, 0.0)
 
 
+@pytest.mark.parametrize(
+    "roi",
+    [[(0, 0), (10, 0), (10, 10), (5, 2), (0, 10)],
+     [(0, 10), (6, -8), (-10, 3), (10, 3), (-6, -8)]],
+    ids=["concave", "pentagram"],
+)
+def test_filter_rejects_a_concave_or_self_crossing_roi(roi):
+    """The filter intersects the half-planes of the polygon's edges, which
+    is the polygon only when it is convex: this concave one once dropped
+    (1, 8), which lies inside it, and the pentagram kept only its inner
+    pentagon."""
+    seq = seq_from_positions({0: [(1.0, 8.0, 1)]})
+    with pytest.raises(ValueError, match="convex"):
+        postprocess_filter(seq, roi, 0.0)
+
+
+def test_filter_accepts_collinear_roi_vertices():
+    """A vertex on the line through its neighbours is no turn, also when
+    float rounding puts it 1e-17 off that line, as (0.03, 0.09) here."""
+    square = [(0, 0), (2, 0), (4, 0), (4, 4), (2, 4), (0, 4)]
+    sliver = [(0, 0), (0.03, 0.09), (0.1, 0.3), (0, 0.45)]
+    for roi, x_in, x_out, y in ((square, 1.0, 5.0, 1.0), (sliver, 0.02, 0.2, 0.2)):
+        seq = seq_from_positions({0: [(x_in, y, 1), (x_out, y, 2)]})
+        for verts in (roi, roi[::-1]):
+            kept = postprocess_filter(seq, verts, 0.0).frames[0][1]
+            assert [d.track_id for d in kept] == [1]
+
+
 def test_filter_without_roi():
     far = make_sequence({0: [det(2e9, 0.0, 1, conf=0.9), det(0.0, 0.0, 2, conf=0.2)]},
                         native_fps=1.0)
