@@ -389,6 +389,16 @@ def test_convert_refuses_a_negative_frame(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_convert_refuses_a_person_twice_in_a_frame(tmp_path, capsys):
+    pos = tmp_path / "pos.csv"
+    pos.write_text("0,3,0\n0,3,1\n1,3,2\n")
+    out = tmp_path / "t.csv"
+    assert main(["convert", "--positions", str(pos), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err == f"error: {pos}: track_id 3 of class 0 appears twice in frame 0\n"
+    assert not out.exists()
+
+
 def test_convert_missing_positions(tmp_path, capsys):
     code = main(
         ["convert", "--positions", str(tmp_path / "x.csv"), "--out", str(tmp_path / "o.csv")]

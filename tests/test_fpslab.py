@@ -70,6 +70,12 @@ def test_subsample_identity():
     assert stride_subsample(seq, 1) == seq
 
 
+@pytest.mark.parametrize("n", [0, -3])
+def test_subsample_rejects_a_stride_below_one(n):
+    with pytest.raises(ValueError, match="^keep_one_of must be >= 1$"):
+        stride_subsample(gt_sequence(4, 30.0), n)
+
+
 def test_subsample_30_to_1fps_keeps_300_of_9000():
     seq = gt_sequence(9000, 30.0)
     sub = stride_subsample(seq, 30)

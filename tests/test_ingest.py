@@ -201,6 +201,19 @@ def test_convert_row_bound():
         convert_positions([(0, 0, 51)], grid, native_fps=2.0)
 
 
+@pytest.mark.parametrize("records, message", [
+    ([(0, 3, 0), (1, 3, -1)], "position_id must be non-negative, got -1"),
+    ([(0, 3, 0), (1, -2, 4)], "person_id must be non-negative, got -2"),
+    ([(0, -2, -1)], "position_id must be non-negative, got -1"),
+    ([(0, 3, 50), (0, -2, 0), (0, 3, -1)], "position_id 50 lies outside the 10x5 grid"),
+    ([(0, -2, 0), (0, 3, 50), (0, 3, -1)], "person_id must be non-negative, got -2"),
+])
+def test_convert_names_the_first_bad_record(records, message):
+    grid = GridConfig(grid_width=10, grid_height=5)
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        convert_positions(records, grid, native_fps=2.0)
+
+
 def test_convert_recenter():
     grid = GridConfig(recenter_x=1.0, recenter_y=-2.0)
     seq = convert_positions([(0, 0, 0)], grid, native_fps=2.0)
@@ -250,6 +263,12 @@ def test_velocity_constant_motion():
 def test_velocity_singleton_identity():
     seq = estimate_velocities(_seq_with_track([5.0], [3], fps=1.0))
     assert seq.frames[0][1][0].velocity == (0.0, 0.0)
+
+
+def test_velocity_rejects_an_identity_twice_in_a_frame():
+    seq = convert_positions([(0, 3, 0), (0, 3, 1), (1, 3, 2)], GridConfig(), native_fps=2.0)
+    with pytest.raises(ValueError, match="^track_id 3 of class 0 appears twice in frame 0$"):
+        estimate_velocities(seq)
 
 
 def test_velocity_across_gap():

@@ -1,4 +1,5 @@
 import itertools
+import math
 import os
 import subprocess
 import sys
@@ -172,6 +173,19 @@ def test_match_frame_requires_track_ids():
     free = Detection(box=box(0, 0), class_id=0, confidence=1.0)
     with pytest.raises(ValueError, match="track_id"):
         match_frame([free], [det(0, 0, 1)], alpha=0.5, spec=BEV)
+
+
+@pytest.mark.parametrize("alpha, shown", [(0.0, "0.0"), (-0.5, "-0.5"), (1.5, "1.5"), (math.nan, "nan")])
+def test_matching_rejects_an_alpha_outside_the_unit_interval(alpha, shown):
+    edges = edge_list(
+        np.array([[0.0, 0.0, 2.0, 2.0]]), np.array([[0.1, 0.0, 2.0, 2.0]]),
+        np.zeros(1, int), np.zeros(1, int), BEV,
+    )
+    message = rf"^alpha must be in \(0, 1\], got {shown}$"
+    with pytest.raises(ValueError, match=message):
+        match_edges(edges, (0.5, alpha))
+    with pytest.raises(ValueError, match=message):
+        match_frame([det(0, 0, 1)], [det(0.1, 0, 2)], alpha=alpha, spec=BEV)
 
 
 @pytest.mark.parametrize("seed", range(30))

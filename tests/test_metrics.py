@@ -150,6 +150,12 @@ def test_avg_track_dur_no_runs():
     assert avg_track_dur([fms()] * 5, f0=1.0) == 0.0
 
 
+@pytest.mark.parametrize("f0", [0, 0.0, -1.0])
+def test_avg_track_dur_rejects_a_rate_that_is_not_positive(f0):
+    with pytest.raises(ValueError, match="^f0 must be positive$"):
+        avg_track_dur([fms(pairs=[(1, 5, 1.0)])], f0=f0)
+
+
 def test_avg_track_dur_perfect_scale():
     # perfect tracker over a 300-frame window at 1 fps with one identity
     matches = [fms(pairs=[(1, 1, 1.0)])] * 300
@@ -590,6 +596,13 @@ def test_class_report_single_class_average_equals_row():
     win = EvalWindow(frame_indices=gt.frame_indices, f0=1.0)
     rep = class_report(gt, gt, win, CD)
     assert rep.class_average == rep.per_class[0]
+
+
+def test_class_report_rejects_an_empty_alpha_grid():
+    gt = seq_from_positions({f: [(0.0, 0.0, 1)] for f in range(3)})
+    win = EvalWindow(frame_indices=gt.frame_indices, f0=1.0)
+    with pytest.raises(ValueError, match="^alpha_grid must be nonempty$"):
+        class_report(gt, gt, win, CD, alpha_grid=())
 
 
 def test_class_report_perfect_and_empty_class():

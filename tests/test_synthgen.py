@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import io
 import math
@@ -5,7 +6,7 @@ import math
 import numpy as np
 import pytest
 
-from mtmceval.datamodel import EvalWindow, validate_sequence
+from mtmceval.datamodel import EvalWindow, Sequence, validate_sequence
 from mtmceval.ingest import emit_tracks
 from mtmceval.matching import SimilaritySpec
 from mtmceval.metrics import class_report
@@ -235,6 +236,17 @@ def test_class_ids_accept_numpy_integers():
 def test_degrade_requires_fp_bounds():
     with pytest.raises(ValueError):
         DegradeSpec(fp_rate=0.5)
+
+
+def test_degrade_requires_a_track_id_on_every_gt_row():
+    gt = scene()
+    t = gt.table
+    free = Sequence.from_table(
+        dataclasses.replace(t, track_id=np.where(np.arange(t.track_id.size) == 4, -1, t.track_id)),
+        gt.native_fps,
+    )
+    with pytest.raises(ValueError, match="^degrade requires GT track_ids$"):
+        degrade(free, DegradeSpec())
 
 
 def test_degrade_loc_noise_keeps_count_and_identity_runs():
