@@ -23,7 +23,7 @@ from typing import TextIO
 
 import numpy as np
 
-from .datamodel import Sequence
+from .datamodel import Sequence, check_int
 
 
 @dataclass(frozen=True)
@@ -53,6 +53,9 @@ def collect_centers(gt: Sequence) -> np.ndarray:
 
 # distance cells per row block of the nearest-center step
 NEAREST_BLOCK = 1 << 17
+# Lloyd steps stop after MAX_ITER steps, or once no centroid moves by TOL
+MAX_ITER = 300
+TOL = 1e-6
 
 
 def _nearest(
@@ -105,13 +108,11 @@ def kmeans(
     points: np.ndarray | list[tuple[float, float, float]],
     k: int,
     seed: int = 0,
-    max_iter: int = 300,
-    tol: float = 1e-6,
 ) -> AnchorBank:
     """Seeded k-means returning the anchor bank with its inertia history.
 
-    Stops when the largest centroid movement drops below tol or after
-    max_iter Lloyd iterations; the recorded inertia sequence is
+    Stops when the largest centroid movement drops below TOL or after
+    MAX_ITER Lloyd iterations; the recorded inertia sequence is
     non-increasing.
     """
     points = np.asarray(points, dtype=float)
@@ -119,10 +120,7 @@ def kmeans(
         raise ValueError("points must be an (n, 3) array")
     if not np.isfinite(points).all():
         raise ValueError("points must be finite")
-    if isinstance(k, bool) or not isinstance(k, (int, np.integer)):
-        raise ValueError(f"k must be an integer, got {k!r}")
-    if k < 1:
-        raise ValueError("k must be >= 1")
+    check_int("k", k, low=1)
     n = len(points)
     if n < k:
         raise ValueError(f"need at least k={k} points, got {n}")
@@ -132,7 +130,7 @@ def kmeans(
     pp = (points**2).sum(axis=1)
     g = np.empty((n, k))
     history: list[float] = []
-    for _ in range(max_iter):
+    for _ in range(MAX_ITER):
         labels = _nearest(points, pp, centers, g)
         assigned = ((points - centers[labels]) ** 2).sum(axis=1)
         history.append(float(assigned.sum()))
@@ -143,7 +141,7 @@ def kmeans(
         new_centers[counts == 0] = points[assigned.argmax()]
         shift = float(np.abs(new_centers - centers).max())
         centers = new_centers
-        if shift < tol:
+        if shift < TOL:
             break
     labels = _nearest(points, pp, centers, g)
     inertia = float(((points - centers[labels]) ** 2).sum())

@@ -168,6 +168,17 @@ class TrackTable:
         order."""
         return np.lexsort((self.track_id, self.class_id, self.frame))
 
+    @cached_property
+    def repeat(self) -> np.ndarray:
+        """The duplicate mask: the rows with a track id whose (track_id,
+        class_id) an earlier row at the same frame index already carries,
+        read off ``order``."""
+        o = self.order
+        same = [k[1:] == k[:-1] for k in (self.frame[o], self.class_id[o], self.track_id[o])]
+        repeat = np.zeros(o.size, bool)
+        repeat[o[1:]] = same[0] & same[1] & same[2] & (self.track_id[o[1:]] != -1)
+        return repeat
+
     def select(
         self, frames: np.ndarray | None = None, rows: np.ndarray | None = None
     ) -> TrackTable:
@@ -381,17 +392,9 @@ class Violation:
 def _row_rules(t: TrackTable, has_id: np.ndarray) -> list[_Rule]:
     """Every per-row rule as (field, mask of the rows breaking it, message
     for row i), in the order they are reported within a row. ``has_id``
-    marks the rows that carry a track_id. A duplicate is a repeat of an
-    earlier (track_id, class_id) in the same frame."""
+    marks the rows that carry a track_id; a duplicate is a row of the
+    table's duplicate mask, ``TrackTable.repeat``."""
     box = dict(zip(_BOX_FIELDS, (t.x, t.y, t.z, t.w, t.l, t.h, t.yaw)))
-    owner = t.owner
-    by_key = np.lexsort((t.class_id, t.track_id, owner))
-    repeat = np.zeros(owner.size, bool)
-    repeat[by_key[1:]] = (
-        (np.diff(owner[by_key]) == 0)
-        & (np.diff(t.track_id[by_key]) == 0)
-        & (np.diff(t.class_id[by_key]) == 0)
-    )
     rules: list[_Rule] = [
         ("confidence", ~((t.conf >= 0.0) & (t.conf <= 1.0)),
          lambda i: f"{float(t.conf[i])} outside [0, 1]"),
@@ -403,7 +406,7 @@ def _row_rules(t: TrackTable, has_id: np.ndarray) -> list[_Rule]:
         ("track_id", has_id & (t.track_id < 0), lambda i: "must be non-negative"),
         ("yaw", ~((t.yaw >= -math.pi) & (t.yaw < math.pi)),
          lambda i: f"{float(t.yaw[i])} not in [-pi, pi)"),
-        ("track_id", repeat & has_id,
+        ("track_id", t.repeat,
          lambda i: f"duplicate (track_id={int(t.track_id[i])}, "
          f"class_id={int(t.class_id[i])}) in frame {int(t.frame[i])}"),
     ]

@@ -108,18 +108,6 @@ class GridConfig:
             check_int("grid_height", self.grid_height, low=1)
         check_int("class_id", self.class_id)
 
-    def cell_to_xy(self, position_id: int) -> tuple[float, float]:
-        col = position_id % self.grid_width
-        row = position_id // self.grid_width
-        if self.grid_height is not None and row >= self.grid_height:
-            raise ValueError(
-                f"position_id {position_id} lies outside the "
-                f"{self.grid_width}x{self.grid_height} grid"
-            )
-        x = self.origin_x + self.step * col + self.recenter_x
-        y = self.origin_y + self.step * row + self.recenter_y
-        return x, y
-
 
 def _parse_float(token: str, line_no: int, column: str) -> float:
     try:
@@ -329,14 +317,15 @@ def convert_positions(
     """
     frame, person, pos = np.array(list(records), dtype=np.int64).reshape(-1, 3).T
     col, row = pos % grid.grid_width, pos // grid.grid_width
-    bad = (pos < 0) | (person < 0)
-    if grid.grid_height is not None:
-        bad |= row >= grid.grid_height
+    outside = row >= (grid.grid_height or math.inf)
+    bad = (pos < 0) | outside | (person < 0)
     if bad.any():
         i = int(np.argmax(bad))
         if pos[i] < 0:
             raise ValueError(f"position_id must be non-negative, got {pos[i]}")
-        grid.cell_to_xy(int(pos[i]))  # raises naming the grid
+        if outside[i]:
+            raise ValueError(f"position_id {pos[i]} lies outside the "
+                             f"{grid.grid_width}x{grid.grid_height} grid")
         raise ValueError(f"person_id must be non-negative, got {person[i]}")
     order = np.argsort(frame, kind="stable")
     col, row = col[order], row[order]
@@ -368,9 +357,9 @@ def estimate_velocities(seq: Sequence) -> Sequence:
     f = t.frame[rows]
     # same[k]: rows k and k + 1 of the identity order share an identity
     same = (np.diff(t.class_id[rows]) == 0) & (np.diff(t.track_id[rows]) == 0)
-    twice = np.flatnonzero(same & (np.diff(f) == 0))
+    twice = rows[t.repeat[rows]]
     if twice.size:
-        r = rows[twice[0]]
+        r = twice[0]
         raise ValueError(
             f"track_id {t.track_id[r]} of class {t.class_id[r]} appears twice "
             f"in frame {t.frame[r]}"

@@ -471,21 +471,14 @@ def match_frame(
             raise ValueError("match_frame requires track_ids on every detection")
     gt = sorted(gt, key=lambda d: d.track_id)
     pred = sorted(pred, key=lambda d: d.track_id)
-    sim = similarity_matrix(gt, pred, spec)
-    r, c = np.nonzero(sim > 0)
-    edges = EdgeList(r, c, sim[r, c], np.zeros(len(gt), int), np.zeros(len(pred), int))
+    edges = edge_list(
+        _footprints(gt), _footprints(pred), np.zeros(len(gt), int), np.zeros(len(pred), int), spec
+    )
     (matched,) = match_edges(edges, (alpha,))
-    rows, cols = r[matched], c[matched]
-    matched_r = set(rows.tolist())
-    matched_c = set(cols.tolist())
-    pairs = tuple(
-        (gt[r].track_id, pred[c].track_id, float(sim[r, c]))
-        for r, c in zip(rows.tolist(), cols.tolist())
+    rows, cols, sims = (a[matched].tolist() for a in (edges.gt, edges.pred, edges.sim))
+    matched_r, matched_c = set(rows), set(cols)
+    return FrameMatchSet(
+        pairs=tuple((gt[r].track_id, pred[c].track_id, s) for r, c, s in zip(rows, cols, sims)),
+        unmatched_gt=tuple(d.track_id for i, d in enumerate(gt) if i not in matched_r),
+        unmatched_pred=tuple(d.track_id for i, d in enumerate(pred) if i not in matched_c),
     )
-    unmatched_gt = tuple(
-        d.track_id for i, d in enumerate(gt) if i not in matched_r
-    )
-    unmatched_pred = tuple(
-        d.track_id for i, d in enumerate(pred) if i not in matched_c
-    )
-    return FrameMatchSet(pairs=pairs, unmatched_gt=unmatched_gt, unmatched_pred=unmatched_pred)
