@@ -9,8 +9,15 @@ and Detection are only the per-row view of that table, built by
 ``_frames_from_table`` when a caller walks ``Sequence.frames``; a Sequence
 built from Detection objects converts them at construction and keeps no
 reference to them. The row rules live once, in ``_row_rules``, for
-validate_sequence and the track CSV row check alike.
+validate_sequence and the track CSV row check alike. A repeated identity is
+decided once too, by the table's duplicate mask ``TrackTable.repeat``: a row
+with a track id repeats when an earlier row at the same frame index, in any
+entry of the frame list, carries its (track_id, class_id). The row rules and
+``ingest.estimate_velocities`` read that mask.
 An EvalWindow likewise stores its frames once, as a sorted int64 array.
+Frame indices and ids are integers in [-2**63, 2**63): a constructor refuses
+any other value, a bool, float or string included, rather than truncate it,
+and negative values stay representable for validate_sequence to report.
 Timestamps are never stored; time in seconds is always frame_index / native_fps.
 """
 
@@ -26,6 +33,9 @@ from typing import Callable, Iterable
 import numpy as np
 
 
+_INT64_MIN = -(2**63)
+
+
 def check_int(name: str, value: object, low: int = 0) -> None:
     """Raise ValueError naming the value unless it is an integer in
     [low, 2**63), the track CSV's id range; bools, floats and strings are
@@ -33,7 +43,22 @@ def check_int(name: str, value: object, low: int = 0) -> None:
     if isinstance(value, bool) or not isinstance(value, numbers.Integral) or not (
         low <= value < 2**63
     ):
-        raise ValueError(f"{name} must be an integer in [{low}, 2**63), got {value!r}")
+        shown = "-2**63" if low == _INT64_MIN else low
+        raise ValueError(f"{name} must be an integer in [{shown}, 2**63), got {value!r}")
+
+
+def _int64_array(name: str, values: Iterable[int] | np.ndarray) -> np.ndarray:
+    """``values`` as an int64 array, an int64 array itself without a copy.
+    The first value that is not an integer in [-2**63, 2**63) raises
+    ValueError naming it, as check_int does."""
+    a = np.asarray(values)
+    if a.dtype == np.int64:
+        return a
+    if a.dtype.kind not in "iu" or (a.dtype.kind == "u" and a.max(initial=0) >= 2**63):
+        # as given: np.asarray turns [-1, 2**63] into floats and [1, "a"] into strings
+        for v in np.asarray(values, dtype=object).ravel().tolist():
+            check_int(name, v, low=_INT64_MIN)
+    return a.astype(np.int64)
 
 
 def check_real(name: str, value: object, upper: float = math.inf, zero: bool = False) -> None:
@@ -111,6 +136,11 @@ class Detection:
     velocity: tuple[float, float] | None = None
 
     def __post_init__(self) -> None:
+        # ids may be negative, for validate_sequence to report, but never
+        # truncated: the table holds them as int64
+        check_int("class_id", self.class_id, low=_INT64_MIN)
+        if self.track_id is not None:
+            check_int("track_id", self.track_id, low=_INT64_MIN)
         object.__setattr__(self, "confidence", float(self.confidence))
         if self.velocity is not None:
             vx, vy = self.velocity
@@ -128,7 +158,10 @@ class TrackTable:
 
     Frame k of ``frame_index`` owns rows ``offsets[k]:offsets[k + 1]``; a
     frame may own none. ``owner`` (each row's k) and ``frame`` (each row's
-    frame index) are derived from these on first read, never stored.
+    frame index) are derived from these on first read, never stored, and
+    so are ``order`` and the duplicate mask ``repeat``, which marks a row
+    with a track id when an earlier row at the same frame index carries its
+    (track_id, class_id), whichever entry of ``frame_index`` holds it.
     ``track_id`` is -1 where a row has no track id; ``vx``/``vy`` are None
     when no row carries a velocity and NaN on rows without one.
     """
@@ -214,7 +247,8 @@ def table_from_columns(frame: np.ndarray, *columns: np.ndarray) -> TrackTable:
 
 
 def _table_from_frames(frames: Iterable[tuple[int, Iterable[Detection]]]) -> TrackTable:
-    frames = [(int(fi), tuple(ds)) for fi, ds in frames]
+    frames = [(fi, tuple(ds)) for fi, ds in frames]
+    frame_index = _int64_array("frame_index", [fi for fi, _ in frames])
     dets = [d for _, ds in frames for d in ds]
     boxes = [d.box for d in dets]
     n = len(dets)
@@ -231,7 +265,6 @@ def _table_from_frames(frames: Iterable[tuple[int, Iterable[Detection]]]) -> Tra
         nan = (math.nan, math.nan)
         vx, vy = np.array([v or nan for v in velocity], dtype=float).reshape(n, 2).T.copy()
     counts = np.array([len(ds) for _, ds in frames], dtype=np.int64)
-    frame_index = np.array([fi for fi, _ in frames], dtype=np.int64)
     return TrackTable(
         frame_index, np.concatenate(([0], np.cumsum(counts))),
         track_id, column(dets, "class_id", np.int64),
@@ -358,7 +391,7 @@ class EvalWindow:
     f0: float
 
     def __init__(self, frame_indices: Iterable[int] | np.ndarray, f0: float) -> None:
-        frames = np.asarray(frame_indices, dtype=np.int64).view()
+        frames = _int64_array("frame_index", frame_indices).view()
         if not frames.size:
             raise ValueError("EvalWindow needs at least one frame")
         check_real("f0", f0)

@@ -81,12 +81,21 @@ def stride_subsample(seq: Sequence, keep_one_of: int) -> Sequence:
 def controlled_window(gt: Sequence, native_fps: float, eval_fps: float) -> EvalWindow:
     """The fixed evaluation window: native frames first, first + s, ... up to
     the last GT frame, with s = native_fps / eval_fps and first the first GT
-    frame; f0 = eval_fps. Grid frames without GT rows stay in the window."""
+    frame; f0 = eval_fps. Grid frames without GT rows stay in the window.
+    A window of 2**63 frames or more, which no int64 array can index, raises
+    ValueError naming its first and last frame."""
     s = stride_for(native_fps, eval_fps)
     fi = gt.table.frame_index
     if not fi.size:
         raise ValueError("ground truth has no frames to window")
-    return EvalWindow(np.arange(fi[0], fi[-1] + 1, s), f0=eval_fps)
+    # counted in Python integers: int64 arithmetic wraps at the top frame
+    first, last = fi[[0, -1]].tolist()
+    n = (last - first) // s + 1
+    if n >= 2**63:
+        raise ValueError(
+            f"the window from frame {first} to frame {last} holds 2**63 frames or more"
+        )
+    return EvalWindow(first + s * np.arange(n), f0=eval_fps)
 
 
 def fps_sweep(

@@ -78,7 +78,8 @@ class ParseError(ValueError):
 
 @dataclass(frozen=True)
 class GridConfig:
-    """Parameters mapping a ground-plane grid cell index to metric space.
+    """Parameters mapping a ground-plane grid cell index to metric space;
+    convert_positions applies them.
 
     positionID decodes as row * grid_width + col; the cell center lands at
     origin + step * (col, row), optionally translated by (recenter_x,
@@ -313,7 +314,9 @@ def convert_positions(
     mapping and whose center sits at half the person height above ground,
     with yaw 0, confidence 1 and track_id = person_id (which must be
     non-negative: -1 marks a row without track id). Rows are ordered by
-    frame, records of one frame in input order.
+    frame, records of one frame in input order. The first bad record in
+    input order raises ValueError: a negative position_id, then one beyond
+    grid_height rows, then a negative person_id.
     """
     frame, person, pos = np.array(list(records), dtype=np.int64).reshape(-1, 3).T
     col, row = pos % grid.grid_width, pos // grid.grid_width
@@ -350,6 +353,8 @@ def estimate_velocities(seq: Sequence) -> Sequence:
     same (class_id, track_id); one-sided at identity endpoints; (0, 0) for
     identities seen exactly once. Box geometry, identities, confidences and
     frame structure are untouched; rows without a track id get no velocity.
+    An identity twice at one frame index (the table's duplicate mask) raises
+    ValueError.
     """
     t = seq.table
     rows = np.flatnonzero(t.track_id != -1)

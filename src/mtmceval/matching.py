@@ -8,7 +8,8 @@ the solver's optimum coincide with the exhaustive max-total-similarity gated
 matching.
 
 Scoring matches many frames at once on an ``EdgeList``, the nonzero
-similarities between the rows of each frame. ``edge_list`` finds them by
+similarities between the rows of each frame, and ``match_frame`` matches
+one frame as an edge list of one frame. ``edge_list`` finds them by
 sweep and prune: a GT row is scored only against the predictions of its
 frame whose x lies within the reach of a nonzero similarity. At a gate
 alpha, a frame in which no gated row has two gated partners holds only

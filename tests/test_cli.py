@@ -767,8 +767,10 @@ def test_unreadable_input_exits_2_naming_it(tmp_path, capsys, command, given, na
 
 def test_files_are_utf8_whatever_the_locale(tmp_path):
     """Under an ASCII locale, a config naming a class in UTF-8 is read as
-    UTF-8, and a track file that starts with a UTF-8 byte order mark scores
-    as the same file without it."""
+    UTF-8, a track file that starts with a UTF-8 byte order mark scores as
+    the same file without it, and the report goes to stdout as UTF-8 whether
+    or not PYTHONIOENCODING asks for it (an ASCII stdout once made evaluate
+    exit 1 on the class name)."""
     gt = tmp_path / "gt.csv"
     write_tracks(gt)
     bom = tmp_path / "bom.csv"
@@ -776,18 +778,23 @@ def test_files_are_utf8_whatever_the_locale(tmp_path):
     cfg = tmp_path / "cfg.json"
     cfg.write_bytes('{"class_names": {"0": "café"}}'.encode())
     src = str(Path(mtmceval.__file__).parents[1])
-    env = {**os.environ, "LC_ALL": "C", "PYTHONUTF8": "0", "PYTHONIOENCODING": "utf-8",
-           "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONIOENCODING"}
+    env |= {"LC_ALL": "C", "PYTHONUTF8": "0",
+            "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
     reports = []
-    for pred in (gt, bom):
+    for pred, io_encoding, extra in (
+        (gt, "utf-8", []), (bom, "utf-8", []), (gt, None, []), (gt, None, ["--per-class"])
+    ):
         run = subprocess.run(
             [sys.executable, "-m", "mtmceval.cli", "evaluate", "--gt", str(bom),
-             "--pred", str(pred), "--config", str(cfg)],
-            env=env, capture_output=True, timeout=120,
+             "--pred", str(pred), "--config", str(cfg), *extra],
+            env=env | ({"PYTHONIOENCODING": io_encoding} if io_encoding else {}),
+            capture_output=True, timeout=120,
         )
         assert run.returncode == 0, run.stderr
         reports.append(run.stdout.decode())
-    assert "café" in reports[0] and reports[0] == reports[1]
+    assert "café" in reports[0] and reports[0] == reports[1] == reports[2]
+    assert reports[3].startswith(reports[0]) and "\nclass café: hota=" in reports[3]
 
 
 # --- sweep-fps ----------------------------------------------------------------

@@ -13,6 +13,7 @@ from mtmceval.datamodel import (
     normalize_yaw,
     validate_sequence,
 )
+from mtmceval.ingest import estimate_velocities
 
 
 def _det(x=0.0, y=0.0, track_id=0, class_id=0, confidence=1.0):
@@ -99,6 +100,19 @@ def test_validate_frame_regression_and_negative_dims():
     assert "width" in fields
 
 
+def test_validate_reports_a_duplicate_across_two_entries_of_one_frame():
+    """Parsing, validate_sequence, scoring and estimate_velocities count
+    one identity per frame index, not per entry of the frame list."""
+    a, b = _det(track_id=1), _det(x=2.0, track_id=1)
+    seq = Sequence(((0, (a,)), (0, (b,))), 1.0)
+    assert [str(v) for v in validate_sequence(seq)] == [
+        "frame 0: frame_index: not strictly increasing (previous 0)",
+        "frame 0: track_id: duplicate (track_id=1, class_id=0) in frame 0",
+    ]
+    with pytest.raises(ValueError, match="^track_id 1 of class 0 appears twice in frame 0$"):
+        estimate_velocities(seq)
+
+
 def test_same_track_id_different_class_is_allowed():
     seq = make_sequence(
         {0: [_det(track_id=7, class_id=0), _det(x=3.0, track_id=7, class_id=1)]},
@@ -111,7 +125,8 @@ def test_eval_window_sorts_and_validates():
     w = EvalWindow(frame_indices=(5, 1, 3), f0=2.0)
     assert w.frame_indices == (1, 3, 5)
     assert len(w) == 3
-    for given in ([7, 3, 7, 1, 3], (1, 3, 7), range(1, 8, 2), np.array([1, 3, 7], np.int64)):
+    for given in ([7, 3, 7, 1, 3], (1, 3, 7), range(1, 8, 2), np.array([1, 3, 7], np.int64),
+                  np.array([3, -1], np.int32), np.array([3, 1], np.uint64), [2**63 - 1, -(2**63)]):
         w = EvalWindow(given, 2.0)
         want = sorted(set(given.tolist() if isinstance(given, np.ndarray) else given))
         assert w.frames.dtype == np.int64 and w.frames.tolist() == want
@@ -130,6 +145,46 @@ def test_eval_window_sorts_and_validates():
         EvalWindow(frame_indices=(), f0=1.0)
     with pytest.raises(ValueError):
         EvalWindow(frame_indices=(0,), f0=0.0)
+
+
+INT64_RULE = r"{} must be an integer in \[-2\*\*63, 2\*\*63\)"
+
+
+@pytest.mark.parametrize("given, shown", [
+    ([0.5, 1.7, 2.2], "0.5"),
+    (np.array([1.9, 3.9]), "1.9"),
+    ([True, False], "True"),
+    (["1", "2"], "'1'"),
+    ([2**63], str(2**63)),
+    ([1, 2**64], str(2**64)),
+    ([-1, 2**63], str(2**63)),
+    ([1, "a"], "'a'"),
+])
+def test_eval_window_refuses_frames_that_are_not_int64_integers(given, shown):
+    with pytest.raises(ValueError, match=rf"^{INT64_RULE.format('frame_index')}, got {shown}$"):
+        EvalWindow(given, 1.0)
+
+
+@pytest.mark.parametrize("build, field, shown", [
+    (lambda: Sequence(((0.5, (_det(),)),), 1.0), "frame_index", "0.5"),
+    (lambda: Sequence(((np.float64(2.0), ()),), 1.0), "frame_index", r"np.float64\(2.0\)"),
+    (lambda: Sequence(((2**63, ()),), 1.0), "frame_index", str(2**63)),
+    (lambda: _det(track_id=1.7), "track_id", "1.7"),
+    (lambda: _det(class_id=0.9), "class_id", "0.9"),
+    (lambda: _det(track_id=True), "track_id", "True"),
+    (lambda: _det(class_id="0"), "class_id", "'0'"),
+    (lambda: _det(track_id=-(2**63) - 1), "track_id", str(-(2**63) - 1)),
+])
+def test_sequences_and_detections_refuse_ids_that_are_not_int64_integers(build, field, shown):
+    with pytest.raises(ValueError, match=rf"^{INT64_RULE.format(field)}, got {shown}$"):
+        build()
+
+
+def test_negative_ids_and_frames_stay_representable():
+    d = _det(track_id=-2, class_id=np.int64(-1))
+    seq = Sequence(((np.int32(-3), (d,)),), 1.0)
+    assert seq.table.frame_index.tolist() == [-3] and seq.frames[0][1] == (d,)
+    assert {v.field for v in validate_sequence(seq)} == {"frame_index", "class_id", "track_id"}
 
 
 @pytest.mark.parametrize("rate", [math.nan, math.inf, -1.0])

@@ -1,6 +1,7 @@
 import json
 import time
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -121,6 +122,20 @@ def test_controlled_window_rejects_non_divisor():
     gt = gt_sequence(30, 30.0)
     with pytest.raises(ValueError):
         controlled_window(gt, native_fps=30.0, eval_fps=7.0)
+
+
+def test_controlled_window_reaches_the_top_int64_frame_without_wrapping():
+    gt = make_sequence({2**63 - 2: [det(0, 0, 1)], 2**63 - 1: [det(0, 0, 1)]}, 30.0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        window = controlled_window(gt, 30.0, 30.0)
+    assert window.frame_indices == (2**63 - 2, 2**63 - 1)
+
+
+def test_controlled_window_refuses_2_to_the_63_frames_naming_its_ends():
+    gt = make_sequence({0: [det(0, 0, 1)], 2**63 - 1: [det(0, 0, 1)]}, 30.0)
+    with pytest.raises(ValueError, match=f"^the window from frame 0 to frame {2**63 - 1} holds "):
+        controlled_window(gt, 30.0, 30.0)
 
 
 def test_grid_is_anchored_on_native_indices_not_row_positions():

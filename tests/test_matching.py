@@ -175,7 +175,9 @@ def test_match_frame_requires_track_ids():
         match_frame([free], [det(0, 0, 1)], alpha=0.5, spec=BEV)
 
 
-@pytest.mark.parametrize("alpha, shown", [(0.0, "0.0"), (-0.5, "-0.5"), (1.5, "1.5"), (math.nan, "nan")])
+@pytest.mark.parametrize(
+    "alpha, shown", [(0.0, "0.0"), (-0.5, "-0.5"), (1.5, "1.5"), (math.nan, "nan")]
+)
 def test_matching_rejects_an_alpha_outside_the_unit_interval(alpha, shown):
     edges = edge_list(
         np.array([[0.0, 0.0, 2.0, 2.0]]), np.array([[0.1, 0.0, 2.0, 2.0]]),
