@@ -9,6 +9,7 @@ detections. Each rate's stride divides the window's, so windows nest.
 from __future__ import annotations
 
 import json
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -49,8 +50,13 @@ class SweepSpec:
 
 def stride_for(native_fps: float, rate: float) -> int:
     """keep-1-of-n stride realizing an inference rate; native_fps must divide
-    evenly."""
+    evenly, into fewer than 2**63 frames."""
+    check_real("native_fps", native_fps)
     check_real("rate", rate)
+    if native_fps / rate >= 2**63:
+        raise ValueError(
+            f"rate {rate} divides native_fps {native_fps} into a stride of 2**63 frames or more"
+        )
     n = round(native_fps / rate)
     if n < 1 or abs(native_fps - n * rate) > 1e-9:
         raise ValueError(
@@ -65,8 +71,11 @@ def stride_subsample(seq: Sequence, keep_one_of: int) -> Sequence:
     first frame index; frames between grid points are dropped.
 
     The effective frame rate drops to native_fps / n; retained frames keep
-    their native indices.
+    their native indices. A stride that is a bool or not an integer raises
+    ValueError naming it.
     """
+    if isinstance(keep_one_of, bool) or not isinstance(keep_one_of, numbers.Integral):
+        raise ValueError(f"keep_one_of must be an integer, got {keep_one_of!r}")
     if keep_one_of < 1:
         raise ValueError("keep_one_of must be >= 1")
     fi = seq.table.frame_index

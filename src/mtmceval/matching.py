@@ -19,12 +19,17 @@ its whole gated matrix, scattered from its edges.
 ``match_edges`` walks the whole alpha grid from a layout of the edge list
 built once: each frame's edges, matrix shape and conflict level (the
 largest second-highest similarity of any of its rows), below which it
-holds only forced pairs. It solves each distinct gated matrix of a frame
-once, on a thread pool when an alpha's matrices are large and more than one
-CPU is usable, and returns a list of each alpha's matching as a boolean mask
-over the edges; every matrix is the same on any thread, so every mask is
-too. The solver, scipy's compiled ``_lsap`` extension, is loaded on the
-first solve without importing scipy.optimize.
+holds only forced pairs. A conflicted frame keeps the previous alpha's pairs
+while it has no more gated edges than there and every pair matched there
+still clears the gate: its gated edges are then a subset of those there, so
+that matching is feasible and still optimal. On an exact tie it is thus the
+lower alpha's choice that holds, not that of a fresh solve. Every other
+conflicted frame is solved, on a thread pool when an alpha's matrices are
+large and more than one CPU is usable, and ``match_edges`` returns a list of
+each alpha's matching as a boolean mask over the edges; every matrix is the
+same on any thread, so every mask is too. The solver, scipy's compiled
+``_lsap`` extension, is loaded on the first solve without importing
+scipy.optimize.
 """
 
 from __future__ import annotations
@@ -342,27 +347,32 @@ def _solve_chunk(
     return edge[np.searchsorted(pos, cells[buf[cells] < 0])]
 
 
-def _plan(layout: _Layout, sim: np.ndarray, alpha: float, before: np.ndarray):
+def _plan(
+    layout: _Layout, sim: np.ndarray, alpha: float, before: np.ndarray, kept: np.ndarray
+):
     """The work of one alpha, given each frame's gated edge count at the
-    alpha before (-1 for none): the forced pairs as a mask over the edges,
-    the frames that keep the previous alpha's pairs, the frames to solve in
-    chunks of about EDGE_BLOCK cells (the last three ``_solve_chunk``
-    arguments of each), their mean matrix size in cells, and each frame's
-    gated edge count here.
+    alpha before (-1 for none) and that alpha's matching ``kept``, a mask
+    over the edges: the forced and kept pairs as a mask over the edges, the
+    frames to solve in chunks of about EDGE_BLOCK cells (the last three
+    ``_solve_chunk`` arguments of each), their mean matrix size in cells,
+    and each frame's gated edge count here.
 
     A frame's gated edge sets are nested across alphas, so a conflicted
-    frame with as many gated edges as at the alpha before has the same
-    matrix, bit for bit, and keeps its pairs.
+    frame with at most as many gated edges as at the alpha before has a
+    subset of its edges there. When every pair matched there still clears
+    the gate, that matching is feasible here and no matching here beats it,
+    so the frame keeps its pairs.
     """
     gate = sim >= alpha
     count = np.add.reduceat(gate, layout.first, dtype=np.intp)
+    lost = np.add.reduceat(kept & ~gate, layout.first)
     hard = layout.level >= alpha
-    mask = gate & ~np.repeat(hard, layout.count)
-    reuse = hard & (count == before)
+    reuse = hard & (count <= before) & (lost == 0)
+    mask = (gate & ~np.repeat(hard, layout.count)) | (kept & np.repeat(reuse, layout.count))
     solve = hard & ~reuse
     new = np.flatnonzero(solve)
     if new.size == 0:
-        return mask, reuse, [], 0.0, count
+        return mask, [], 0.0, count
     e = np.flatnonzero(gate & np.repeat(solve, layout.count))
     n, rows, cols = count[new], layout.rows[new], layout.cols[new]
     size = rows * cols
@@ -374,7 +384,7 @@ def _plan(layout: _Layout, sim: np.ndarray, alpha: float, before: np.ndarray):
         (shape[lo:hi] - (start[lo], 0, 0), n[lo:hi], e[stop[lo] - n[lo] : stop[hi - 1]])
         for lo, hi in zip([0, *cuts], [*cuts, new.size])
     ]
-    return mask, reuse, chunks, size.mean(), count
+    return mask, chunks, size.mean(), count
 
 
 def _usable_cpus() -> int:
@@ -392,10 +402,13 @@ def match_edges(edges: EdgeList, alphas: tuple[float, ...]) -> list[np.ndarray]:
     Returns, per alpha, a boolean mask over the edges that marks the matched
     pairs; as the edges are sorted by (GT row, prediction row), the matched
     pairs come out in GT row order. A frame below its conflict level holds
-    only forced pairs, taken as they are. Every other (conflicted) frame is
-    solved on its whole gated matrix by one linear_sum_assignment call per
-    distinct matrix, or keeps the pairs of the alpha before when its gated
-    edge count, and so its matrix, is unchanged.
+    only forced pairs, taken as they are. Every other (conflicted) frame
+    keeps the pairs of the alpha before when it has at most as many gated
+    edges as there and none of those pairs has fallen below the gate: its
+    gated edges are a subset of those there, so the kept matching is still
+    optimal, and where the optimum is not unique the frame keeps the lower
+    alpha's choice. Otherwise it is solved on its whole gated matrix by one
+    linear_sum_assignment call.
 
     When this process may use more than one CPU and an alpha's new matrices
     average at least POOL_CELLS cells, they are solved on a thread pool (the
@@ -410,7 +423,9 @@ def match_edges(edges: EdgeList, alphas: tuple[float, ...]) -> list[np.ndarray]:
     for alpha in alphas:
         _check_alpha(alpha)
     layout = _layout(edges)
+    # before the first alpha: no frame has gated edges, no pair is matched
     count = np.full(layout.first.size, -1)
+    mask = np.zeros(edges.sim.size, bool)
     cpus = _usable_cpus()
     # a replaced solver is called by one thread at a time
     lock = contextlib.nullcontext() if linear_sum_assignment is _OWN_SOLVER else threading.Lock()
@@ -418,9 +433,7 @@ def match_edges(edges: EdgeList, alphas: tuple[float, ...]) -> list[np.ndarray]:
     masks, pool = [], None
     try:
         for alpha in alphas:
-            mask, reuse, chunks, cells, count = _plan(layout, edges.sim, alpha, count)
-            if reuse.any():
-                mask |= masks[-1] & np.repeat(reuse, layout.count)
+            mask, chunks, cells, count = _plan(layout, edges.sim, alpha, count, mask)
             if chunks:
                 _solver()  # loaded here, never in a worker
                 if cpus > 1 and cells >= POOL_CELLS:

@@ -19,9 +19,11 @@ read that pass and compute nothing twice:
   gives HOTA, DetA, AssA and LocA per alpha, plus the matched pairs at
   ``dur_alpha``. In a frame where no row has two gated partners every gated
   pair is forced; these are taken for the whole window at once. A
-  conflicted frame is solved on its whole gated matrix, scattered from its
-  edges, once per distinct matrix: when its gated edges at one alpha are
-  those of the alpha before, it keeps the pairs found there. Each edge's
+  conflicted frame keeps the pairs of the alpha before while all of them
+  still clear the gate and it has no more gated edges than there: its gated
+  edges are then a subset of those there, so that matching stays optimal
+  (on an exact tie, the lower alpha's choice holds). Otherwise it is solved
+  on its whole gated matrix, scattered from its edges. Each edge's
   (GT id, prediction id) pair is numbered once, so an alpha's AssA counts
   are one bincount over the masked edges;
 - ``_run_seconds`` counts runs of matched prediction ids over window

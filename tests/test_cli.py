@@ -236,6 +236,8 @@ def test_evaluate_detector_only_prediction_exits_2(tmp_path, capsys):
         ({"roi": [True, 0, 4, 4]}, [], "roi"),
         ({"roi": [[0, 0], [10, 0], [10, 10], [5, 2], [0, 10]]}, [], "roi"),
         ({"roi": [[0, 10], [6, -8], [-10, 3], [10, 3], [-6, -8]]}, [], "roi"),
+        ({}, ["--native-fps", "1e300", "--eval-fps", "1"], "stride of 2**63 frames or more"),
+        ({}, ["--eval-fps", "1e-320"], "stride of 2**63 frames or more"),
     ],
 )
 def test_bad_config_or_flag_exits_2(tmp_path, capsys, config, flags, named):

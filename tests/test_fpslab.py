@@ -66,6 +66,20 @@ def test_stride_for_names_a_bad_rate(rate, shown):
         stride_for(30.0, rate)
 
 
+@pytest.mark.parametrize("fps, shown", [(float("nan"), "nan"), (float("inf"), "inf"),
+                                        (0.0, "0.0"), (-30.0, "-30.0"), (True, "True")])
+def test_stride_for_names_a_bad_native_fps(fps, shown):
+    """A bad native rate is named, by stride_for and by the two callers
+    that take it from a user: SweepSpec and controlled_window."""
+    message = f"^native_fps must be finite and positive, got {shown}$"
+    with pytest.raises(ValueError, match=message):
+        stride_for(fps, 1.0)
+    with pytest.raises(ValueError, match=message):
+        SweepSpec(native_fps=fps, inference_rates=(1.0,), eval_fps=1.0)
+    with pytest.raises(ValueError, match=message):
+        controlled_window(gt_sequence(4, 30.0), fps, 1.0)
+
+
 def test_subsample_identity():
     seq = gt_sequence(20, 30.0)
     assert stride_subsample(seq, 1) == seq
@@ -75,6 +89,19 @@ def test_subsample_identity():
 def test_subsample_rejects_a_stride_below_one(n):
     with pytest.raises(ValueError, match="^keep_one_of must be >= 1$"):
         stride_subsample(gt_sequence(4, 30.0), n)
+
+
+@pytest.mark.parametrize("n, shown", [(1.5, "1.5"), (2.0, "2.0"), (True, "True"), ("2", "'2'")])
+def test_subsample_names_a_stride_that_is_not_an_integer(n, shown):
+    """A float stride is refused, not rounded by the grid test: 1.5 would
+    keep every third frame and label the result 20 FPS."""
+    with pytest.raises(ValueError, match=f"^keep_one_of must be an integer, got {shown}$"):
+        stride_subsample(gt_sequence(10, 30.0), n)
+
+
+def test_subsample_takes_a_numpy_integer_stride():
+    seq = gt_sequence(10, 30.0)
+    assert stride_subsample(seq, np.int64(3)) == stride_subsample(seq, 3)
 
 
 def test_subsample_30_to_1fps_keeps_300_of_9000():

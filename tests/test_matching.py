@@ -331,10 +331,12 @@ def test_edge_list_arrays_are_the_nonzero_matrix_entries(case):
     assert edges.gt_frame is gt_frame and edges.pred_frame is pred_frame
 
 
-def test_match_edges_solves_each_distinct_matrix_once(monkeypatch):
-    """Over the alpha grid, the solver runs once per distinct (frame, gated
-    edge set) of a conflicted frame, and every alpha gives each frame the
-    pairs that match_frame gives it alone."""
+def test_match_edges_solves_a_frame_only_when_its_pairs_fall_below_the_gate(monkeypatch):
+    """Over the alpha grid, the solver runs once per (frame, alpha) at which
+    the frame is conflicted and either the alpha is the first or a pair
+    matched at the alpha before fell below the gate; every other conflicted
+    frame keeps its pairs. Every alpha gives each frame the pairs that
+    match_frame gives it alone."""
     alphas = tuple(round(0.05 * i, 2) for i in range(1, 20))
     rng = np.random.default_rng(5)
     frames = [
@@ -350,14 +352,19 @@ def test_match_edges_solves_each_distinct_matrix_once(monkeypatch):
 
     (gt, gt_frame), (pred, pred_frame) = side(0), side(1)
     edges = edge_list(gt, pred, gt_frame, pred_frame, CD)
-    distinct = set()
-    for alpha in alphas:
+    solves = kept = 0
+    for i, alpha in enumerate(alphas):
         keep = edges.sim >= alpha
-        for f in range(len(frames)):
+        for f, (gt_f, pred_f) in enumerate(frames):
             mine = keep & (gt_frame[edges.gt] == f)
             g, p = edges.gt[mine].tolist(), edges.pred[mine].tolist()
-            if len(set(g)) < len(g) or len(set(p)) < len(p):
-                distinct.add((f, tuple(zip(g, p))))
+            if len(set(g)) == len(g) and len(set(p)) == len(p):
+                continue
+            before = match_frame(gt_f, pred_f, alphas[i - 1], CD).pairs if i else ()
+            if i == 0 or any(s < alpha for _, _, s in before):
+                solves += 1
+            else:
+                kept += 1
     calls = []
     real = matching.linear_sum_assignment
 
@@ -368,8 +375,8 @@ def test_match_edges_solves_each_distinct_matrix_once(monkeypatch):
     monkeypatch.setattr(matching, "linear_sum_assignment", counting)
     matched = list(match_edges(edges, alphas))
     monkeypatch.undo()
-    assert len(distinct) >= 30
-    assert len(calls) == len(distinct)
+    assert solves >= 30 and kept >= 30
+    assert len(calls) == solves
     g0 = np.searchsorted(gt_frame, np.arange(len(frames)))
     p0 = np.searchsorted(pred_frame, np.arange(len(frames)))
     for alpha, mask in zip(alphas, matched):
@@ -446,12 +453,15 @@ def test_solver_falls_back_to_the_public_import(monkeypatch):
 
 def reference_match_edges(edges, alphas):
     """The matcher as it was before frames got a layout: at each alpha, a
-    degree test over the gated edges finds the conflicted frames, and each
-    distinct gated matrix is solved once, inline."""
+    degree test over the gated edges finds the conflicted frames. A frame
+    conflicted at the alpha before too, with no more gated edges than there
+    and no pair matched there now below the gate, keeps that alpha's pairs;
+    every other conflicted frame is solved inline."""
     prev_hard = prev_count = np.empty(0, np.int64)
     prev = np.zeros(edges.sim.size, bool)
     for alpha in alphas:
         mask = edges.sim >= alpha
+        lost = set(edges.gt_frame[edges.gt[prev & ~mask]].tolist())
         g, p = edges.gt[mask], edges.pred[mask]
         frame = edges.gt_frame[g]
         clash = (np.bincount(g)[g] > 1) | (np.bincount(p)[p] > 1)
@@ -462,7 +472,8 @@ def reference_match_edges(edges, alphas):
             same = np.zeros(hard.size, bool)
             if prev_hard.size:
                 at = np.minimum(np.searchsorted(prev_hard, hard), prev_hard.size - 1)
-                same = (prev_hard[at] == hard) & (prev_count[at] == b - a)
+                same = (prev_hard[at] == hard) & (prev_count[at] >= b - a)
+                same &= [f not in lost for f in hard.tolist()]
             gated = np.flatnonzero(mask)
             for f, k0, k1, keep in zip(hard.tolist(), a.tolist(), b.tolist(), same.tolist()):
                 mine = gated[k0:k1]
@@ -529,6 +540,25 @@ def test_match_edges_equals_the_reference_matcher(pooled, case, block):
     assert len(got) == len(want) == len(alphas)
     for a, b in zip(got, want):
         assert a.tolist() == b.tolist()
+
+
+def test_a_tied_frame_keeps_the_matching_of_the_alpha_before():
+    """One frame, GT rows 0-5 and prediction rows 0-4, whose gated optimum
+    at 0.5 is not unique: GT 5 may take prediction 2 or 3. Both pairs
+    matched at 0.3 still clear 0.5, so that matching is optimal there too,
+    and the frame keeps it instead of solving its smaller matrix afresh."""
+    cells = [(4, 2, 0.3), (4, 4, 0.5), (5, 2, 0.5), (5, 3, 0.5)]
+    g, p, sim = np.array(cells).T
+    edges = matching.EdgeList(g.astype(np.int64), p.astype(np.int64), sim,
+                              np.zeros(6, np.int64), np.zeros(5, np.int64))
+
+    def pairs(mask):
+        return list(zip(edges.gt[mask].tolist(), edges.pred[mask].tolist()))
+
+    low, high = match_edges(edges, (0.3, 0.5))
+    (alone,) = match_edges(edges, (0.5,))
+    assert pairs(low) == pairs(high) == [(4, 4), (5, 3)]
+    assert edges.sim[alone].sum() == edges.sim[high].sum() == 1.0
 
 
 # --- the solver thread pool ---------------------------------------------------
