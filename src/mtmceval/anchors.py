@@ -93,7 +93,11 @@ def _kmeans_pp_init(cols: np.ndarray, k: int, rng: np.random.Generator) -> np.nd
             if total <= 0:
                 idx = rng.integers(n)
             else:
-                idx = rng.choice(n, p=d2 / total)
+                # what rng.choice(n, p=d2 / total) does for one draw,
+                # without its checks and copies of p
+                cdf = np.cumsum(d2 / total)
+                cdf /= cdf[-1]
+                idx = cdf.searchsorted(rng.random(), side="right")
         cx, cy, cz = cols[:, idx]
         centers[i] = cx, cy, cz
         # summed in the order of a row sum over (x, y, z)

@@ -264,11 +264,18 @@ def cmd_sweep_fps(args: argparse.Namespace) -> int:
         )
     except ValueError as exc:
         raise InputError(str(exc)) from None
-    gt = _load_tracks(args.gt, cfg.native_fps)
     pred_dir = Path(args.pred_dir)
-    outputs: dict[float, Sequence] = {}
+    files: dict[Path, float] = {}
     for rate in rates:
         path = pred_dir / f"{rate:g}fps.csv"
+        if path in files:
+            raise InputError(
+                f"rates {files[path]!r} and {rate!r} both name the prediction file {path}"
+            )
+        files[path] = rate
+    gt = _load_tracks(args.gt, cfg.native_fps)
+    outputs: dict[float, Sequence] = {}
+    for path, rate in files.items():
         if not path.exists():
             raise InputError(f"missing prediction file for rate {rate:g}: {path}")
         pred = _load_tracks(path, cfg.native_fps / stride_for(cfg.native_fps, rate))

@@ -43,7 +43,9 @@ class SweepSpec:
         if not self.inference_rates:
             raise ValueError("inference_rates must be nonempty")
         window_stride = stride_for(self.native_fps, self.eval_fps)
-        for rate in self.inference_rates:
+        for k, rate in enumerate(self.inference_rates):
+            if rate in self.inference_rates[:k]:
+                raise ValueError(f"rate {rate:g} is listed twice in inference_rates")
             if window_stride % stride_for(self.native_fps, rate):
                 raise ValueError(f"eval_fps {self.eval_fps:g} must divide rate {rate:g}")
 

@@ -8,28 +8,29 @@ the solver's optimum coincide with the exhaustive max-total-similarity gated
 matching.
 
 Scoring matches many frames at once on an ``EdgeList``, the nonzero
-similarities between the rows of each frame, and ``match_frame`` matches
-one frame as an edge list of one frame. ``edge_list`` finds them by
-sweep and prune: a GT row is scored only against the predictions of its
-frame whose x lies within the reach of a nonzero similarity. At a gate
-alpha, a frame in which no gated row has two gated partners holds only
-forced pairs, which are taken as they are; every other frame is solved on
-its whole gated matrix, scattered from its edges.
+similarities between the rows of each frame, and ``match_frame`` matches one
+frame as an edge list of one frame. ``edge_list`` finds them by sweep and
+prune: a GT row is scored only against the predictions of its frame whose x
+lies within the reach of a nonzero similarity. Edges and matrices both come
+from ``pair_similarity``, which reads the per-row columns that ``_columns``
+builds once per row. At a gate alpha, a frame in which no gated row has two
+gated partners holds only forced pairs, which are taken as they are; every
+other frame is solved on its whole gated matrix, scattered from its edges.
 
 ``match_edges`` walks the whole alpha grid from a layout of the edge list
-built once: each frame's edges, matrix shape and conflict level (the
-largest second-highest similarity of any of its rows), below which it
-holds only forced pairs. A conflicted frame keeps the previous alpha's pairs
-while it has no more gated edges than there and every pair matched there
-still clears the gate: its gated edges are then a subset of those there, so
-that matching is feasible and still optimal. On an exact tie it is thus the
-lower alpha's choice that holds, not that of a fresh solve. Every other
-conflicted frame is solved, on a thread pool when an alpha's matrices are
-large and more than one CPU is usable, and ``match_edges`` returns a list of
-each alpha's matching as a boolean mask over the edges; every matrix is the
-same on any thread, so every mask is too. The solver, scipy's compiled
-``_lsap`` extension, is loaded on the first solve without importing
-scipy.optimize.
+built once: each frame's edges, matrix shape and conflict level (the largest
+second-highest similarity of any of its rows, from each row's best and
+second-best edge), below which it holds only forced pairs. A conflicted
+frame keeps the previous alpha's pairs while it has no more gated edges than
+there and every pair matched there still clears the gate: its gated edges
+are then a subset of those there, so that matching is feasible and still
+optimal. On an exact tie it is thus the lower alpha's choice that holds, not
+that of a fresh solve. Every other conflicted frame is solved, on a thread
+pool when an alpha's matrices are large and more than one CPU is usable, and
+``match_edges`` returns a list of each alpha's matching as a boolean mask
+over the edges; every matrix is the same on any thread, so every mask is
+too. The solver, scipy's compiled ``_lsap`` extension, is loaded on the
+first solve without importing scipy.optimize.
 """
 
 from __future__ import annotations
@@ -86,24 +87,34 @@ def _footprints(dets: list[Detection] | tuple[Detection, ...]) -> np.ndarray:
     ).reshape(-1, 4)
 
 
+def _columns(footprints: np.ndarray, spec: SimilaritySpec) -> tuple[np.ndarray, ...]:
+    """The columns ``pair_similarity`` reads, one value per footprint row (x,
+    y, width, length): x and y under center_distance; the right, left, top
+    and bottom edges and the area under bev_iou."""
+    x, y, w, l = footprints.T
+    if spec.mode == "center_distance":
+        return x, y
+    return x + w / 2, x - w / 2, y + l / 2, y - l / 2, w * l
+
+
 def pair_similarity(
-    gt: np.ndarray, pred: np.ndarray, spec: SimilaritySpec
+    gt: tuple[np.ndarray, ...], pred: tuple[np.ndarray, ...], spec: SimilaritySpec
 ) -> np.ndarray:
-    """Similarity of each GT footprint with the prediction footprint beside
-    it: rows of columns x, y, width, length, the two sides broadcast against
-    each other over every axis but the last.
+    """Similarity of each GT row with the prediction row beside it, given
+    each side's ``_columns``, the two sides broadcast against each other.
 
     The one similarity formula: matrices and edge lists both come from it, so
     an edge equals its matrix entry bit for bit.
     """
-    gx, gy, gw, gl = np.moveaxis(gt, -1, 0)
-    px, py, pw, pl = np.moveaxis(pred, -1, 0)
     if spec.mode == "center_distance":
+        (gx, gy), (px, py) = gt, pred
         return np.maximum(0.0, 1.0 - np.hypot(gx - px, gy - py) / spec.d_max)
-    ix = np.minimum(gx + gw / 2, px + pw / 2) - np.maximum(gx - gw / 2, px - pw / 2)
-    iy = np.minimum(gy + gl / 2, py + pl / 2) - np.maximum(gy - gl / 2, py - pl / 2)
+    (g_right, g_left, g_top, g_bottom, g_area) = gt
+    (p_right, p_left, p_top, p_bottom, p_area) = pred
+    ix = np.minimum(g_right, p_right) - np.maximum(g_left, p_left)
+    iy = np.minimum(g_top, p_top) - np.maximum(g_bottom, p_bottom)
     inter = np.clip(ix, 0.0, None) * np.clip(iy, 0.0, None)
-    return inter / (gw * gl + pw * pl - inter)
+    return inter / (g_area + p_area - inter)
 
 
 def similarity_matrix(
@@ -120,7 +131,8 @@ def similarity_matrix(
         gt = _footprints(gt)
     if not isinstance(pred, np.ndarray):
         pred = _footprints(pred)
-    return pair_similarity(gt[:, None, :], pred[None, :, :], spec)
+    rows = tuple(c[:, None] for c in _columns(gt, spec))
+    return pair_similarity(rows, _columns(pred, spec), spec)
 
 
 @dataclass(frozen=True)
@@ -173,7 +185,8 @@ def edge_list(
     pair beyond that reach has zero similarity, so the edges are those of the
     whole GT x prediction product. The candidate pairs go through
     ``pair_similarity`` in blocks of whole GT rows of about EDGE_BLOCK pairs,
-    so memory stays bounded however long the window is.
+    each side's ``_columns`` gathered per block, so memory stays bounded
+    however long the window is.
     """
     gx, px = gt[:, 0], pred[:, 0]
     if spec.mode == "center_distance":
@@ -189,11 +202,17 @@ def edge_list(
     count = np.searchsorted(key, gt_frame + 1j * (gx + reach), "right") - lo
     block = (np.cumsum(count) - count) // EDGE_BLOCK
     cuts = (np.flatnonzero(np.diff(block)) + 1).tolist()
+    g_cols = _columns(gt, spec)
+    p_cols = tuple(c[by_x] for c in _columns(pred, spec))
     parts = []
     for a, b in zip([0, *cuts], [*cuts, count.size]):
-        g = np.repeat(np.arange(a, b), count[a:b])
-        p = by_x[_ranges(lo[a:b], count[a:b])]
-        sim = pair_similarity(gt[g], pred[p], spec)
+        n = count[a:b]
+        g = np.repeat(np.arange(a, b), n)
+        at = _ranges(lo[a:b], n)
+        p = by_x[at]
+        sim = pair_similarity(
+            tuple(np.repeat(c[a:b], n) for c in g_cols), tuple(c[at] for c in p_cols), spec
+        )
         hit = sim > 0
         parts.append((g[hit], p[hit], sim[hit]))
     g, p, sim = (np.concatenate(c) for c in zip(*parts))
@@ -284,19 +303,26 @@ class _Layout:
     cell: np.ndarray
 
 
-def _second_highest(row: np.ndarray, sim: np.ndarray) -> np.ndarray:
-    """Per edge, the second-highest similarity of the edges of its row (the
-    highest when two edges share it, 0 for a row of one edge); ``row`` is
-    grouped into runs of equal values."""
-    first, size = _runs(row)
-    best = np.maximum.reduceat(sim, first)
-    top = sim == np.repeat(best, size)
-    second = np.maximum.reduceat(np.where(top, 0.0, sim), first)
-    tied = np.add.reduceat(top, first) > 1
-    return np.repeat(np.where(tied, best, second), size)
+def _row_levels(row: np.ndarray, sim: np.ndarray, n: int) -> np.ndarray:
+    """Per row 0..n-1 of one side, the second-highest similarity of its
+    edges (the highest when two edges share it, 0 for a row of at most one
+    edge); edge k lies on row ``row[k]``."""
+    best = np.zeros(n)
+    np.maximum.at(best, row, sim)
+    top = sim == best[row]
+    level = np.zeros(n)
+    np.maximum.at(level, row[~top], sim[~top])
+    tied = np.bincount(row[top], minlength=n) > 1
+    level[tied] = best[tied]
+    return level
 
 
 def _layout(edges: EdgeList) -> _Layout:
+    """The layout of an edge list's frames. A frame's conflict level is the
+    largest ``_row_levels`` value of its GT and prediction rows: one maximum
+    per side from the frame's first row up to the next frame's first row,
+    since the rows between belong to frames without edges, whose levels are
+    0."""
     frame = edges.gt_frame[edges.gt]
     first, count = _runs(frame)
     label = frame[first]
@@ -311,12 +337,13 @@ def _layout(edges: EdgeList) -> _Layout:
         + edges.pred - np.repeat(p0, count)
     )
     # a row with two gated partners makes its frame conflicted
-    by_pred = np.argsort(edges.pred, kind="stable")
-    conflict = _second_highest(edges.gt, edges.sim)
-    conflict[by_pred] = np.maximum(
-        conflict[by_pred], _second_highest(edges.pred[by_pred], edges.sim[by_pred])
-    )
-    return _Layout(first, count, g1 - g0, cols, np.maximum.reduceat(conflict, first), cell)
+    n_gt = edges.gt_frame.size
+    levels = np.concatenate((
+        _row_levels(edges.gt, edges.sim, n_gt),
+        _row_levels(edges.pred, edges.sim, edges.pred_frame.size),
+    ))
+    level = np.maximum.reduceat(levels, np.concatenate((g0, n_gt + p0))).reshape(2, -1).max(0)
+    return _Layout(first, count, g1 - g0, cols, level, cell)
 
 
 def _solve_chunk(

@@ -10,9 +10,11 @@ with nonzero similarity, never as per-frame matrices.
 Only the pairs within reach of each other along x are scored (sweep and
 prune), in blocks of GT rows. A window frame empty on either side holds no
 edge, and one empty on both sides costs nothing. It also ranks the
-predictions for AP, by one stable sort on confidence: the rows are already
-in (frame, track id) order, which is unique within a class. Three consumers
-read that pass and compute nothing twice:
+predictions for AP by descending confidence, ties in row order: the rows are
+already in (frame, track id) order, which is unique within a class, so one
+sort on confidence, with each run of equal confidences put back in row
+order, gives the rank. Three consumers read that pass and compute nothing
+twice:
 
 - ``_score_alphas`` matches the edges over the whole alpha grid in one
   ``match_edges`` pass, which returns a mask over the edges per alpha, and
@@ -30,7 +32,11 @@ read that pass and compute nothing twice:
   positions from one sort of (dense id, position) keys: AvgTrackDur;
 - ``_average_precision`` matches predictions greedily in rank order, level
   by level: level k holds every frame's k-th ranked prediction, and frames
-  share no GT, so a whole level is matched at once: AP.
+  share no GT, so a whole level is matched at once: AP. One stable sort of
+  the gated edges on their prediction's level (a radix sort on small
+  unsigned keys) puts each level's edges together, grouped by prediction
+  with GT rows ascending, so a maximum per prediction finds its best
+  available GT.
 
 ``class_report`` is the only entry point that scores a window;
 ``avg_track_dur`` and ``detection_ap`` are thin adapters over the same
@@ -59,6 +65,7 @@ from .matching import (
     FrameMatchSet,
     SimilaritySpec,
     _ranges,
+    _runs,
     edge_list,
     match_edges,
 )
@@ -150,9 +157,13 @@ def _class_edges(
 
     edges = edge_list(boxes(gt, g_rows), boxes(pred, p_rows), g_pos, p_pos, spec)
     g_ids, p_ids = gt.track_id[g_rows], pred.track_id[p_rows]
-    # confidence first; the sort is stable and the rows are in (frame,
-    # track id) order, which is unique, so ties break on it
-    ranked = np.argsort(-pred.conf[p_rows], kind="stable")
+    # confidence first, ties in row order, which is (frame, track id) order
+    # and unique: each run of equal confidences is put back in row order
+    key = -pred.conf[p_rows]
+    ranked = np.argsort(key)
+    first, size = _runs(key[ranked])
+    tied = np.flatnonzero(np.repeat(size > 1, size))
+    ranked[tied] = np.sort(np.repeat(first, size)[tied] * key.size + ranked[tied]) % key.size
     _, g_dense, gt_counts = np.unique(g_ids, return_inverse=True, return_counts=True)
     _, p_dense, pred_counts = np.unique(p_ids, return_inverse=True, return_counts=True)
     return _ClassEdges(edges, g_ids, p_ids, g_dense, p_dense, gt_counts, pred_counts, ranked)
@@ -216,40 +227,58 @@ def _run_seconds(dense: np.ndarray, positions: np.ndarray, f0: float) -> float:
 
 def _levels(frame: np.ndarray, ranked: np.ndarray) -> np.ndarray:
     """Each prediction row's place among its frame's prediction rows in the
-    rank order ``ranked``; ``frame`` labels the rows and is nondecreasing, so
-    the (frame, rank) keys are unique and sort the rows within their
-    frames."""
-    n = ranked.size
-    rank = np.empty(n, dtype=np.int64)
-    rank[ranked] = np.arange(n)
-    level = np.empty(n, dtype=np.int64)
-    level[np.argsort(frame * n + rank)] = np.arange(n) - np.searchsorted(frame, frame)
+    rank order ``ranked``, in the smallest unsigned dtype; ``frame`` labels
+    the rows and is nondecreasing. One stable sort of the ranked rows on
+    their frame's rank, a radix sort below 2**16 frames, orders them by
+    (frame, rank)."""
+    first, size = _runs(frame)
+    dense = np.repeat(np.arange(first.size, dtype=np.min_scalar_type(first.size)), size)
+    by_frame = ranked[np.argsort(dense[ranked], kind="stable")]
+    level = np.empty(ranked.size, dtype=np.min_scalar_type(size.max(initial=0)))
+    level[by_frame] = np.arange(ranked.size) - np.repeat(first, size)[by_frame]
     return level
 
 
-def _level_order(p: np.ndarray, sim: np.ndarray, level: np.ndarray) -> np.ndarray:
-    """The order of edges, given in (GT row, prediction row) order, by
-    (level of the prediction row, prediction row, descending similarity, GT
-    row): one stable sort by the first two keys, then the edges that share
-    their prediction row with another, by similarity within it."""
-    key = level[p] * level.size + p
-    order = np.argsort(key, kind="stable")
-    key = key[order]
-    same = key[1:] == key[:-1]
-    shared = np.flatnonzero(np.r_[same, False] | np.r_[False, same])
-    edge = order[shared]
-    order[shared] = edge[np.lexsort((-sim[edge], key[shared]))]
-    return order
+def _ap_hits(data: _ClassEdges, alpha: float) -> np.ndarray:
+    """The AP greedy pass at gate alpha: which prediction rows take a GT.
+
+    Each prediction, in rank order per frame, takes the available gated GT
+    of highest similarity, on an exact tie the lower GT row. Level k is
+    every frame's k-th ranked prediction; frames share no GT, so each level
+    is matched at once. A stable sort of the gated edges on their
+    prediction's level keeps them in frame order, so each level's edges come
+    grouped by prediction (one per frame), GT rows ascending.
+    """
+    e = data.edges
+    level = _levels(e.pred_frame, data.ranked)
+    keep = e.sim >= alpha
+    g, p, sim = e.gt[keep], e.pred[keep], e.sim[keep]
+    lv = level[p]
+    order = np.argsort(lv, kind="stable")
+    g, p, sim = g[order], p[order], sim[order]
+    available = np.ones(data.g_ids.size, dtype=bool)
+    hit = np.zeros(data.ranked.size, dtype=bool)
+    starts, sizes = _runs(lv[order])
+    for a, b in zip(starts.tolist(), (starts + sizes).tolist()):
+        free = a + np.flatnonzero(available[g[a:b]])
+        if free.size == 0:
+            continue
+        first, size = _runs(p[free])
+        s = sim[free]
+        top = np.flatnonzero(s == np.repeat(np.maximum.reduceat(s, first), size))
+        best = free[top[np.searchsorted(top, first)]]
+        available[g[best]] = False
+        hit[p[best]] = True
+    return hit
 
 
 def _average_precision(data: _ClassEdges, alpha: float) -> float:
     """101-point interpolated AP at gate alpha.
 
     Predictions are ranked by descending confidence and matched greedily per
-    frame, each GT box consumed at most once. A prediction takes the
-    available GT of highest similarity; on an exact tie, the GT with the
-    lower track id. Level k of the greedy pass is every frame's k-th ranked
-    prediction; frames share no GT, so each level is matched at once.
+    frame (``_ap_hits``), each GT box consumed at most once. A prediction
+    takes the available GT of highest similarity; on an exact tie, the GT
+    with the lower track id.
     """
     npos = data.g_ids.size
     n = data.ranked.size
@@ -257,23 +286,7 @@ def _average_precision(data: _ClassEdges, alpha: float) -> float:
         return 1.0 if n == 0 else 0.0
     if n == 0:
         return 0.0
-    e = data.edges
-    level = _levels(e.pred_frame, data.ranked)
-    keep = e.sim >= alpha
-    g, p = e.gt[keep], e.pred[keep]
-    # a level's edges together, each prediction's best GT first
-    order = _level_order(p, e.sim[keep], level)
-    g, p, lv = g[order], p[order], level[p[order]]
-    available = np.ones(npos, dtype=bool)
-    hit = np.zeros(n, dtype=bool)
-    cuts = (np.flatnonzero(np.diff(lv)) + 1).tolist()
-    for a, b in zip([0, *cuts], [*cuts, lv.size]):
-        free = a + np.flatnonzero(available[g[a:b]])
-        if free.size == 0:
-            continue
-        best = free[np.r_[True, p[free[1:]] != p[free[:-1]]]]
-        available[g[best]] = False
-        hit[p[best]] = True
+    hit = _ap_hits(data, alpha)
     cum_tp = np.cumsum(hit[data.ranked], dtype=float)
     precision = cum_tp / np.arange(1, n + 1)
     recall = cum_tp / npos

@@ -238,15 +238,25 @@ def test_evaluate_detector_only_prediction_exits_2(tmp_path, capsys):
         ({"roi": [[0, 10], [6, -8], [-10, 3], [10, 3], [-6, -8]]}, [], "roi"),
         ({}, ["--native-fps", "1e300", "--eval-fps", "1"], "stride of 2**63 frames or more"),
         ({}, ["--eval-fps", "1e-320"], "stride of 2**63 frames or more"),
+        ({}, ["sweep-fps", "--rates", "2,1,2"], "rate 2 is listed twice"),
+        ({}, ["sweep-fps", "--rates", "2,2.0000000000001"],
+         "rates 2.0 and 2.0000000000001 both name the prediction file"),
     ],
 )
 def test_bad_config_or_flag_exits_2(tmp_path, capsys, config, flags, named):
-    gt = tmp_path / "gt.csv"
-    write_tracks(gt)
+    """evaluate, or sweep-fps at 2 fps native and 1 fps eval where the flags
+    start with that command."""
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps(config))
-    code = main(["evaluate", "--gt", str(gt), "--pred", str(gt),
-                 "--config", str(cfg), *flags])
+    if flags[:1] == ["sweep-fps"]:
+        gt, pred_dir = make_sweep_dir(tmp_path)
+        code = main(["sweep-fps", "--gt", str(gt), "--pred-dir", str(pred_dir),
+                     "--native-fps", "2", "--eval-fps", "1", "--config", str(cfg), *flags[1:]])
+    else:
+        gt = tmp_path / "gt.csv"
+        write_tracks(gt)
+        code = main(["evaluate", "--gt", str(gt), "--pred", str(gt),
+                     "--config", str(cfg), *flags])
     assert code == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and named in err

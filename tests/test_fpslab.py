@@ -270,6 +270,11 @@ def test_sweep_spec_validation():
         SweepSpec(native_fps=30.0, inference_rates=(6.0, 1.0), eval_fps=6.0)
 
 
+def test_sweep_spec_refuses_a_rate_listed_twice():
+    with pytest.raises(ValueError, match="rate 6 is listed twice"):
+        SweepSpec(native_fps=30.0, inference_rates=(6.0, 1.0, 6.0), eval_fps=1.0)
+
+
 def test_sweep_spec_rejects_window_off_a_rate_grid():
     # the 6 fps window (stride 5) is not on the 10 fps grid (stride 3)
     with pytest.raises(ValueError, match="eval_fps 6 must divide rate 10"):

@@ -504,25 +504,37 @@ def tied_edge_lists(draw):
     from a handful of values, so exact ties are common; frames with rows but
     no edge, frames of one side only, and rows of a single edge occur.
     Alphas include the similarity values themselves, in any order, repeated
-    or descending."""
-    gt_frame, pred_frame, cells = [], [], []
+    or descending, or as an ascending chain over the similarity values of
+    one conflicted frame (one with a row of two edges), so that the frame's
+    matching at one alpha decides what it keeps at the next."""
+    gt_frame, pred_frame, cells, conflicted = [], [], [], []
     for f in range(draw(st.integers(1, 8))):
         n, m = draw(st.integers(0, 7)), draw(st.integers(0, 7))
         g0, p0 = len(gt_frame), len(pred_frame)
         gt_frame += [f] * n
         pred_frame += [f] * m
         density = draw(st.sampled_from([0.0, 0.2, 0.6, 1.0]))
-        for i in range(n):
-            for j in range(m):
-                if draw(st.floats(0, 1)) < density:
-                    cells.append((g0 + i, p0 + j, draw(st.sampled_from(TIED_SIMS))))
+        mine = [
+            (g0 + i, p0 + j, draw(st.sampled_from(TIED_SIMS)))
+            for i in range(n)
+            for j in range(m)
+            if draw(st.floats(0, 1)) < density
+        ]
+        cells += mine
+        g_rows, p_rows = [c[0] for c in mine], [c[1] for c in mine]
+        if len(set(g_rows)) < len(g_rows) or len(set(p_rows)) < len(p_rows):
+            conflicted.append(sorted({c[2] for c in mine}))
     g, p, sim = np.array(cells, float).reshape(-1, 3).T
     edges = matching.EdgeList(g.astype(np.int64), p.astype(np.int64), sim,
                               np.array(gt_frame, np.int64), np.array(pred_frame, np.int64))
     grid = st.sampled_from(TIED_SIMS + (0.05, 0.2, 0.4, 0.6, 0.95))
     alphas = draw(st.lists(grid, min_size=1, max_size=8))
-    if draw(st.booleans()):
+    order = draw(st.sampled_from(["drawn", "descending", "chain"]))
+    if order == "descending":
         alphas = sorted(alphas, reverse=True)
+    elif order == "chain" and conflicted:
+        chain = draw(st.sampled_from(conflicted))
+        alphas = [a for a in chain if draw(st.booleans())] or chain
     return edges, tuple(alphas)
 
 

@@ -370,11 +370,15 @@ def test_class_report_computes_each_similarity_once(monkeypatch):
 
     def recording(gt, pred, spec):
         sim = real(gt, pred, spec)
-        gt, pred = (np.broadcast_to(a, sim.shape + (4,)).reshape(-1, 4) for a in (gt, pred))
-        scored.extend(zip(map(tuple, gt.tolist()), map(tuple, pred.tolist()), sim.ravel().tolist()))
+        gt, pred = (
+            zip(*(np.broadcast_to(c, sim.shape).ravel().tolist() for c in side))
+            for side in (gt, pred)
+        )
+        scored.extend(zip(gt, pred, sim.ravel().tolist()))
         return sim
 
-    # every detection has its own footprint, so a footprint pair names a pair
+    # every detection has its own similarity columns, so a pair of column
+    # tuples names a pair
     frames = {
         f: [det(0.01 * f, 0.0, 1, class_id=0), det(5.0 + 0.01 * f, 0.0, 2, class_id=1)]
         + [det(0.5 * k + 0.01 * f, 1.0, 10 + k, class_id=1) for k in range(f % 3)]
@@ -389,8 +393,8 @@ def test_class_report_computes_each_similarity_once(monkeypatch):
     )
     win = EvalWindow(frame_indices=gt.frame_indices, f0=1.0)
 
-    def footprint(d):
-        return (d.box.x, d.box.y, d.box.width, d.box.length)
+    def columns(d, spec):
+        return tuple(c.item() for c in matching._columns(matching._footprints([d]), spec))
 
     for spec in (CD, SimilaritySpec(mode="bev_iou")):
         scored.clear()
@@ -399,7 +403,7 @@ def test_class_report_computes_each_similarity_once(monkeypatch):
             rep = class_report(gt, pred, win, spec)
         assert set(rep.per_class) == {0, 1}
         nonzero = {
-            (footprint(g), footprint(p))
+            (columns(g, spec), columns(p, spec))
             for f in range(5)
             for g in gt.frames[f][1]
             for p in pred.frames[f][1]

@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 
 from mtmceval.datamodel import FLOAT_COLUMNS, Box3D, Detection, EvalWindow, Sequence, make_sequence
 from mtmceval.matching import SimilaritySpec
-from mtmceval.metrics import _class_edges, _class_rows, _level_order, _levels, class_report
+from mtmceval.metrics import _ap_hits, _class_edges, _class_rows, _levels, class_report
 from mtmceval.synthgen import DegradeSpec, degrade, gen_scene, merge_sequences, oracle_metrics
 
 BOUNDS = (-4.0, -4.0, 4.0, 4.0)
@@ -153,27 +153,98 @@ def tied_tables(draw):
     return side(), side(), EvalWindow(tuple(range(n_frames)), f0=1.0), sim
 
 
+def reference_ap_hits(e, level, n_gt, alpha):
+    """The AP greedy pass walked one edge at a time in the order of the
+    explicit lexsort key (level, prediction row, descending similarity, GT
+    row): each prediction takes its first edge to an available GT."""
+    keep = e.sim >= alpha
+    g, p, s = e.gt[keep], e.pred[keep], e.sim[keep]
+    available = np.ones(n_gt, dtype=bool)
+    hit = np.zeros(level.size, dtype=bool)
+    done = set()
+    for k in np.lexsort((g, -s, p, level[p])).tolist():
+        if p[k] not in done and available[g[k]]:
+            available[g[k]] = False
+            hit[p[k]] = True
+            done.add(p[k])
+    return hit
+
+
+def lexsort_ranked(pred, window):
+    """The AP rank of the class-0 prediction rows by the explicit lexsort
+    key (descending confidence, frame, track id, x, y, z)."""
+    t = pred.table
+    rows, _ = _class_rows(t, window.frames, 0, "predicted")
+    return np.lexsort((t.z[rows], t.y[rows], t.x[rows], t.track_id[rows], t.frame[rows], -t.conf[rows]))
+
+
+def lexsort_levels(frame, ranked):
+    """Each row's place among its frame's rows in rank order, by an explicit
+    stable sort on frame."""
+    n = ranked.size
+    f = frame[ranked]
+    by_frame = np.argsort(f, kind="stable")
+    level = np.empty(n, dtype=np.int64)
+    level[ranked[by_frame]] = np.arange(n) - np.searchsorted(f[by_frame], f[by_frame])
+    return level
+
+
 @PROPERTY
 @given(tied_tables())
 def test_ap_rank_and_level_order_equal_their_lexsort_keys(scene):
-    """The AP rank (one stable sort by confidence over rows in (frame, track
-    id) order), the levels and the level order give the permutations of the
-    explicit multi-key lexsorts."""
+    """The AP rank (confidence, ties in (frame, track id) row order) and the
+    levels give the permutations of the explicit multi-key lexsorts, and the
+    AP greedy pass takes the same predictions as a greedy pass that walks
+    the edges in lexsort order."""
     gt, pred, window, sim = scene
-    win = window.frames
-    data = _class_edges(gt.table, pred.table, win, sim, 0)
-    t = pred.table
-    rows, _ = _class_rows(t, win, 0, "predicted")
-    ranked = np.lexsort((t.z[rows], t.y[rows], t.x[rows], t.track_id[rows], t.frame[rows], -t.conf[rows]))
+    data = _class_edges(gt.table, pred.table, window.frames, sim, 0)
+    ranked = lexsort_ranked(pred, window)
     assert np.array_equal(data.ranked, ranked)
 
-    e, n = data.edges, ranked.size
-    frame = e.pred_frame[ranked]
-    by_frame = np.argsort(frame, kind="stable")
-    level = np.empty(n, dtype=np.int64)
-    level[ranked[by_frame]] = np.arange(n) - np.searchsorted(frame[by_frame], frame[by_frame])
+    e = data.edges
+    level = lexsort_levels(e.pred_frame, ranked)
     assert np.array_equal(_levels(e.pred_frame, data.ranked), level)
     for alpha in (0.05, 0.3, 0.5, 1.0):
-        keep = e.sim >= alpha
-        g, p, s = e.gt[keep], e.pred[keep], e.sim[keep]
-        assert np.array_equal(_level_order(p, s, level), np.lexsort((g, -s, p, level[p])))
+        want = reference_ap_hits(e, level, data.g_ids.size, alpha)
+        assert np.array_equal(_ap_hits(data, alpha), want)
+
+
+def grid_scene(n_frames, n_gt, n_pred, seed):
+    """(gt, pred) of one class, ``n_gt`` and ``n_pred`` rows in each of
+    ``n_frames`` frames, centres on a 1 m grid of 12 x 12 and three
+    confidence values, so similarity and confidence ties are common."""
+    rng = np.random.default_rng(seed)
+
+    def side(n):
+        return make_sequence({
+            f: [Detection(Box3D(*rng.integers(0, 12, 2).astype(float), 0.9, 1.0, 1.0, 1.8),
+                          class_id=0, confidence=float(rng.choice([0.25, 0.5, 0.75])),
+                          track_id=i)
+                for i in range(n)]
+            for f in range(n_frames)
+        }, native_fps=1.0)
+
+    return side(n_gt), side(n_pred)
+
+
+@pytest.mark.parametrize(
+    "n_frames, n_gt, n_pred", [(1, 120, 300), (300, 2, 2)], ids=["300-in-a-frame", "300-frames"]
+)
+def test_ap_levels_and_greedy_past_256_levels_or_frames(n_frames, n_gt, n_pred):
+    """The level and frame-rank sort keys outgrow uint8, once in the levels
+    of one frame of 300 predictions and once in the ranks of 300 frames
+    holding predictions; the levels and the AP greedy pass still equal their
+    lexsort references."""
+    gt, pred = grid_scene(n_frames, n_gt, n_pred, seed=n_frames)
+    window = EvalWindow(tuple(range(n_frames)), f0=1.0)
+    sim = SimilaritySpec(mode="center_distance", d_max=2.0)
+    data = _class_edges(gt.table, pred.table, window.frames, sim, 0)
+    assert np.array_equal(data.ranked, lexsort_ranked(pred, window))
+    e = data.edges
+    level = lexsort_levels(e.pred_frame, data.ranked)
+    assert max(level.max() + 1, e.pred_frame[-1] + 1) == 300
+    assert np.array_equal(_levels(e.pred_frame, data.ranked), level)
+    for alpha in (0.05, 0.3, 0.5, 1.0):
+        want = reference_ap_hits(e, level, data.g_ids.size, alpha)
+        assert want.any()
+        assert np.array_equal(_ap_hits(data, alpha), want)
