@@ -13,11 +13,28 @@ argmin then run on row blocks of about NEAREST_BLOCK cells, which stay in
 cache. The product itself is not split into row chunks: BLAS rounds the last
 bit of some cells differently when it gets fewer rows, and that can move a
 point to another center and change the bank.
+
+Each step after the first evaluates only the cells that can change a label.
+A product of one shape rounds each cell from its own point and center alone,
+so a center whose bits did not change keeps every cell of its column, bit
+for bit. A point whose own center stayed was labelled with the first minimum
+over all columns, so that center is still the first minimum over the columns
+that stayed; the point keeps its old value and meets only the moved columns,
+and a moved column takes it when it is lower, or equal with a lower index. A
+point whose own center moved gets its whole row. The labels, the centers and
+the inertia history are therefore those of a pass over every cell, which is
+still what the first step does, and every step once the moved columns and
+the redone rows would cover more than WHOLE_PASS of the cells. A step that
+moves no center needs no relabel.
+
+Coordinates are limited to COORD_LIMIT in magnitude, so that squares,
+products and their sums stay finite and no label is picked from a NaN.
 """
 
 from __future__ import annotations
 
 import io
+import math
 from dataclasses import dataclass
 from typing import TextIO
 
@@ -35,10 +52,16 @@ class AnchorBank:
     inertia_history: tuple[float, ...] = ()
 
     def __post_init__(self) -> None:
-        if self.k != len(self.centers):
-            raise ValueError("k must equal the number of centers")
-        if self.inertia < 0:
-            raise ValueError("inertia must be non-negative")
+        check_int("k", self.k, low=1)
+        if np.shape(self.centers) != (self.k, 3):
+            raise ValueError(
+                f"centers must be a (k, 3) array with k={self.k}, got shape "
+                f"{np.shape(self.centers)}"
+            )
+        if not np.isfinite(self.centers).all():
+            raise ValueError("centers must be finite")
+        if not (math.isfinite(self.inertia) and self.inertia >= 0):
+            raise ValueError(f"inertia must be finite and non-negative, got {self.inertia!r}")
 
 
 def collect_centers(gt: Sequence) -> np.ndarray:
@@ -53,30 +76,90 @@ def collect_centers(gt: Sequence) -> np.ndarray:
 
 # distance cells per row block of the nearest-center step
 NEAREST_BLOCK = 1 << 17
+# a step redoes every row once the cells it would evaluate exceed this share
+# of the n * k cells
+WHOLE_PASS = 0.6
 # Lloyd steps stop after MAX_ITER steps, or once no centroid moves by TOL
 MAX_ITER = 300
 TOL = 1e-6
+# largest |coordinate| that kmeans accepts
+COORD_LIMIT = 1e150
+
+
+def _cells(count: int) -> None:
+    """Receives the number of distance cells each nearest-center pass
+    evaluates; tests replace it to see which passes were incremental."""
 
 
 def _nearest(
-    points: np.ndarray, pp: np.ndarray, centers: np.ndarray, g: np.ndarray
+    points: np.ndarray,
+    pp: np.ndarray,
+    centers: np.ndarray,
+    g: np.ndarray,
+    labels: np.ndarray | None = None,
+    moved: np.ndarray | None = None,
 ) -> np.ndarray:
     """Index of each point's nearest center, ties to the first, by the
     expanded |p|^2 + |c|^2 - 2 p.c clipped at 0; g is the reused (n, k)
-    buffer of the product."""
+    buffer of the product.
+
+    labels are the nearest centers before the centers flagged in moved took
+    their current values (None: no earlier pass). They are updated in place
+    and returned. A point whose own center stayed keeps the value of that
+    cell, which was its first minimum, and meets only the moved columns;
+    a point whose center moved gets its whole row, and so does every point
+    on the first pass or once that is cheaper."""
     n, k = g.shape
+    if labels is None:
+        labels = np.zeros(n, dtype=np.intp)
+        moved = np.ones(k, dtype=bool)
+    cols = np.flatnonzero(moved)
+    if not cols.size:
+        _cells(0)
+        return labels
     cc = (centers**2).sum(axis=1)
     np.matmul(2.0 * points, centers.T, out=g)
+    redo = moved[labels]
+    if cols.size * n + np.count_nonzero(redo) * k > WHOLE_PASS * n * k:
+        redo[:] = True
+    # two row blocks of scratch cells, shared by both loops
+    work = np.empty((2, max(NEAREST_BLOCK, k)))
+    cells = 0
+    if not redo.all():
+        # the old cell against the moved columns; rows being redone are
+        # overwritten below
+        old = np.maximum((pp + cc[labels]) - g[np.arange(n), labels], 0.0)
+        ccm = cc[cols]
+        rows = max(1, NEAREST_BLOCK // cols.size)
+        for s in range(0, n, rows):
+            e = min(s + rows, n)
+            t, u = work[:, : (e - s) * cols.size].reshape(2, e - s, cols.size)
+            np.add(pp[s:e, None], ccm, out=t)
+            # mode="clip" lets take write to u unbuffered; no index is out of range
+            np.subtract(t, np.take(g[s:e], cols, axis=1, out=u, mode="clip"), out=t)
+            np.maximum(t, 0.0, out=t)
+            j = t.argmin(axis=1)
+            d = np.take_along_axis(t, j[:, None], axis=1)[:, 0]
+            c = cols[j]
+            lab = labels[s:e]
+            win = (d < old[s:e]) | ((d == old[s:e]) & (c < lab))
+            np.copyto(lab, c, where=win)
+        cells += n * cols.size
+    idx = np.flatnonzero(redo)
     rows = max(1, NEAREST_BLOCK // k)
-    buf = np.empty((min(rows, n), k))
-    labels = np.empty(n, dtype=np.intp)
-    for s in range(0, n, rows):
-        e = min(s + rows, n)
-        t = buf[: e - s]
-        np.add(pp[s:e, None], cc, out=t)
-        np.subtract(t, g[s:e], out=t)
+    for s in range(0, idx.size, rows):
+        r = idx[s : s + rows]
+        t, u = work[:, : r.size * k].reshape(2, r.size, k)
+        if r[-1] - r[0] == r.size - 1:  # a run of rows is read in place
+            r = slice(r[0], r[-1] + 1)
+            u = g[r]
+        else:
+            np.take(g, r, axis=0, out=u, mode="clip")
+        np.add(pp[r, None], cc, out=t)
+        np.subtract(t, u, out=t)
         np.maximum(t, 0.0, out=t)
-        t.argmin(axis=1, out=labels[s:e])
+        labels[r] = t.argmin(axis=1)
+    _cells(cells + idx.size * k)
     return labels
 
 
@@ -124,6 +207,11 @@ def kmeans(
         raise ValueError("points must be an (n, 3) array")
     if not np.isfinite(points).all():
         raise ValueError("points must be finite")
+    if (np.abs(points) > COORD_LIMIT).any():
+        raise ValueError(
+            f"point coordinates must be at most {COORD_LIMIT:g} in magnitude, "
+            "so that squared distances stay finite"
+        )
     check_int("k", k, low=1)
     n = len(points)
     if n < k:
@@ -134,8 +222,9 @@ def kmeans(
     pp = (points**2).sum(axis=1)
     g = np.empty((n, k))
     history: list[float] = []
+    labels = moved = None
     for _ in range(MAX_ITER):
-        labels = _nearest(points, pp, centers, g)
+        labels = _nearest(points, pp, centers, g, labels, moved)
         assigned = ((points - centers[labels]) ** 2).sum(axis=1)
         history.append(float(assigned.sum()))
         counts = np.bincount(labels, minlength=k)
@@ -144,10 +233,12 @@ def kmeans(
         # every empty cluster takes the one point farthest from its centroid
         new_centers[counts == 0] = points[assigned.argmax()]
         shift = float(np.abs(new_centers - centers).max())
+        # a center equal to its old self keeps every cell's distance
+        moved = (new_centers != centers).any(axis=1)
         centers = new_centers
         if shift < TOL:
             break
-    labels = _nearest(points, pp, centers, g)
+    labels = _nearest(points, pp, centers, g, labels, moved)
     inertia = float(((points - centers[labels]) ** 2).sum())
     history.append(inertia)
     return AnchorBank(
@@ -186,6 +277,9 @@ def parse_anchor_bank(stream: TextIO | str) -> AnchorBank:
                     for part in line.lstrip("# ").split(",")
                     if "=" in part
                 )
+                for key in ("k", "seed", "inertia"):
+                    if key not in meta:
+                        raise ValueError(f"line {line_no}: anchor-bank header has no {key}=")
                 k = int(meta["k"])
                 seed = int(meta["seed"])
                 inertia = float(meta["inertia"])

@@ -5,6 +5,8 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mtmceval import anchors
 from mtmceval.anchors import (
@@ -252,3 +254,194 @@ def test_kmeans_peak_memory_stays_near_one_distance_matrix():
     finally:
         tracemalloc.stop()
     assert peak < 1.5 * len(points) * k * 8
+
+
+# --- input bounds --------------------------------------------------------------
+
+
+def test_kmeans_refuses_coordinates_whose_squares_overflow():
+    pts = np.array([[1e160, 0.0, 0.9], [-1e160, 0.0, 0.9], [0.0, 1.0, 0.9]])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match=r"1e\+150"):
+            kmeans(pts, k=2)
+
+
+def test_kmeans_accepts_coordinates_at_the_bound():
+    pts = np.array([[1e150, -1e150, 1e150], [-1e150, 1e150, -1e150], [0.0, 0.0, 0.0]])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        bank = kmeans(pts, k=2, seed=0)
+    assert np.isfinite(bank.centers).all() and np.isfinite(bank.inertia)
+
+
+@pytest.mark.parametrize(
+    "text, match",
+    [
+        ("# k=1, inertia=0.0\n1.0,2.0,3.0\n", "seed"),
+        ("# k=1, seed=0, inertia=nan\n1.0,2.0,3.0\n", "inertia"),
+        ("# k=1, seed=0, inertia=inf\n1.0,2.0,3.0\n", "inertia"),
+        ("# k=1, seed=0, inertia=0.0\n1.0,inf,3.0\n", "finite"),
+        ("# k=1, seed=0, inertia=0.0\nnan,2.0,3.0\n", "finite"),
+        ("# k=0, seed=0, inertia=0.0\n", "k must be"),
+    ],
+    ids=["no-seed", "nan-inertia", "inf-inertia", "inf-coordinate", "nan-coordinate", "k-0"],
+)
+def test_parse_rejects_broken_banks(text, match):
+    with pytest.raises(ValueError, match=match):
+        parse_anchor_bank(text)
+
+
+@pytest.mark.parametrize(
+    "centers, k, inertia",
+    [
+        (np.zeros((0, 3)), 0, 0.0),
+        (np.zeros(0), 0, 0.0),
+        (np.zeros((2, 2)), 2, 0.0),
+        (np.array([[0.0, np.nan, 0.0]]), 1, 0.0),
+        (np.zeros((1, 3)), 1, np.nan),
+        (np.zeros((1, 3)), 1, np.inf),
+    ],
+    ids=["k-0", "k-0-flat", "two-columns", "nan-center", "nan-inertia", "inf-inertia"],
+)
+def test_anchor_bank_refuses_broken_fields(centers, k, inertia):
+    with pytest.raises(ValueError):
+        AnchorBank(centers=centers, k=k, seed=0, inertia=inertia)
+
+
+# --- incremental nearest-center step -----------------------------------------
+
+
+def _reference_kmeans(points, k, seed):
+    """The Lloyd loop that evaluates every point against every center at
+    every step: the one product, then every cell of every row block."""
+    points = np.asarray(points, dtype=float)
+    rng = np.random.default_rng(seed)
+    cols = np.ascontiguousarray(points.T)
+    centers = anchors._kmeans_pp_init(cols, k, rng)
+    pp = (points**2).sum(axis=1)
+    n = len(points)
+    g = np.empty((n, k))
+
+    def nearest(centers):
+        cc = (centers**2).sum(axis=1)
+        np.matmul(2.0 * points, centers.T, out=g)
+        rows = max(1, anchors.NEAREST_BLOCK // k)
+        labels = np.empty(n, dtype=np.intp)
+        for s in range(0, n, rows):
+            e = min(s + rows, n)
+            t = pp[s:e, None] + cc
+            np.subtract(t, g[s:e], out=t)
+            np.maximum(t, 0.0, out=t)
+            t.argmin(axis=1, out=labels[s:e])
+        return labels
+
+    history = []
+    for _ in range(anchors.MAX_ITER):
+        labels = nearest(centers)
+        assigned = ((points - centers[labels]) ** 2).sum(axis=1)
+        history.append(float(assigned.sum()))
+        counts = np.bincount(labels, minlength=k)
+        sums = np.stack([np.bincount(labels, weights=c, minlength=k) for c in cols], axis=1)
+        new_centers = sums / np.maximum(counts, 1)[:, None]
+        new_centers[counts == 0] = points[assigned.argmax()]
+        shift = float(np.abs(new_centers - centers).max())
+        centers = new_centers
+        if shift < anchors.TOL:
+            break
+    labels = nearest(centers)
+    history.append(float(((points - centers[labels]) ** 2).sum()))
+    return centers, tuple(history)
+
+
+def _assert_matches_reference(points, k, seed):
+    bank = kmeans(points, k=k, seed=seed)
+    centers, history = _reference_kmeans(points, k, seed)
+    assert bank.centers.tobytes() == centers.tobytes()
+    assert bank.inertia_history == history
+
+
+def _lattice(rng):
+    # integer lattice points: many exact distance ties between centers
+    return rng.integers(-4, 5, (300, 3)).astype(float), 40
+
+
+def _duplicated(rng):
+    base = rng.uniform(-5, 5, (50, 3))
+    return base[rng.integers(50, size=400)], 30
+
+
+def _far_duplicated(rng):
+    # 3e7 from the origin the expanded distance cancels below 0 and the clip
+    # to 0 with the first-center tie-break decides the labels
+    base = rng.uniform(-1, 1, (40, 3)) + np.array([3e7, -1.5e7, 1e7])
+    return base[rng.integers(40, size=200)], 12
+
+
+def _reseeded(rng):
+    # fewer distinct points than centers: empty clusters are reseeded
+    base = rng.uniform(-5, 5, (9, 3))
+    return base[rng.integers(9, size=80)], 14
+
+
+def _floor_grid(rng):
+    # centers on a 2.5 cm floor grid at one height, as gen-anchors sees them
+    cells = rng.integers(0, [480, 1440], (1500, 2))
+    xy = np.array([-3.0, -9.0]) + 0.025 * cells
+    return np.column_stack([xy, np.full(len(xy), 0.9)]), 120
+
+
+@pytest.mark.parametrize("cells", [None, 5, 257])
+@pytest.mark.parametrize(
+    "case", [_lattice, _duplicated, _far_duplicated, _reseeded, _floor_grid],
+    ids=lambda f: f.__name__.strip("_"),
+)
+def test_kmeans_equals_the_whole_pass_reference(monkeypatch, case, cells):
+    if cells is not None:
+        monkeypatch.setattr(anchors, "NEAREST_BLOCK", cells)
+    for seed in range(3):
+        points, k = case(np.random.default_rng(seed))
+        _assert_matches_reference(points, k, seed)
+
+
+@st.composite
+def _point_sets(draw):
+    n = draw(st.integers(1, 40))
+    distinct = draw(st.integers(1, n))
+    base = np.array(
+        draw(st.lists(st.tuples(*[st.integers(-3, 3)] * 3), min_size=distinct, max_size=distinct)),
+        dtype=float,
+    )
+    picks = draw(st.lists(st.integers(0, distinct - 1), min_size=n, max_size=n))
+    scale = draw(st.sampled_from([1.0, 0.5, 0.1]))
+    offset = draw(st.sampled_from([0.0, 3e7]))
+    k = draw(st.integers(1, n))
+    return base[picks] * scale + offset, k, draw(st.integers(0, 2**32 - 1))
+
+
+@settings(derandomize=True, database=None, max_examples=150, deadline=None)
+@given(_point_sets(), st.sampled_from([None, 1, 3, 16]))
+def test_kmeans_equals_the_whole_pass_reference_on_any_tied_set(case, cells):
+    points, k, seed = case
+    saved = anchors.NEAREST_BLOCK
+    if cells is not None:
+        anchors.NEAREST_BLOCK = cells
+    try:
+        _assert_matches_reference(points, k, seed)
+    finally:
+        anchors.NEAREST_BLOCK = saved
+
+
+def test_late_steps_evaluate_only_the_moved_centers_cells(monkeypatch):
+    points, k = _floor_grid(np.random.default_rng(9))
+    n = len(points)
+    cells = []
+    monkeypatch.setattr(anchors, "_cells", cells.append)
+    bank = kmeans(points, k=k, seed=0)
+    # one pass per Lloyd step and one final relabel
+    assert len(cells) == len(bank.inertia_history) < anchors.MAX_ITER
+    assert cells[0] == n * k
+    # the last three Lloyd steps move a few centers each
+    assert len(cells) > 4 and max(cells[-4:-1]) < n * k / 8
+    # the loop stopped on a step that moved no center: nothing to relabel
+    assert cells[-1] == 0

@@ -476,6 +476,24 @@ def test_gen_anchors_too_few_points(tmp_path, capsys):
     assert code == 2
 
 
+def test_gen_anchors_refuses_centers_whose_squares_overflow(tmp_path, capsys):
+    gt = tmp_path / "gt.csv"
+    frames = {
+        f: [
+            Detection(box=Box3D(x, 1.0, 0.9, 0.6, 0.6, 1.8), class_id=0, confidence=1.0, track_id=i)
+            for i, x in enumerate((1e160, -1e160, 2.0))
+        ]
+        for f in range(3)
+    }
+    with open(gt, "w", encoding="utf-8", newline="\n") as fh:
+        emit_tracks(make_sequence(frames, native_fps=2.0), fh)
+    out = tmp_path / "anchors.csv"
+    code = main(["gen-anchors", "--gt", str(gt), "--out", str(out), "--k", "2"])
+    assert code == 2
+    assert "1e+150" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_gen_anchors_rerun_byte_identical(tmp_path, capsys):
     gt = tmp_path / "gt.csv"
     write_tracks(gt, n_frames=20, n_objects=3)
