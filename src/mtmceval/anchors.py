@@ -263,20 +263,17 @@ def parse_anchor_bank(stream: TextIO | str) -> AnchorBank:
     """Round-trip parse of emit_anchor_bank output."""
     if isinstance(stream, str):
         stream = io.StringIO(stream)
-    k = seed = None
-    inertia = None
+    k = seed = inertia = None
     rows: list[tuple[float, float, float]] = []
     for line_no, raw in enumerate(stream, start=1):
         line = raw.strip()
         if not line:
             continue
         if line.startswith("#"):
-            if "k=" in line and "inertia=" in line:
-                meta = dict(
-                    part.strip().split("=", 1)
-                    for part in line.lstrip("# ").split(",")
-                    if "=" in part
-                )
+            meta = dict(
+                part.strip().split("=", 1) for part in line.lstrip("# ").split(",") if "=" in part
+            )
+            if meta.keys() & {"k", "seed", "inertia"}:
                 for key in ("k", "seed", "inertia"):
                     if key not in meta:
                         raise ValueError(f"line {line_no}: anchor-bank header has no {key}=")
@@ -291,7 +288,7 @@ def parse_anchor_bank(stream: TextIO | str) -> AnchorBank:
             rows.append((float(parts[0]), float(parts[1]), float(parts[2])))
         except ValueError:
             raise ValueError(f"line {line_no}: malformed number") from None
-    if k is None or seed is None or inertia is None:
+    if k is None:
         raise ValueError("missing anchor-bank header (k, seed, inertia)")
     if len(rows) != k:
         raise ValueError(f"header says k={k} but file has {len(rows)} rows")

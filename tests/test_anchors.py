@@ -278,14 +278,16 @@ def test_kmeans_accepts_coordinates_at_the_bound():
 @pytest.mark.parametrize(
     "text, match",
     [
-        ("# k=1, inertia=0.0\n1.0,2.0,3.0\n", "seed"),
+        ("# k=1, inertia=0.0\n1.0,2.0,3.0\n", "no seed="),
+        ("# k=1, seed=0\n1.0,2.0,3.0\n", "no inertia="),
+        ("# seed=0, inertia=0.0\n1.0,2.0,3.0\n", "no k="),
         ("# k=1, seed=0, inertia=nan\n1.0,2.0,3.0\n", "inertia"),
         ("# k=1, seed=0, inertia=inf\n1.0,2.0,3.0\n", "inertia"),
         ("# k=1, seed=0, inertia=0.0\n1.0,inf,3.0\n", "finite"),
         ("# k=1, seed=0, inertia=0.0\nnan,2.0,3.0\n", "finite"),
         ("# k=0, seed=0, inertia=0.0\n", "k must be"),
     ],
-    ids=["no-seed", "nan-inertia", "inf-inertia", "inf-coordinate", "nan-coordinate", "k-0"],
+    ids=["no-seed", "no-inertia", "no-k", "nan-inertia", "inf-inertia", "inf-coordinate", "nan-coordinate", "k-0"],
 )
 def test_parse_rejects_broken_banks(text, match):
     with pytest.raises(ValueError, match=match):
