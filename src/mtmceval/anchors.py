@@ -274,12 +274,20 @@ def parse_anchor_bank(stream: TextIO | str) -> AnchorBank:
                 part.strip().split("=", 1) for part in line.lstrip("# ").split(",") if "=" in part
             )
             if meta.keys() & {"k", "seed", "inertia"}:
-                for key in ("k", "seed", "inertia"):
+                if k is not None:
+                    raise ValueError(f"line {line_no}: a second anchor-bank header")
+                values = []
+                for key, kind in (("k", int), ("seed", int), ("inertia", float)):
                     if key not in meta:
                         raise ValueError(f"line {line_no}: anchor-bank header has no {key}=")
-                k = int(meta["k"])
-                seed = int(meta["seed"])
-                inertia = float(meta["inertia"])
+                    try:
+                        values.append(kind(meta[key]))
+                    except ValueError:
+                        what = "an integer" if kind is int else "a number"
+                        raise ValueError(
+                            f"line {line_no}: anchor-bank header {key}={meta[key]} is not {what}"
+                        ) from None
+                k, seed, inertia = values
             continue
         parts = line.split(",")
         if len(parts) != 3:

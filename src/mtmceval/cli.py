@@ -40,6 +40,7 @@ from .matching import SimilaritySpec
 from .metrics import (
     DEFAULT_ALPHA_GRID,
     DEFAULT_DUR_ALPHA,
+    _check_alpha_grid,
     _roi_contains,
     class_report,
     postprocess_filter,
@@ -126,10 +127,9 @@ class ToolConfig:
 
     def __post_init__(self) -> None:
         self.similarity_spec()
-        if not self.alpha_grid:
-            raise ValueError("alpha_grid must be nonempty")
         for alpha in self.alpha_grid:
             check_real("alpha_grid entry", alpha, 1.0)
+        _check_alpha_grid(self.alpha_grid)
         check_real("dur_alpha", self.dur_alpha, 1.0)
         check_real("conf_threshold", self.conf_threshold, 1.0, zero=True)
         check_real("native_fps", self.native_fps)

@@ -2,11 +2,16 @@
 
 All metrics come from one pass per class over the evaluation window
 (``_class_edges``), reading column slices of the two sequences' track tables.
-Each table frame is looked up in the window's frame array, so the cost
-follows the rows, not the window's span. The pass orders each side's rows on
-window frames by (window position, track id) and builds one edge list
-(``matching.EdgeList``): every (GT row, prediction row) pair of one frame
-with nonzero similarity, never as per-frame matrices.
+``class_report`` looks up each table in the window once (``_on_window``):
+each table frame is looked up in the window's frame array, so the cost
+follows the rows, not the window's span, and the rows on window frames are
+taken in ``TrackTable.order``. As the window is sorted, that is (window
+position, class_id, track_id) order, so each class's rows need no sort of
+their own, and a repeated identity is read from the table's duplicate mask
+``TrackTable.repeat``. A table built in memory computes that order on its
+first report and keeps it; a parsed table holds it already. The pass builds
+one edge list (``matching.EdgeList``): every (GT row, prediction row) pair
+of one frame with nonzero similarity, never as per-frame matrices.
 Only the pairs within reach of each other along x are scored (sweep and
 prune), in blocks of GT rows. A window frame empty on either side holds no
 edge, and one empty on both sides costs nothing. It also ranks the
@@ -64,7 +69,6 @@ from .matching import (
     EdgeList,
     FrameMatchSet,
     SimilaritySpec,
-    _ranges,
     _runs,
     edge_list,
     match_edges,
@@ -74,6 +78,8 @@ logger = logging.getLogger(__name__)
 
 DEFAULT_ALPHA_GRID = tuple(round(0.05 * i, 2) for i in range(1, 20))
 DEFAULT_DUR_ALPHA = 0.5
+# (table, rows on window frames in TrackTable.order, their window positions)
+_View = tuple[TrackTable, np.ndarray, np.ndarray]
 
 
 # ---------------------------------------------------------------------------
@@ -86,12 +92,10 @@ class _ClassEdges:
     """One class's window. GT and prediction rows are the class's rows on
     window frames, each side ordered by (window position, track id): the
     edge list between them (row frames are window positions), each row's
-    track id and its index into the side's distinct ids, the detection count
-    of each distinct id, and the prediction rows in AP rank order."""
+    index into the side's distinct track ids, the detection count of each
+    distinct id, and the prediction rows in AP rank order."""
 
     edges: EdgeList
-    g_ids: np.ndarray
-    p_ids: np.ndarray
     g_dense: np.ndarray
     p_dense: np.ndarray
     gt_counts: np.ndarray
@@ -99,64 +103,46 @@ class _ClassEdges:
     ranked: np.ndarray
 
 
-def _window_rows(t: TrackTable, window: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(rows, window positions) of the table rows on window frames, in table
-    order; each table frame, a repeated one too, is looked up in the window,
-    so the cost follows the table, not the window's span."""
+def _on_window(t: TrackTable, window: np.ndarray) -> _View:
+    """(table, rows, window positions): the table rows on window frames in
+    ``TrackTable.order``, which is (window position, class_id, track_id)
+    order because the window is sorted. Each table frame, a repeated one
+    too, is looked up in the window, so the cost follows the table, not the
+    window's span."""
     at = np.searchsorted(window, t.frame_index)
-    found = at < window.size
-    found[found] = window[at[found]] == t.frame_index[found]
-    frames = np.flatnonzero(found)
-    counts = np.diff(t.offsets)[frames]
-    return _ranges(t.offsets[frames], counts), np.repeat(at[frames], counts)
+    found = window[np.minimum(at, window.size - 1)] == t.frame_index
+    rows = t.order[found[t.owner[t.order]]]
+    return t, rows, at[t.owner[rows]]
 
 
-def _class_rows(
-    t: TrackTable, window: np.ndarray, class_id: int, kind: str
-) -> tuple[np.ndarray, np.ndarray]:
-    """(rows, window positions) of one class's rows on window frames,
-    ordered by (window position, track_id), ties in table order; a track id
-    twice in one frame raises ValueError."""
-    rows, pos = _window_rows(t, window)
-    mine = t.class_id[rows] == class_id
-    rows, pos = rows[mine], pos[mine]
-    by_id = np.lexsort((t.track_id[rows], pos))
-    rows, pos = rows[by_id], pos[by_id]
-    ids = t.track_id[rows]
-    twice = np.flatnonzero((pos[1:] == pos[:-1]) & (ids[1:] == ids[:-1]) & (ids[1:] != -1))
-    if twice.size:
-        k = rows[twice[0]]
-        raise ValueError(
-            f"{kind} track_id {t.track_id[k]} appears twice in frame {t.frame[k]} "
-            f"of class {class_id}"
-        )
-    return rows, pos
-
-
-def _class_edges(
-    gt: TrackTable,
-    pred: TrackTable,
-    win: np.ndarray,
-    spec: SimilaritySpec,
-    class_id: int,
-) -> _ClassEdges:
-    g_rows, g_pos = _class_rows(gt, win, class_id, "ground-truth")
-    p_rows, p_pos = _class_rows(pred, win, class_id, "predicted")
-    missing = [
-        (pos[t.track_id[rows] == -1].min(initial=win.size), kind)
-        for t, rows, pos, kind in (
-            (gt, g_rows, g_pos, "ground-truth"), (pred, p_rows, p_pos, "predicted")
-        )
-    ]
-    first, kind = min(missing, key=lambda m: m[0])
-    if first < win.size:
-        raise ValueError(f"{kind} detection missing track_id")
+def _class_edges(gt: _View, pred: _View, spec: SimilaritySpec, class_id: int) -> _ClassEdges:
+    """The class's window from the two sides' ``_on_window`` views. A track
+    id twice in one frame (``TrackTable.repeat``) raises ValueError, GT
+    first; so does a row without a track id, the one at the earlier window
+    position, GT on a tie."""
+    sides, missing = [], []
+    for (t, rows, pos), kind in ((gt, "ground-truth"), (pred, "predicted")):
+        mine = t.class_id[rows] == class_id
+        rows, pos = rows[mine], pos[mine]
+        twice = rows[t.repeat[rows]].tolist()
+        if twice:
+            raise ValueError(
+                f"{kind} track_id {t.track_id[twice[0]]} appears twice in frame "
+                f"{t.frame[twice[0]]} of class {class_id}"
+            )
+        # rows run in window position order: the first without an id is the earliest
+        none = np.flatnonzero(t.track_id[rows] == -1)[:1].tolist()
+        missing += [(pos[i], kind, t.frame[rows[i]]) for i in none]
+        sides.append((t, rows, pos))
+    if missing:
+        _, kind, frame = min(missing, key=lambda m: m[0])
+        raise ValueError(f"{kind} detection missing track_id in frame {frame} of class {class_id}")
+    (gt, g_rows, g_pos), (pred, p_rows, p_pos) = sides
 
     def boxes(t: TrackTable, rows: np.ndarray) -> np.ndarray:
         return np.column_stack((t.x[rows], t.y[rows], t.w[rows], t.l[rows]))
 
     edges = edge_list(boxes(gt, g_rows), boxes(pred, p_rows), g_pos, p_pos, spec)
-    g_ids, p_ids = gt.track_id[g_rows], pred.track_id[p_rows]
     # confidence first, ties in row order, which is (frame, track id) order
     # and unique: each run of equal confidences is put back in row order
     key = -pred.conf[p_rows]
@@ -164,9 +150,10 @@ def _class_edges(
     first, size = _runs(key[ranked])
     tied = np.flatnonzero(np.repeat(size > 1, size))
     ranked[tied] = np.sort(np.repeat(first, size)[tied] * key.size + ranked[tied]) % key.size
-    _, g_dense, gt_counts = np.unique(g_ids, return_inverse=True, return_counts=True)
-    _, p_dense, pred_counts = np.unique(p_ids, return_inverse=True, return_counts=True)
-    return _ClassEdges(edges, g_ids, p_ids, g_dense, p_dense, gt_counts, pred_counts, ranked)
+    (_, g_dense, gt_counts), (_, p_dense, pred_counts) = (
+        np.unique(t.track_id[rows], return_inverse=True, return_counts=True) for t, rows, _ in sides
+    )
+    return _ClassEdges(edges, g_dense, p_dense, gt_counts, pred_counts, ranked)
 
 
 def _score_alphas(
@@ -182,8 +169,8 @@ def _score_alphas(
     LocA sums the matched similarities in GT row order.
     """
     e = data.edges
-    total_gt = data.g_ids.size
-    total_pred = data.p_ids.size
+    total_gt = data.g_dense.size
+    total_pred = data.p_dense.size
     n_pred = data.pred_counts.size
     keys, pair = np.unique(data.g_dense[e.gt] * n_pred + data.p_dense[e.pred], return_inverse=True)
     gt_n = data.gt_counts[keys // n_pred]
@@ -256,7 +243,7 @@ def _ap_hits(data: _ClassEdges, alpha: float) -> np.ndarray:
     lv = level[p]
     order = np.argsort(lv, kind="stable")
     g, p, sim = g[order], p[order], sim[order]
-    available = np.ones(data.g_ids.size, dtype=bool)
+    available = np.ones(data.g_dense.size, dtype=bool)
     hit = np.zeros(data.ranked.size, dtype=bool)
     starts, sizes = _runs(lv[order])
     for a, b in zip(starts.tolist(), (starts + sizes).tolist()):
@@ -280,7 +267,7 @@ def _average_precision(data: _ClassEdges, alpha: float) -> float:
     takes the available GT of highest similarity; on an exact tie, the GT
     with the lower track id.
     """
-    npos = data.g_ids.size
+    npos = data.g_dense.size
     n = data.ranked.size
     if npos == 0:
         return 1.0 if n == 0 else 0.0
@@ -332,7 +319,9 @@ def detection_ap(
     frame, each ground-truth box consumed at most once; an exact similarity
     tie goes to the GT with the lower track id.
     """
-    data = _class_edges(gt.table, pred.table, window.frames, spec, class_id)
+    data = _class_edges(
+        _on_window(gt.table, window.frames), _on_window(pred.table, window.frames), spec, class_id
+    )
     return _average_precision(data, alpha)
 
 
@@ -458,6 +447,15 @@ class MetricsReport:
         }
 
 
+def _check_alpha_grid(alpha_grid: tuple[float, ...]) -> None:
+    """Raise ValueError unless the grid is nonempty and lists no alpha twice."""
+    if not alpha_grid:
+        raise ValueError("alpha_grid must be nonempty")
+    twice = [alpha for k, alpha in enumerate(alpha_grid) if alpha in alpha_grid[:k]]
+    if twice:
+        raise ValueError(f"alpha {twice[0]:g} is listed twice in alpha_grid")
+
+
 def class_report(
     gt: Sequence,
     pred: Sequence,
@@ -474,17 +472,14 @@ def class_report(
     classes are dropped with a warning. AvgTrackDur and AP are computed at the
     single gate dur_alpha; the HOTA family integrates over alpha_grid.
     """
-    if not alpha_grid:
-        raise ValueError("alpha_grid must be nonempty")
-
-    def classes(t: TrackTable) -> set[int]:
-        # with return_counts, np.unique does not import numpy.ma (numpy 2.4)
-        ids, _ = np.unique(t.class_id[_window_rows(t, window.frames)[0]], return_counts=True)
-        return set(ids.tolist())
-
-    gt_classes = classes(gt.table)
+    _check_alpha_grid(alpha_grid)
+    views = [_on_window(s.table, window.frames) for s in (gt, pred)]
+    # with return_counts, np.unique does not import numpy.ma (numpy 2.4)
+    gt_classes, pred_classes = (
+        set(np.unique(t.class_id[rows], return_counts=True)[0].tolist()) for t, rows, _ in views
+    )
     notes: list[str] = []
-    orphan = sorted(classes(pred.table) - gt_classes)
+    orphan = sorted(pred_classes - gt_classes)
     if orphan:
         logger.warning("dropping predicted classes absent from GT: %s", orphan)
         notes.append(f"dropped predicted classes absent from GT: {orphan}")
@@ -495,7 +490,7 @@ def class_report(
 
     per_class: dict[int, ClassMetrics] = {}
     for c in sorted(gt_classes):
-        data = _class_edges(gt.table, pred.table, window.frames, spec, c)
+        data = _class_edges(*views, spec, c)
         scores, (ids, positions) = _score_alphas(data, all_alphas, dur_index)
         h, d, a, l = np.array(scores[: len(alphas)]).mean(axis=0)
         per_class[c] = ClassMetrics(

@@ -286,8 +286,16 @@ def test_kmeans_accepts_coordinates_at_the_bound():
         ("# k=1, seed=0, inertia=0.0\n1.0,inf,3.0\n", "finite"),
         ("# k=1, seed=0, inertia=0.0\nnan,2.0,3.0\n", "finite"),
         ("# k=0, seed=0, inertia=0.0\n", "k must be"),
+        ("# k=abc, seed=0, inertia=0.0\n", "^line 1: anchor-bank header k=abc is not an integer$"),
+        ("# k=1.5, seed=0, inertia=0.0\n", "^line 1: anchor-bank header k=1.5 is not an integer$"),
+        ("\n# k=1, seed=x, inertia=0.0\n", "^line 2: anchor-bank header seed=x is not an integer$"),
+        ("# k=1, seed=0, inertia=zz\n", "^line 1: anchor-bank header inertia=zz is not a number$"),
+        ("# k=1, seed=0, inertia=0.0\n# x,y,z\n# k=2, seed=0, inertia=0.0\n1.0,2.0,3.0\n",
+         "^line 3: a second anchor-bank header$"),
     ],
-    ids=["no-seed", "no-inertia", "no-k", "nan-inertia", "inf-inertia", "inf-coordinate", "nan-coordinate", "k-0"],
+    ids=["no-seed", "no-inertia", "no-k", "nan-inertia", "inf-inertia", "inf-coordinate",
+         "nan-coordinate", "k-0", "k-not-a-number", "k-not-an-integer", "seed-not-a-number",
+         "inertia-not-a-number", "second-header"],
 )
 def test_parse_rejects_broken_banks(text, match):
     with pytest.raises(ValueError, match=match):

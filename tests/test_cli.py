@@ -191,7 +191,8 @@ def test_evaluate_detector_only_prediction_exits_2(tmp_path, capsys):
     pred.write_text("0,,0,0,0,0.9,0.6,0.6,1.8,0,0.5\n")
     code = main(["evaluate", "--gt", str(gt), "--pred", str(pred)])
     assert code == 2
-    assert "track_id" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert err == "error: predicted detection missing track_id in frame 0 of class 0\n"
 
 
 @pytest.mark.parametrize(
@@ -241,6 +242,7 @@ def test_evaluate_detector_only_prediction_exits_2(tmp_path, capsys):
         ({}, ["sweep-fps", "--rates", "2,1,2"], "rate 2 is listed twice"),
         ({}, ["sweep-fps", "--rates", "2,2.0000000000001"],
          "rates 2.0 and 2.0000000000001 both name the prediction file"),
+        ({"alpha_grid": [0.5, 0.25, 0.5]}, [], "alpha 0.5 is listed twice in alpha_grid"),
     ],
 )
 def test_bad_config_or_flag_exits_2(tmp_path, capsys, config, flags, named):

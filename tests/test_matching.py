@@ -25,7 +25,9 @@ from mtmceval.matching import (
     match_frame,
     similarity_matrix,
 )
-from mtmceval.metrics import DEFAULT_ALPHA_GRID, _class_edges, class_report, report_to_json
+from mtmceval.metrics import (
+    DEFAULT_ALPHA_GRID, _class_edges, _on_window, class_report, report_to_json,
+)
 from mtmceval.synthgen import DegradeSpec, degrade, gen_scene
 
 BEV = SimilaritySpec(mode="bev_iou")
@@ -655,7 +657,8 @@ def test_pooled_masks_hold_with_more_workers_than_cores_and_fast_switching():
     """Eight solver threads on many small chunks, switching every
     microsecond, give the inline masks."""
     gt, pred, window = crowd()
-    edges = _class_edges(gt.table, pred.table, window.frames, CD, 0).edges
+    views = (_on_window(s.table, window.frames) for s in (gt, pred))
+    edges = _class_edges(*views, CD, 0).edges
     alphas = tuple(round(0.05 * i, 2) for i in range(1, 20))
     with mock.patch.multiple(matching, **INLINE):
         want = [m.tolist() for m in match_edges(edges, alphas)]

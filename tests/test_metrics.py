@@ -332,6 +332,35 @@ def test_class_report_rejects_a_track_id_twice_in_a_frame(side, kind):
         class_report(gt, pred, win, CD)
 
 
+@pytest.mark.parametrize(
+    "gt_frame, pred_frame, named",
+    [
+        (20, None, "ground-truth detection missing track_id in frame 20"),
+        (None, 20, "predicted detection missing track_id in frame 20"),
+        (30, 10, "predicted detection missing track_id in frame 10"),
+        (10, 30, "ground-truth detection missing track_id in frame 10"),
+        (20, 20, "ground-truth detection missing track_id in frame 20"),
+    ],
+    ids=["gt", "pred", "pred-earlier", "gt-earlier", "tie-goes-to-gt"],
+)
+def test_class_report_names_the_first_detection_missing_a_track_id(gt_frame, pred_frame, named):
+    """Scoring names the side, frame and class of the row without a track
+    id at the earliest window position, GT on a tie. Rows off the window
+    (frame 5) and of a predicted class absent from GT (class 0) are never
+    scored, so their missing ids are not named."""
+
+    def side(missing, first_class):
+        frames = {f: [det(0.0, 0.0, None if f == missing else 1, class_id=1)] for f in (10, 20, 30)}
+        frames[0] = [det(0.0, 0.0, None if first_class == 0 else 1, class_id=first_class)]
+        frames[5] = [det(0.0, 0.0, None, class_id=1)]
+        return make_sequence(frames, native_fps=1.0)
+
+    gt, pred = side(gt_frame, 1), side(pred_frame, 0)
+    win = EvalWindow(frame_indices=range(0, 40, 10), f0=1.0)
+    with pytest.raises(ValueError, match=f"^{named} of class 1$"):
+        class_report(gt, pred, win, CD)
+
+
 def test_a_frame_index_listed_twice_scores_the_rows_of_both_entries():
     """A Sequence may list one frame index twice (validate_sequence reports
     it); every row on a window frame is scored, and a track id repeated
@@ -608,6 +637,14 @@ def test_class_report_rejects_an_empty_alpha_grid():
     win = EvalWindow(frame_indices=gt.frame_indices, f0=1.0)
     with pytest.raises(ValueError, match="^alpha_grid must be nonempty$"):
         class_report(gt, gt, win, CD, alpha_grid=())
+
+
+def test_class_report_rejects_an_alpha_listed_twice():
+    """An alpha listed twice would count twice in the HOTA mean."""
+    gt = seq_from_positions({f: [(0.0, 0.0, 1)] for f in range(3)})
+    win = EvalWindow(frame_indices=gt.frame_indices, f0=1.0)
+    with pytest.raises(ValueError, match="^alpha 0.5 is listed twice in alpha_grid$"):
+        class_report(gt, gt, win, CD, alpha_grid=(0.25, 0.5, 0.75, 0.5))
 
 
 def test_class_report_perfect_and_empty_class():

@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 
 from mtmceval.datamodel import FLOAT_COLUMNS, Box3D, Detection, EvalWindow, Sequence, make_sequence
 from mtmceval.matching import SimilaritySpec
-from mtmceval.metrics import _ap_hits, _class_edges, _class_rows, _levels, class_report
+from mtmceval.metrics import _ap_hits, _class_edges, _levels, _on_window, class_report
 from mtmceval.synthgen import DegradeSpec, degrade, gen_scene, merge_sequences, oracle_metrics
 
 BOUNDS = (-4.0, -4.0, 4.0, 4.0)
@@ -64,14 +64,27 @@ def metrics(report):
 @PROPERTY
 @given(scenes(), st.integers(0, 2**32))
 def test_class_report_ignores_row_order_within_frames(scene, seed):
+    """Shuffling the rows within each frame, splitting one frame into two
+    entries of ``frame_index`` and permuting the entries leave every score
+    as it is: the window positions, not the table's frame order, order the
+    rows."""
     gt, pred, window, sim = scene
     rng = np.random.default_rng(seed)
 
     def shuffled(seq):
         t = seq.table
-        owner = np.repeat(np.arange(t.frame_index.size), np.diff(t.offsets))
-        perm = np.lexsort((rng.random(owner.size), owner))
-        return with_columns(seq, **{n: getattr(t, n)[perm] for n in ROW_COLUMNS})
+        k = rng.integers(t.frame_index.size)
+        cut = rng.integers(t.offsets[k], t.offsets[k + 1] + 1)
+        starts = np.insert(t.offsets[:-1], k + 1, cut)
+        ends = np.insert(t.offsets[1:], k, cut)
+        entries = rng.permutation(starts.size)
+        perm = np.concatenate([rng.permutation(np.arange(starts[e], ends[e])) for e in entries])
+        return with_columns(
+            seq,
+            frame_index=np.insert(t.frame_index, k, t.frame_index[k])[entries],
+            offsets=np.concatenate(([0], np.cumsum((ends - starts)[entries]))),
+            **{n: getattr(t, n)[perm] for n in ROW_COLUMNS},
+        )
 
     assert metrics(class_report(shuffled(gt), shuffled(pred), window, sim)) == metrics(
         class_report(gt, pred, window, sim)
@@ -170,11 +183,17 @@ def reference_ap_hits(e, level, n_gt, alpha):
     return hit
 
 
+def class_edges(gt, pred, window, sim):
+    """The class-0 pass over the window."""
+    return _class_edges(_on_window(gt.table, window.frames), _on_window(pred.table, window.frames),
+                        sim, 0)
+
+
 def lexsort_ranked(pred, window):
     """The AP rank of the class-0 prediction rows by the explicit lexsort
     key (descending confidence, frame, track id, x, y, z)."""
-    t = pred.table
-    rows, _ = _class_rows(t, window.frames, 0, "predicted")
+    t, rows, _ = _on_window(pred.table, window.frames)
+    rows = rows[t.class_id[rows] == 0]
     return np.lexsort((t.z[rows], t.y[rows], t.x[rows], t.track_id[rows], t.frame[rows], -t.conf[rows]))
 
 
@@ -197,7 +216,7 @@ def test_ap_rank_and_level_order_equal_their_lexsort_keys(scene):
     AP greedy pass takes the same predictions as a greedy pass that walks
     the edges in lexsort order."""
     gt, pred, window, sim = scene
-    data = _class_edges(gt.table, pred.table, window.frames, sim, 0)
+    data = class_edges(gt, pred, window, sim)
     ranked = lexsort_ranked(pred, window)
     assert np.array_equal(data.ranked, ranked)
 
@@ -205,7 +224,7 @@ def test_ap_rank_and_level_order_equal_their_lexsort_keys(scene):
     level = lexsort_levels(e.pred_frame, ranked)
     assert np.array_equal(_levels(e.pred_frame, data.ranked), level)
     for alpha in (0.05, 0.3, 0.5, 1.0):
-        want = reference_ap_hits(e, level, data.g_ids.size, alpha)
+        want = reference_ap_hits(e, level, data.g_dense.size, alpha)
         assert np.array_equal(_ap_hits(data, alpha), want)
 
 
@@ -238,13 +257,13 @@ def test_ap_levels_and_greedy_past_256_levels_or_frames(n_frames, n_gt, n_pred):
     gt, pred = grid_scene(n_frames, n_gt, n_pred, seed=n_frames)
     window = EvalWindow(tuple(range(n_frames)), f0=1.0)
     sim = SimilaritySpec(mode="center_distance", d_max=2.0)
-    data = _class_edges(gt.table, pred.table, window.frames, sim, 0)
+    data = class_edges(gt, pred, window, sim)
     assert np.array_equal(data.ranked, lexsort_ranked(pred, window))
     e = data.edges
     level = lexsort_levels(e.pred_frame, data.ranked)
     assert max(level.max() + 1, e.pred_frame[-1] + 1) == 300
     assert np.array_equal(_levels(e.pred_frame, data.ranked), level)
     for alpha in (0.05, 0.3, 0.5, 1.0):
-        want = reference_ap_hits(e, level, data.g_ids.size, alpha)
+        want = reference_ap_hits(e, level, data.g_dense.size, alpha)
         assert want.any()
         assert np.array_equal(_ap_hits(data, alpha), want)
