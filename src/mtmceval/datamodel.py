@@ -256,15 +256,20 @@ def _table_from_frames(frames: Iterable[tuple[int, Iterable[Detection]]]) -> Tra
     def column(items: list, attr: str, dtype: type = float) -> np.ndarray:
         return np.fromiter(map(attrgetter(attr), items), dtype, n)
 
-    track_id = np.fromiter(
-        (-1 if tid is None else tid for tid in map(attrgetter("track_id"), dets)), np.int64, n
-    )
+    ids = list(map(attrgetter("track_id"), dets))
+    counts = np.array([len(ds) for _, ds in frames], dtype=np.int64)
+    if -1 in ids:
+        k = int(np.searchsorted(np.cumsum(counts), ids.index(-1), "right"))
+        raise ValueError(
+            f"track_id -1 in frame {frames[k][0]}: -1 is the track table's no-id marker; "
+            "give track_id=None for a detection without one"
+        )
+    track_id = np.fromiter((-1 if tid is None else tid for tid in ids), np.int64, n)
     velocity = [d.velocity for d in dets]
     vx = vy = None
     if any(v is not None for v in velocity):
         nan = (math.nan, math.nan)
         vx, vy = np.array([v or nan for v in velocity], dtype=float).reshape(n, 2).T.copy()
-    counts = np.array([len(ds) for _, ds in frames], dtype=np.int64)
     return TrackTable(
         frame_index, np.concatenate(([0], np.cumsum(counts))),
         track_id, column(dets, "class_id", np.int64),

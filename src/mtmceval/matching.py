@@ -10,9 +10,12 @@ matching.
 Scoring matches many frames at once on an ``EdgeList``, the nonzero
 similarities between the rows of each frame, and ``match_frame`` matches one
 frame as an edge list of one frame. ``edge_list`` finds them by sweep and
-prune: a GT row is scored only against the predictions of its frame whose x
-lies within the reach of a nonzero similarity. Edges and matrices both come
-from ``pair_similarity``, which reads the per-row columns that ``_columns``
+prune on both axes: a GT row is scored only against the predictions of its
+frame whose x and y both lie within the reach of a nonzero similarity
+(d_max under center_distance; under bev_iou, half the GT row's width plus
+half the widest prediction's along x, half its length plus half the longest
+prediction's along y). Edges and matrices both come from
+``pair_similarity``, which reads the per-row columns that ``_columns``
 builds once per row. At a gate alpha, a frame in which no gated row has two
 gated partners holds only forced pairs, which are taken as they are; every
 other frame is solved on its whole gated matrix, scattered from its edges.
@@ -178,44 +181,49 @@ def edge_list(
     width, length, grouped by the nondecreasing frame labels beside them)
     with nonzero similarity.
 
-    Sweep and prune: each frame's predictions are sorted by x, and a GT row
-    is paired only with the predictions of its frame whose x lies within its
-    reach: d_max under center_distance, half its width plus half the widest
-    prediction's under bev_iou, widened by a float slack relative to |x|. A
-    pair beyond that reach has zero similarity, so the edges are those of the
-    whole GT x prediction product. The candidate pairs go through
-    ``pair_similarity`` in blocks of whole GT rows of about EDGE_BLOCK pairs,
-    each side's ``_columns`` gathered per block, so memory stays bounded
-    however long the window is.
+    Sweep and prune on both axes: each frame's predictions are sorted by x,
+    and a GT row is paired only with the predictions of its frame whose x
+    lies within its x reach, then only with those whose y lies within its y
+    reach. The x reach is d_max under center_distance, half its width plus
+    half the widest prediction's under bev_iou; the y reach is d_max under
+    center_distance, half its length plus half the longest prediction's under
+    bev_iou. Each is widened by a float slack relative to |x| or |y|. A pair
+    beyond either reach has zero similarity, so the edges are those of the
+    whole GT x prediction product. The x candidates come in blocks of whole
+    GT rows of about EDGE_BLOCK pairs; the y prune drops its pairs before
+    ``pair_similarity`` scores the rest, each side's ``_columns`` gathered by
+    index per block, so memory stays bounded however long the window is.
     """
-    gx, px = gt[:, 0], pred[:, 0]
+    # each GT row's reach along x and along y: width spans x, length spans y
     if spec.mode == "center_distance":
-        reach = np.full(gx.size, spec.d_max)
+        reach = np.full((len(gt), 2), spec.d_max)
     else:
-        reach = (gt[:, 2] + pred[:, 2].max(initial=0.0)) / 2
-    reach += 1e-9 * (np.abs(gx) + reach)
+        reach = (gt[:, 2:4] + pred[:, 2:4].max(0, initial=0.0)) / 2
+    reach += 1e-9 * (np.abs(gt[:, :2]) + reach)
+    (gx, gy), (px, py), (x_reach, y_reach) = gt[:, :2].T, pred[:, :2].T, reach.T
     # (frame, x) keys as complex numbers, which numpy orders lexicographically
     key = pred_frame + 1j * px
     by_x = np.argsort(key, kind="stable")
     key = key[by_x]
-    lo = np.searchsorted(key, gt_frame + 1j * (gx - reach), "left")
-    count = np.searchsorted(key, gt_frame + 1j * (gx + reach), "right") - lo
+    lo = np.searchsorted(key, gt_frame + 1j * (gx - x_reach), "left")
+    count = np.searchsorted(key, gt_frame + 1j * (gx + x_reach), "right") - lo
     block = (np.cumsum(count) - count) // EDGE_BLOCK
     cuts = (np.flatnonzero(np.diff(block)) + 1).tolist()
     g_cols = _columns(gt, spec)
     p_cols = tuple(c[by_x] for c in _columns(pred, spec))
+    py = py[by_x]
     parts = []
     for a, b in zip([0, *cuts], [*cuts, count.size]):
         n = count[a:b]
         g = np.repeat(np.arange(a, b), n)
         at = _ranges(lo[a:b], n)
-        p = by_x[at]
-        sim = pair_similarity(
-            tuple(np.repeat(c[a:b], n) for c in g_cols), tuple(c[at] for c in p_cols), spec
-        )
-        hit = sim > 0
-        parts.append((g[hit], p[hit], sim[hit]))
+        near = np.flatnonzero(np.abs(np.repeat(gy[a:b], n) - py[at]) <= np.repeat(y_reach[a:b], n))
+        g, at = g[near], at[near]
+        sim = pair_similarity(tuple(c[g] for c in g_cols), tuple(c[at] for c in p_cols), spec)
+        hit = np.flatnonzero(sim > 0)
+        parts.append((g[hit], by_x[at[hit]], sim[hit]))
     g, p, sim = (np.concatenate(c) for c in zip(*parts))
+    del parts  # the blocks' copies, not kept while the edges are sorted
     # g is already in order; within a GT row the candidates came in x order
     order = np.argsort(g * len(pred) + p, kind="stable")
     return EdgeList(g[order], p[order], sim[order], gt_frame, pred_frame)
@@ -310,9 +318,10 @@ def _row_levels(row: np.ndarray, sim: np.ndarray, n: int) -> np.ndarray:
     best = np.zeros(n)
     np.maximum.at(best, row, sim)
     top = sim == best[row]
+    below = np.flatnonzero(~top)
     level = np.zeros(n)
-    np.maximum.at(level, row[~top], sim[~top])
-    tied = np.bincount(row[top], minlength=n) > 1
+    np.maximum.at(level, row[below], sim[below])
+    tied = np.flatnonzero(np.bincount(row[top], minlength=n) > 1)
     level[tied] = best[tied]
     return level
 

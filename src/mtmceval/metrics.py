@@ -12,14 +12,16 @@ their own, and a repeated identity is read from the table's duplicate mask
 first report and keeps it; a parsed table holds it already. The pass builds
 one edge list (``matching.EdgeList``): every (GT row, prediction row) pair
 of one frame with nonzero similarity, never as per-frame matrices.
-Only the pairs within reach of each other along x are scored (sweep and
-prune), in blocks of GT rows. A window frame empty on either side holds no
-edge, and one empty on both sides costs nothing. It also ranks the
-predictions for AP by descending confidence, ties in row order: the rows are
-already in (frame, track id) order, which is unique within a class, so one
-sort on confidence, with each run of equal confidences put back in row
-order, gives the rank. Three consumers read that pass and compute nothing
-twice:
+Only the pairs within reach of each other along both x and y are scored
+(sweep and prune on both axes; the reach along y is d_max under
+center_distance, half the GT row's length plus half the longest
+prediction's under bev_iou), in blocks of GT rows. A window frame empty on
+either side holds no edge, and one empty on both sides costs nothing. It
+also ranks the predictions for AP by descending confidence, ties in row
+order: the rows are already in (frame, track id) order, which is unique
+within a class, so one sort on confidence, with each run of equal
+confidences put back in row order, gives the rank. Three consumers read
+that pass and compute nothing twice:
 
 - ``_score_alphas`` matches the edges over the whole alpha grid in one
   ``match_edges`` pass, which returns a mask over the edges per alpha, and
@@ -30,9 +32,10 @@ twice:
   still clear the gate and it has no more gated edges than there: its gated
   edges are then a subset of those there, so that matching stays optimal
   (on an exact tie, the lower alpha's choice holds). Otherwise it is solved
-  on its whole gated matrix, scattered from its edges. Each edge's
-  (GT id, prediction id) pair is numbered once, so an alpha's AssA counts
-  are one bincount over the masked edges;
+  on its whole gated matrix, scattered from its edges. The (GT id,
+  prediction id) pair of each edge matched at some alpha is numbered once,
+  and each alpha's matched edges are taken as one index, so an alpha's AssA
+  counts are one bincount over them;
 - ``_run_seconds`` counts runs of matched prediction ids over window
   positions from one sort of (dense id, position) keys: AvgTrackDur;
 - ``_average_precision`` matches predictions greedily in rank order, level
@@ -78,7 +81,8 @@ logger = logging.getLogger(__name__)
 
 DEFAULT_ALPHA_GRID = tuple(round(0.05 * i, 2) for i in range(1, 20))
 DEFAULT_DUR_ALPHA = 0.5
-# (table, rows on window frames in TrackTable.order, their window positions)
+# (table, rows on window frames in TrackTable.order, the window position of
+# each entry of the table's frame_index)
 _View = tuple[TrackTable, np.ndarray, np.ndarray]
 
 
@@ -106,13 +110,13 @@ class _ClassEdges:
 def _on_window(t: TrackTable, window: np.ndarray) -> _View:
     """(table, rows, window positions): the table rows on window frames in
     ``TrackTable.order``, which is (window position, class_id, track_id)
-    order because the window is sorted. Each table frame, a repeated one
-    too, is looked up in the window, so the cost follows the table, not the
-    window's span."""
+    order because the window is sorted, and the window position of each
+    frame entry (meaningless for an entry off the window). Each table frame,
+    a repeated one too, is looked up in the window, so the cost follows the
+    table, not the window's span."""
     at = np.searchsorted(window, t.frame_index)
     found = window[np.minimum(at, window.size - 1)] == t.frame_index
-    rows = t.order[found[t.owner[t.order]]]
-    return t, rows, at[t.owner[rows]]
+    return t, t.order[np.flatnonzero(found[t.owner[t.order]])], at
 
 
 def _class_edges(gt: _View, pred: _View, spec: SimilaritySpec, class_id: int) -> _ClassEdges:
@@ -121,9 +125,9 @@ def _class_edges(gt: _View, pred: _View, spec: SimilaritySpec, class_id: int) ->
     first; so does a row without a track id, the one at the earlier window
     position, GT on a tie."""
     sides, missing = [], []
-    for (t, rows, pos), kind in ((gt, "ground-truth"), (pred, "predicted")):
-        mine = t.class_id[rows] == class_id
-        rows, pos = rows[mine], pos[mine]
+    for (t, rows, at), kind in ((gt, "ground-truth"), (pred, "predicted")):
+        rows = rows[np.flatnonzero(t.class_id[rows] == class_id)]
+        pos = at[t.owner[rows]]
         twice = rows[t.repeat[rows]].tolist()
         if twice:
             raise ValueError(
@@ -163,34 +167,45 @@ def _score_alphas(
     predictions at ``alphas[dur_index]`` and their window positions (for run
     counting).
 
-    AssA weights each (GT id, prediction id) pair by its TP count; each
-    edge's pair is numbered once, on dense indices into each side's distinct
-    ids, so any int64 track id is safe, and counted per alpha by bincount.
-    LocA sums the matched similarities in GT row order.
+    AssA weights each (GT id, prediction id) pair by its TP count; the pair
+    of each edge matched at some alpha is numbered once, on dense indices
+    into each side's distinct ids, so any int64 track id is safe, and
+    counted per alpha by bincount. LocA sums the matched similarities in GT
+    row order.
     """
     e = data.edges
     total_gt = data.g_dense.size
     total_pred = data.p_dense.size
     n_pred = data.pred_counts.size
-    keys, pair = np.unique(data.g_dense[e.gt] * n_pred + data.p_dense[e.pred], return_inverse=True)
+    masks = match_edges(e, alphas)
+    ever = np.zeros(e.sim.size, bool)
+    for mask in masks:
+        ever |= mask
+    ever = np.flatnonzero(ever)
+    keys, inverse = np.unique(
+        data.g_dense[e.gt[ever]] * n_pred + data.p_dense[e.pred[ever]], return_inverse=True
+    )
+    pair = np.empty(e.sim.size, np.intp)  # read only at matched edges
+    pair[ever] = inverse
     gt_n = data.gt_counts[keys // n_pred]
     pred_n = data.pred_counts[keys % n_pred]
     scores = []
-    for k, mask in enumerate(match_edges(e, alphas)):
+    for k, mask in enumerate(masks):
+        at = np.flatnonzero(mask)
         if k == dur_index:
-            matched = (data.p_dense[e.pred[mask]], e.gt_frame[e.gt[mask]])
-        tp = int(np.count_nonzero(mask))
+            matched = (data.p_dense[e.pred[at]], e.gt_frame[e.gt[at]])
+        tp = at.size
         if tp == 0:
             # the class has GT in the window, so nothing matched scores 0
             scores.append((0.0, 0.0, 0.0, 0.0))
             continue
         deta = tp / (total_gt + total_pred - tp)
-        counts = np.bincount(pair[mask], minlength=keys.size)
+        counts = np.bincount(pair[at], minlength=keys.size)
         seen = np.flatnonzero(counts)
         counts = counts[seen]
         a_c = counts / (gt_n[seen] + pred_n[seen] - counts)
         assa = float((counts * a_c).sum() / tp)
-        loca = float(e.sim[mask].mean())
+        loca = float(e.sim[at].mean())
         scores.append((math.sqrt(deta * assa), deta, assa, loca))
     return scores, matched
 
@@ -238,7 +253,7 @@ def _ap_hits(data: _ClassEdges, alpha: float) -> np.ndarray:
     """
     e = data.edges
     level = _levels(e.pred_frame, data.ranked)
-    keep = e.sim >= alpha
+    keep = np.flatnonzero(e.sim >= alpha)
     g, p, sim = e.gt[keep], e.pred[keep], e.sim[keep]
     lv = level[p]
     order = np.argsort(lv, kind="stable")

@@ -187,6 +187,14 @@ def test_negative_ids_and_frames_stay_representable():
     assert {v.field for v in validate_sequence(seq)} == {"frame_index", "class_id", "track_id"}
 
 
+def test_a_detection_with_track_id_minus_one_is_refused_naming_its_frame():
+    """-1 is the track table's no-id marker: a Detection carrying it is
+    refused, not turned into a detection without a track id."""
+    frames = {3: [_det(track_id=0)], 7: [], 8: [_det(track_id=1), _det(track_id=-1)]}
+    with pytest.raises(ValueError, match=r"^track_id -1 in frame 8: .*no-id marker.*None"):
+        make_sequence(frames, 1.0)
+
+
 @pytest.mark.parametrize("rate", [math.nan, math.inf, -1.0])
 def test_rates_must_be_finite_and_positive(rate):
     with pytest.raises(ValueError, match="f0 must be finite and positive"):

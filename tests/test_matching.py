@@ -238,12 +238,13 @@ def test_match_frame_properties(seed):
 # --- edge lists over many frames ----------------------------------------------
 
 
-def grid_footprints(rng, n, origin):
-    """n footprints on a 0.25 m grid around x = origin: exact at any origin
-    up to 1e12, so boxes touch exactly and centres lie exactly d_max apart."""
+def grid_footprints(rng, n, origin, y_origin=0.0):
+    """n footprints on a 0.25 m grid around (origin, y_origin): exact at any
+    origin up to 1e12, so boxes touch exactly and centres lie exactly d_max
+    apart."""
     return np.column_stack([
         origin + 0.25 * rng.integers(-12, 13, n),
-        0.25 * rng.integers(-4, 5, n),
+        y_origin + 0.25 * rng.integers(-4, 5, n),
         rng.choice([0.5, 1.0, 1.5, 2.0], n),
         rng.choice([0.5, 1.0, 2.0], n),
     ]).reshape(-1, 4)
@@ -266,24 +267,33 @@ def test_edge_list_equals_nonzero_matrix_entries(spec):
     """Sweep and prune drops no pair of nonzero similarity: the edges are the
     nonzero entries of the per-frame matrices, bit for bit and in order."""
     reach = spec.d_max if spec.mode == "center_distance" else None
+    origins = [0.0, 1e3, -1e6, 1e12, -1e12]
     for seed in range(40):
         rng = np.random.default_rng([seed, 11])
-        origin = [0.0, 1e3, -1e6, 1e12, -1e12][seed % 5]
+        origin, y_origin = origins[seed % 5], origins[(seed // 5 + 2) % 5]
         gt_parts, pred_parts, gt_frame, pred_frame = [], [], [], []
         for f in range(int(rng.integers(1, 6))):
             # either side may be empty on a frame
-            gt_f = grid_footprints(rng, int(rng.integers(0, 6)), origin)
-            pred_f = grid_footprints(rng, int(rng.integers(0, 6)), origin)
+            gt_f = grid_footprints(rng, int(rng.integers(0, 6)), origin, y_origin)
+            pred_f = grid_footprints(rng, int(rng.integers(0, 6)), origin, y_origin)
             if gt_f.size and pred_f.size:
-                # a prediction just inside the reach of the first GT row, and
-                # one exactly at it (touching boxes or centres d_max apart)
-                g = gt_f[0]
-                at = g[0] + (reach or (g[2] + pred_f[0, 2]) / 2)
-                pred_f = np.vstack([pred_f, [at, g[1], *pred_f[0, 2:]],
-                                    [np.nextafter(at, -np.inf), g[1], *pred_f[0, 2:]]])
+                # predictions just inside the x and the y reach of the first
+                # GT row, and exactly at them (touching boxes or centres
+                # d_max apart)
+                g, dims = gt_f[0], pred_f[0, 2:]
+                at = g[0] + (reach or (g[2] + dims[0]) / 2)
+                y_at = g[1] + (reach or (g[3] + dims[1]) / 2)
+                pred_f = np.vstack([
+                    pred_f,
+                    [at, g[1], *dims], [np.nextafter(at, -np.inf), g[1], *dims],
+                    [g[0], y_at, *dims], [g[0], np.nextafter(y_at, -np.inf), *dims],
+                ])
             if f == 1 and seed % 3 == 0:
                 # one very wide box, on either side
                 (gt_f if seed % 2 else pred_f)[:1, 2] = 400.0
+            if f == 1 and seed % 3 == 1:
+                # one very long box, on either side
+                (gt_f if seed % 2 else pred_f)[:1, 3] = 400.0
             gt_parts.append(gt_f)
             pred_parts.append(pred_f)
             gt_frame += [f] * len(gt_f)
@@ -299,10 +309,11 @@ def test_edge_list_equals_nonzero_matrix_entries(spec):
 @st.composite
 def framed_footprints(draw):
     """(gt, pred, gt_frame, pred_frame, spec): footprints on a 0.25 m grid
-    around one origin of |x| up to 1e9, on up to 12 frames drawn from a
-    million window positions, either side of a frame possibly empty, with
-    touching boxes and centres exactly d_max apart."""
+    around one origin of |x| up to 1e9 and |y| up to 1e12, on up to 12
+    frames drawn from a million window positions, either side of a frame
+    possibly empty, with touching boxes and centres exactly d_max apart."""
     origin = float(draw(st.sampled_from([0, -10**9, 10**9]) | st.integers(-10**9, 10**9)))
+    y_origin = float(draw(st.sampled_from([0, -10**12, 10**12]) | st.integers(-10**12, 10**12)))
     labels = sorted(draw(st.sets(st.integers(0, 10**6), min_size=1, max_size=12)))
     spec = draw(st.sampled_from([BEV, CD, SimilaritySpec(mode="center_distance", d_max=1.5)]))
     box = st.tuples(st.integers(-12, 12), st.integers(-4, 4),
@@ -311,7 +322,7 @@ def framed_footprints(draw):
     for f in labels:
         for rows, frame in sides:
             for kx, ky, w, l in draw(st.lists(box, max_size=5)):
-                rows.append((origin + 0.25 * kx, 0.25 * ky, w, l))
+                rows.append((origin + 0.25 * kx, y_origin + 0.25 * ky, w, l))
                 frame.append(f)
     (gt, gt_frame), (pred, pred_frame) = (
         (np.array(rows, float).reshape(-1, 4), np.array(frame, np.int64)) for rows, frame in sides
@@ -331,6 +342,33 @@ def test_edge_list_arrays_are_the_nonzero_matrix_entries(case):
     assert edges.gt.tolist() == g.tolist() and edges.pred.tolist() == p.tolist()
     assert edges.sim.tobytes() == sim.tobytes()
     assert edges.gt_frame is gt_frame and edges.pred_frame is pred_frame
+
+
+@pytest.mark.parametrize("spec", [BEV, CD])
+def test_edge_list_scores_a_queue_in_linear_work(spec, monkeypatch):
+    """1,000 people queueing along x = 0, 1 m apart in y, each with a
+    prediction 0.25 m behind: every pair is within x reach, but the y prune
+    leaves pair_similarity a small multiple of the edges to score, not the
+    10**6 pairs of the frame."""
+    y = np.arange(1000.0)
+    gt = np.column_stack([np.zeros(1000), y, np.full(1000, 0.6), np.full(1000, 0.6)])
+    pred = gt + [0.0, 0.25, 0.0, 0.0]
+    frame = np.zeros(1000, int)
+    scored = []
+    real = matching.pair_similarity
+
+    def counting(g, p, spec):
+        scored.append(np.broadcast(*g, *p).size)
+        return real(g, p, spec)
+
+    monkeypatch.setattr(matching, "pair_similarity", counting)
+    edges = edge_list(gt, pred, frame, frame, spec)
+    monkeypatch.undo()
+    assert 1000 <= edges.sim.size <= 2000
+    assert sum(scored) <= 3 * edges.sim.size
+    g, p, sim = nonzero_entries(gt, pred, frame, frame, spec)
+    assert np.array_equal(edges.gt, g) and np.array_equal(edges.pred, p)
+    assert edges.sim.tobytes() == sim.tobytes()
 
 
 def test_match_edges_solves_a_frame_only_when_its_pairs_fall_below_the_gate(monkeypatch):
