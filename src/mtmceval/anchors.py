@@ -33,7 +33,6 @@ products and their sums stay finite and no label is picked from a NaN.
 
 from __future__ import annotations
 
-import io
 import math
 from dataclasses import dataclass
 from typing import TextIO
@@ -41,6 +40,7 @@ from typing import TextIO
 import numpy as np
 
 from .datamodel import Sequence, check_int
+from .ingest import TextInput, _lines
 
 
 @dataclass(frozen=True)
@@ -259,13 +259,13 @@ def emit_anchor_bank(bank: AnchorBank, sink: TextIO) -> int:
     return bank.k
 
 
-def parse_anchor_bank(stream: TextIO | str) -> AnchorBank:
-    """Round-trip parse of emit_anchor_bank output."""
-    if isinstance(stream, str):
-        stream = io.StringIO(stream)
+def parse_anchor_bank(stream: TextInput) -> AnchorBank:
+    """Round-trip parse of emit_anchor_bank output, under the input and line
+    rules of the ``ingest`` module docstring; of its '#' lines, the one that
+    carries k=, seed= and inertia= is the header."""
     k = seed = inertia = None
     rows: list[tuple[float, float, float]] = []
-    for line_no, raw in enumerate(stream, start=1):
+    for line_no, raw in enumerate(_lines(stream), start=1):
         line = raw.strip()
         if not line:
             continue

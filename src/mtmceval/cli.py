@@ -108,8 +108,8 @@ def _load_json(path: str, what: str) -> dict:
 @dataclass(frozen=True)
 class ToolConfig:
     """Every tunable in one serializable record. Its fields are the config
-    file's keys, and each flag that overrides one has the field's name as
-    its dest."""
+    file's keys, and each flag that overrides one is added by _config_flag,
+    with the field's name as its dest."""
 
     similarity_mode: str = "bev_iou"
     d_max: float = 2.0
@@ -190,6 +190,19 @@ def _load_tracks(path: str | Path, native_fps: float) -> Sequence:
             return parse_tracks(fh, native_fps=native_fps, scene_name=Path(path).stem)
         except ParseError as exc:
             raise InputError(f"{path}: {exc}") from None
+
+
+def _config_flag(
+    p: argparse.ArgumentParser, flag: str, key: str, text: str, unset: str = "", **kwargs
+) -> None:
+    """Add ``flag``, which overrides the ToolConfig field ``key``: its dest is
+    the field's name, its type that of the field's default (float for a rate
+    that defaults to None) and its help names the config key and the
+    default, or says ``unset`` when the default is None."""
+    default = next(f.default for f in fields(ToolConfig) if f.name == key)
+    shown = unset if default is None else f"default {default:g}"
+    p.add_argument(flag, dest=key, type=float if default is None else type(default),
+                   default=None, help=f"{text} [config key: {key}; {shown}]", **kwargs)
 
 
 def _apply_overrides(cfg: ToolConfig, args: argparse.Namespace) -> ToolConfig:
@@ -378,32 +391,15 @@ def build_parser() -> argparse.ArgumentParser:
             default=None,
             help="JSON config file (defaults < config < flags); default: none",
         )
-        p.add_argument(
-            "--native-fps",
-            dest="native_fps",
-            type=float,
-            default=None,
-            help="native frame rate [config key: native_fps; default 30]",
-        )
+        _config_flag(p, "--native-fps", "native_fps", "native frame rate")
 
     p_eval = sub.add_parser("evaluate", help="score one tracker output against GT")
     p_eval.add_argument("--gt", required=True, help="ground-truth track CSV")
     p_eval.add_argument("--pred", required=True, help="tracker-output track CSV")
     common(p_eval)
-    p_eval.add_argument(
-        "--eval-fps",
-        dest="eval_fps",
-        type=float,
-        default=None,
-        help="controlled evaluation rate [config key: eval_fps; default: full rate]",
-    )
-    p_eval.add_argument(
-        "--dur-alpha",
-        dest="dur_alpha",
-        type=float,
-        default=None,
-        help="gate for AvgTrackDur and AP [config key: dur_alpha; default 0.5]",
-    )
+    _config_flag(p_eval, "--eval-fps", "eval_fps", "controlled evaluation rate",
+                 "default: full rate")
+    _config_flag(p_eval, "--dur-alpha", "dur_alpha", "gate for AvgTrackDur and AP")
     p_eval.add_argument(
         "--max-frames",
         type=int,
@@ -425,13 +421,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--rates", required=True, help="comma-separated inference rates, e.g. 30,15,10"
     )
     common(p_sweep)
-    p_sweep.add_argument(
-        "--eval-fps",
-        dest="eval_fps",
-        type=float,
-        default=None,
-        help="controlled evaluation rate [config key: eval_fps]",
-    )
+    _config_flag(p_sweep, "--eval-fps", "eval_fps", "controlled evaluation rate", "required")
     p_sweep.add_argument("--out", default=None, help="write sweep JSON here")
     p_sweep.set_defaults(func=cmd_sweep_fps)
 
@@ -456,17 +446,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_anch = sub.add_parser("gen-anchors", help="k-means anchor bank from GT centers")
     p_anch.add_argument("--gt", required=True)
     common(p_anch)
-    p_anch.add_argument(
-        "--k",
-        dest="anchor_k",
-        metavar="K",
-        type=int,
-        default=None,
-        help="anchor count [config key: anchor_k; default 900]",
-    )
-    p_anch.add_argument(
-        "--seed", type=int, default=None, help="RNG seed [config key: seed; default 0]"
-    )
+    _config_flag(p_anch, "--k", "anchor_k", "anchor count", metavar="K")
+    _config_flag(p_anch, "--seed", "seed", "RNG seed")
     p_anch.add_argument("--out", required=True, help="output anchor CSV")
     p_anch.set_defaults(func=cmd_gen_anchors)
 

@@ -148,6 +148,8 @@ class Detection:
 
 
 FLOAT_COLUMNS = ("x", "y", "z", "w", "l", "h", "yaw", "conf")
+# a table's per-row columns, bar the optional vx and vy
+ROW_COLUMNS = ("track_id", "class_id") + FLOAT_COLUMNS
 _BOX_FIELDS = ("x", "y", "z", "width", "length", "height", "yaw")
 _Rule = tuple[str, np.ndarray, Callable[[int], str]]
 
@@ -182,8 +184,7 @@ class TrackTable:
     vy: np.ndarray | None = None
 
     def _row_columns(self) -> tuple[str, ...]:
-        names = ("track_id", "class_id") + FLOAT_COLUMNS
-        return names + (("vx", "vy") if self.vx is not None else ())
+        return ROW_COLUMNS + (("vx", "vy") if self.vx is not None else ())
 
     @cached_property
     def owner(self) -> np.ndarray:
@@ -231,19 +232,24 @@ class TrackTable:
         )
 
 
+def _runs(key: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The first index and the length of each run of equal values of ``key``."""
+    starts = np.ones(key.size, bool)
+    starts[1:] = key[1:] != key[:-1]
+    first = np.flatnonzero(starts)
+    return first, np.diff(np.append(first, key.size))
+
+
 def table_from_columns(frame: np.ndarray, *columns: np.ndarray) -> TrackTable:
     """A table from 1-D columns of rows grouped by frame: frame, track_id,
     class_id, the FLOAT_COLUMNS and optionally vx and vy. Each column is
     copied once into a contiguous array; the yaw is normalised as Box3D
     does. The frame column gives only the frame indices and offsets."""
-    new_frame = np.ones(len(frame), bool)
-    new_frame[1:] = frame[1:] != frame[:-1]
-    starts = np.flatnonzero(new_frame)
-    names = ("track_id", "class_id") + FLOAT_COLUMNS + ("vx", "vy")
+    starts, _ = _runs(frame)
     cols = {n: np.array(c, np.float64 if k > 1 else np.int64)
-            for k, (n, c) in enumerate(zip(names, columns))}
+            for k, (n, c) in enumerate(zip(ROW_COLUMNS + ("vx", "vy"), columns))}
     cols["yaw"] = normalize_yaws(cols["yaw"])
-    return TrackTable(np.asarray(frame, np.int64)[starts], np.append(starts, len(frame)), **cols)
+    return TrackTable(np.asarray(frame, np.int64)[starts], np.append(starts, frame.size), **cols)
 
 
 def _table_from_frames(frames: Iterable[tuple[int, Iterable[Detection]]]) -> TrackTable:
@@ -289,8 +295,7 @@ def _frames_from_table(t: TrackTable) -> tuple[tuple[int, tuple[Detection, ...]]
     velocity = [None] * t.track_id.size
     if t.vx is not None:
         velocity = [None if a != a else (a, b) for a, b in zip(t.vx.tolist(), t.vy.tolist())]
-    cols = [t.track_id.tolist(), t.class_id.tolist()]
-    cols += [getattr(t, c).tolist() for c in FLOAT_COLUMNS]
+    cols = [getattr(t, c).tolist() for c in ROW_COLUMNS]
     dets = [
         _frozen(
             Detection,
@@ -365,7 +370,7 @@ class Sequence:
         if not isinstance(other, Sequence):
             return NotImplemented
         a, b = self.table, other.table
-        names = ("frame_index", "offsets", "track_id", "class_id") + FLOAT_COLUMNS
+        names = ("frame_index", "offsets") + ROW_COLUMNS
         return (
             (self.native_fps, self.scene_name) == (other.native_fps, other.scene_name)
             and all(np.array_equal(getattr(a, n), getattr(b, n)) for n in names)

@@ -1,6 +1,14 @@
 """On-disk track formats and WILDTRACK-style grid-annotation conversion.
 
-Track CSV format (UTF-8, LF, optional '#'-prefixed header lines):
+Every text reader (parse_tracks, parse_positions and
+``anchors.parse_anchor_bank``) takes a str, bytes, a text stream or a binary
+stream, reads it as UTF-8 and skips a leading byte order mark, all in
+``_lines``. Blank lines and lines whose first non-space character is '#'
+hold no data row (an anchor bank's header is one of the latter):
+``_data_lines`` yields the others, numbered from 1 in the whole text, so an
+error names the file's own line.
+
+Track CSV format (LF, optional '#'-prefixed header lines):
 
     frame,track_id,class_id,x,y,z,width,length,height,yaw,confidence[,vx,vy]
 
@@ -27,7 +35,7 @@ import io
 import math
 import warnings
 from dataclasses import dataclass, replace
-from typing import Iterable, TextIO
+from typing import Iterable, Iterator, TextIO
 
 import numpy as np
 
@@ -65,6 +73,7 @@ _LOADTXT_DTYPES = {
     for n in (11, 13)
 }
 _Read = tuple[TrackTable, np.ndarray, int | None, "ParseError | None"]
+TextInput = TextIO | io.IOBase | bytes | str
 
 
 class ParseError(ValueError):
@@ -130,6 +139,30 @@ def _parse_int(token: str, line_no: int, column: str) -> int:
     return v
 
 
+def _lines(stream: TextInput) -> list[str]:
+    """The lines of UTF-8 text, a leading byte order mark skipped. A binary
+    stream is read as its bytes, and stays open for its caller."""
+    if isinstance(stream, io.IOBase) and not isinstance(stream, io.TextIOBase):
+        stream = stream.read()
+    if isinstance(stream, bytes):
+        stream = stream.decode("utf-8")
+    if isinstance(stream, str):
+        stream = io.StringIO(stream)
+    lines = list(stream)
+    if lines:
+        lines[0] = lines[0].removeprefix("\ufeff")
+    return lines
+
+
+def _data_lines(lines: list[str]) -> Iterator[tuple[int, str]]:
+    """(line number, stripped text) of each line that is neither blank nor
+    '#'-led."""
+    for line_no, raw in enumerate(lines, start=1):
+        line = raw.strip()
+        if line and not line.startswith("#"):
+            yield line_no, line
+
+
 def _parse_rows(lines: list[str]) -> _Read:
     """The row-by-row reader, for files np.loadtxt cannot read. It checks
     tokens only and stops at the first bad one. It returns the rows read
@@ -141,10 +174,7 @@ def _parse_rows(lines: list[str]) -> _Read:
     has_id: list[bool] = []
     frame = error = None
     try:
-        for line_no, raw in enumerate(lines, start=1):
-            line = raw.strip()
-            if not line or line.startswith("#"):
-                continue
+        for line_no, line in _data_lines(lines):
             parts = [p.strip() for p in line.split(",")]
             frame = None
             if len(parts) not in (11, 13):
@@ -177,8 +207,8 @@ def _parse_fast(lines: list[str]) -> _Read | None:
     its tokens: loadtxt cannot read them (an empty track_id or velocity) or
     reads a non-finite value, or the file has a '#' after data on a line,
     which loadtxt would cut as a comment and the row reader rejects."""
-    first = next((l for l in lines if l.strip() and not l.lstrip().startswith("#")), None)
-    dtype = None if first is None else _LOADTXT_DTYPES.get(first.count(",") + 1)
+    first = next(_data_lines(lines), None)
+    dtype = None if first is None else _LOADTXT_DTYPES.get(first[1].count(",") + 1)
     if dtype is None or any(not l.startswith("#") for l in lines if "#" in l):
         return None
     try:
@@ -215,26 +245,13 @@ def _check_rows(lines: list[str], t: TrackTable, has_id: np.ndarray,
     i, r = min(broken)
     if r == len(rules):
         raise error
-    data_lines = [n for n, raw in enumerate(lines, start=1) if raw.strip()[:1] not in ("", "#")]
+    line_no = [n for n, _ in _data_lines(lines)][i]
     name, _, message = rules[r]
-    raise ParseError(data_lines[i], name, message(i))
-
-
-def _lines(stream: TextIO | io.IOBase | bytes | str) -> list[str]:
-    if isinstance(stream, bytes):
-        stream = stream.decode("utf-8")
-    if isinstance(stream, str):
-        stream = io.StringIO(stream)
-    elif isinstance(stream, io.IOBase) and not isinstance(stream, io.TextIOBase):
-        stream = io.TextIOWrapper(stream, encoding="utf-8")
-    lines = list(stream)
-    if lines:
-        lines[0] = lines[0].removeprefix("\ufeff")  # a UTF-8 byte order mark
-    return lines
+    raise ParseError(line_no, name, message(i))
 
 
 def parse_tracks(
-    stream: TextIO | io.IOBase | bytes | str,
+    stream: TextInput,
     native_fps: float = 30.0,
     scene_name: str = "",
 ) -> Sequence:
@@ -278,15 +295,10 @@ def emit_tracks(seq: Sequence, sink: TextIO) -> int:
     return len(rows)
 
 
-def parse_positions(stream: TextIO | str) -> list[tuple[int, int, int]]:
+def parse_positions(stream: TextInput) -> list[tuple[int, int, int]]:
     """Parse position-record CSV rows (frame, person_id, position_id)."""
-    if isinstance(stream, str):
-        stream = io.StringIO(stream)
     records: list[tuple[int, int, int]] = []
-    for line_no, raw in enumerate(stream, start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
+    for line_no, line in _data_lines(_lines(stream)):
         parts = [p.strip() for p in line.split(",")]
         if len(parts) != 3:
             raise ParseError(line_no, "row", f"expected 3 columns, got {len(parts)}")

@@ -46,7 +46,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .datamodel import Detection, check_real
+from .datamodel import Detection, _runs, check_real
 
 # candidate GT x prediction pairs per block when building an edge list, and
 # cost matrix cells per buffer when solving conflicted frames
@@ -160,14 +160,6 @@ class EdgeList:
 def _ranges(start: np.ndarray, count: np.ndarray) -> np.ndarray:
     """The concatenation of ``arange(s, s + n)`` over each start s and count n."""
     return np.arange(count.sum()) + np.repeat(start - np.cumsum(count) + count, count)
-
-
-def _runs(key: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The first index and the length of each run of equal values of ``key``."""
-    starts = np.ones(key.size, bool)
-    starts[1:] = key[1:] != key[:-1]
-    first = np.flatnonzero(starts)
-    return first, np.diff(np.append(first, key.size))
 
 
 def edge_list(
@@ -284,11 +276,6 @@ def linear_sum_assignment(cost: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 # the function above; whoever replaces the module attribute (to count or time
 # the solves) may give a function that is not thread-safe
 _OWN_SOLVER = linear_sum_assignment
-
-
-def _check_alpha(alpha: float) -> None:
-    if not (0.0 < alpha <= 1.0):
-        raise ValueError(f"alpha must be in (0, 1], got {alpha}")
 
 
 @dataclass(frozen=True)
@@ -457,7 +444,7 @@ def match_edges(edges: EdgeList, alphas: tuple[float, ...]) -> list[np.ndarray]:
     replacement may not be thread-safe.
     """
     for alpha in alphas:
-        _check_alpha(alpha)
+        check_real("alpha", alpha, 1.0)
     layout = _layout(edges)
     # before the first alpha: no frame has gated edges, no pair is matched
     count = np.full(layout.first.size, -1)
@@ -515,7 +502,7 @@ def match_frame(
     Inputs are canonically sorted by track_id before the solve, so the result
     is invariant to detection order. All detections must carry track_ids.
     """
-    _check_alpha(alpha)
+    check_real("alpha", alpha, 1.0)
     for det in list(gt) + list(pred):
         if det.track_id is None:
             raise ValueError("match_frame requires track_ids on every detection")

@@ -67,12 +67,11 @@ from typing import Callable
 
 import numpy as np
 
-from .datamodel import EvalWindow, Sequence, TrackTable, check_finite
+from .datamodel import EvalWindow, Sequence, TrackTable, _runs, check_finite
 from .matching import (
     EdgeList,
     FrameMatchSet,
     SimilaritySpec,
-    _runs,
     edge_list,
     match_edges,
 )

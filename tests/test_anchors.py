@@ -154,6 +154,11 @@ def test_parse_rejects_bad_files():
         parse_anchor_bank("# k=1, seed=0, inertia=0.0\n1.0,x,3.0\n")
 
 
+def test_parse_names_the_line_of_a_row_with_the_wrong_column_count():
+    with pytest.raises(ValueError, match="^line 3: expected 3 columns, got 2$"):
+        parse_anchor_bank("# k=1, seed=0, inertia=0.0\n\n1.0,2.0\n")
+
+
 def test_anchor_bank_validates():
     with pytest.raises(ValueError):
         AnchorBank(centers=np.zeros((2, 3)), k=3, seed=0, inertia=0.0)

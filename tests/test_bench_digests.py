@@ -8,7 +8,9 @@ digests were taken before the edge-mask matching, run counting and AP
 ranking were rewritten, the bank digest before the k-means nearest-center
 step was, and the seed 1 and 2 digests before the similarity columns, the
 conflict levels and the AP level sort were rewritten. A speed-up that
-changes one output byte fails.
+changes one output byte fails. Each workload's CLI commands also run in
+process, as ``perfbench/run.py --smoke`` runs them, and must write the bytes
+of the in-process scoring.
 """
 
 import hashlib
@@ -17,6 +19,8 @@ import sys
 from pathlib import Path
 
 import pytest
+
+from mtmceval import cli
 
 WORKLOADS_PY = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
 DIGESTS = {
@@ -62,3 +66,19 @@ def test_smoke_workload_report_bytes_are_pinned(workloads, tmp_path, name):
 @pytest.mark.parametrize(("name", "seed"), sorted(SEEDED_DIGESTS))
 def test_smoke_workload_report_bytes_are_pinned_on_more_seeds(workloads, tmp_path, name, seed):
     assert smoke_digest(workloads, tmp_path, name, seed) == SEEDED_DIGESTS[name, seed]
+
+
+@pytest.mark.parametrize("name", sorted(DIGESTS))
+def test_smoke_workload_cli_output_equals_the_library_and_passes_its_checks(
+    workloads, tmp_path, capsys, name
+):
+    """The check of ``perfbench/run.py --smoke``, in process: the workload's
+    CLI commands exit 0, write the bytes of the in-process scoring, and
+    those bytes pass the workload's own checks."""
+    wl = workloads.WORKLOADS[name](workloads.SIZES["smoke"][name], tmp_path)
+    wl.generate(0)
+    for args in wl.commands(0):
+        assert cli.main(args) == 0, (args, capsys.readouterr().err)
+    output = b"".join((tmp_path / f).read_bytes() for f in wl.outputs)
+    assert output == wl.score(0)
+    assert wl.check(output) == []

@@ -934,6 +934,23 @@ def test_sweep_fps_requires_eval_fps(tmp_path, capsys):
     assert "eval" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "raised, err",
+    [(RuntimeError("boom"), "internal error: boom\n"), (BrokenPipeError(), "")],
+    ids=["internal-error", "broken-pipe"],
+)
+def test_main_exits_1_on_an_internal_error_or_a_closed_pipe(monkeypatch, capsys, raised, err):
+    """An unexpected exception exits 1 with one diagnostic line; a reader that
+    closed the pipe exits 1 without one."""
+
+    def failing(args):
+        raise raised
+
+    monkeypatch.setattr(mtmceval.cli, "cmd_evaluate", failing)
+    assert main(["evaluate", "--gt", "gt.csv", "--pred", "pred.csv"]) == 1
+    assert capsys.readouterr().err == err
+
+
 # --- help text ----------------------------------------------------------------
 
 

@@ -203,6 +203,13 @@ def test_rates_must_be_finite_and_positive(rate):
         make_sequence({0: [_det()]}, native_fps=rate)
 
 
+def test_a_sequence_equals_no_other_type_and_shows_its_name_frames_and_rate():
+    seq = make_sequence({0: [_det()], 4: [_det()]}, native_fps=10.0, scene_name="hall")
+    assert seq.__eq__(5) is NotImplemented
+    assert seq != 5 and not seq == 5
+    assert repr(seq) == "Sequence('hall', 2 frames, native_fps=10.0)"
+
+
 def test_absent_frames_mean_no_detections():
     seq = make_sequence({0: [_det()], 10: [_det()]}, native_fps=1.0)
     assert seq.frame_indices == (0, 10)

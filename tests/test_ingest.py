@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from mtmceval import ingest
+from mtmceval.anchors import parse_anchor_bank
 from mtmceval.datamodel import (
     FLOAT_COLUMNS,
     Box3D,
@@ -243,6 +244,55 @@ def test_a_leading_byte_order_mark_is_skipped(header):
     want = parse_tracks(text).frames
     assert want and parse_tracks("\ufeff" + text).frames == want
     assert parse_tracks(b"\xef\xbb\xbf" + text.encode()).frames == want
+
+
+def test_parse_positions_rejects_a_negative_position_id():
+    with pytest.raises(
+        ParseError, match=r"^line 3, column 'position_id': must be non-negative$"
+    ):
+        parse_positions("# frame,person_id,position_id\n0,1,5\n1,2,-3\n")
+
+
+def _input_forms(text):
+    """``text`` as a str, bytes, a text stream and a binary stream, each
+    without and with a leading byte order mark."""
+    for t in (text, "\ufeff" + text):
+        yield from (t, t.encode(), io.StringIO(t), io.BytesIO(t.encode()))
+
+
+def _bank(text):
+    bank = parse_anchor_bank(text)
+    return bank.k, bank.seed, bank.inertia, bank.centers.tobytes()
+
+
+READER_TEXTS = pytest.mark.parametrize(
+    "read, text",
+    [
+        (parse_tracks, "# frame,track_id\n0,7,0,1.0,2.0,0.9,0.6,0.6,1.8,0.0,0.98\n\n"
+                       "2,7,0,1.5,2.0,0.9,0.6,0.6,1.8,0.0,0.5\n"),
+        (parse_positions, "# frame,person_id,position_id\n0,1,5\n\n1,1,6\n"),
+        (_bank, "# k=2, seed=3, inertia=0.5\n# x,y,z\n1.0,2.0,3.0\n\n-1.5,0.25,4.0\n"),
+    ],
+    ids=["tracks", "positions", "anchor-bank"],
+)
+
+
+@READER_TEXTS
+def test_every_reader_takes_each_input_form_with_or_without_a_byte_order_mark(read, text):
+    """parse_positions and parse_anchor_bank once took only str and text
+    streams, and read a byte order mark as part of the first line."""
+    want = read(text)
+    got = [read(form) for form in _input_forms(text)]
+    assert len(got) == 8 and all(g == want for g in got)
+
+
+@READER_TEXTS
+def test_every_reader_leaves_a_binary_stream_open(read, text):
+    """A binary stream was once wrapped in a TextIOWrapper, which closed the
+    caller's stream when the reader dropped it."""
+    stream = io.BytesIO(text.encode())
+    read(stream)
+    assert not stream.closed
 
 
 def _seq_with_track(xs, frames, fps, track_id=0):

@@ -192,6 +192,18 @@ def test_matching_rejects_an_alpha_outside_the_unit_interval(alpha, shown):
         match_frame([det(0, 0, 1)], [det(0.1, 0, 2)], alpha=alpha, spec=BEV)
 
 
+def test_matching_rejects_a_bool_alpha_as_tool_config_does():
+    edges = edge_list(
+        np.array([[0.0, 0.0, 2.0, 2.0]]), np.array([[0.1, 0.0, 2.0, 2.0]]),
+        np.zeros(1, int), np.zeros(1, int), BEV,
+    )
+    message = r"^alpha must be in \(0, 1\], got True$"
+    with pytest.raises(ValueError, match=message):
+        match_edges(edges, (True,))
+    with pytest.raises(ValueError, match=message):
+        match_frame([det(0, 0, 1)], [det(0.1, 0, 2)], alpha=True, spec=BEV)
+
+
 @pytest.mark.parametrize("seed", range(30))
 def test_match_frame_equals_brute_force(seed):
     rng = np.random.default_rng(100 + seed)
@@ -454,6 +466,46 @@ def test_solver_loads_without_scipy_optimize_and_is_the_public_function():
     run = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
                          text=True, timeout=120)
     assert run.returncode == 0, run.stderr
+
+
+def test_an_extension_that_fails_to_execute_is_not_left_registered():
+    """A failed load by file leaves no half-built ``scipy.optimize._lsap`` in
+    sys.modules, so the next load starts afresh and solves."""
+    script = (
+        "import importlib.machinery, sys\n"
+        "import numpy as np\n"
+        "from mtmceval import matching\n"
+        "loader = importlib.machinery.ExtensionFileLoader\n"
+        "real = loader.exec_module\n"
+        "def failing(self, module):\n"
+        "    raise ImportError('cannot execute')\n"
+        "loader.exec_module = failing\n"
+        "try:\n"
+        "    matching._lsap_from_file()\n"
+        "except ImportError:\n"
+        "    pass\n"
+        "else:\n"
+        "    raise AssertionError('the failing load returned')\n"
+        "finally:\n"
+        "    loader.exec_module = real\n"
+        "assert 'scipy.optimize._lsap' not in sys.modules\n"
+        "r, c = matching._lsap_from_file().linear_sum_assignment(np.eye(2))\n"
+        "assert (r.tolist(), c.tolist()) == ([0, 1], [1, 0]), (r, c)\n"
+        "assert 'scipy.optimize' not in sys.modules\n"
+    )
+    src = str(Path(matching.__file__).parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    run = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
+                         text=True, timeout=120)
+    assert run.returncode == 0, run.stderr
+
+
+def test_usable_cpus_falls_back_to_the_cpu_count_without_an_affinity_call(monkeypatch):
+    monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+    monkeypatch.setattr(os, "cpu_count", lambda: 3)
+    assert matching._usable_cpus() == 3
+    monkeypatch.setattr(os, "cpu_count", lambda: None)
+    assert matching._usable_cpus() == 1
 
 
 def test_solver_falls_back_to_the_public_import(monkeypatch):

@@ -482,6 +482,55 @@ def test_crowded_scenes_match_oracle(monkeypatch):
     assert len(solver_calls) >= 1000
 
 
+def degenerate_window(kind):
+    """GT of classes 0 and 1 at frames 0-3 and one empty frame 4, and
+    predictions that leave the window without GT rows, leave GT class 1
+    without predictions, or hold only class 3, which GT lacks."""
+    gt = {f: [det(0.0, 0.0, 1), det(0.5, 0.0, 2), det(3.0, 0.0, 1, class_id=1)] for f in range(4)}
+    gt[4] = []
+    # one offset for every match, so LocA sums equal terms in any order
+    pred = {f: [det(0.1, 0.0, 7 + f // 2, conf=0.9), det(5.0, 5.0, 20, conf=0.4)]
+            for f in range(6)}
+    frames = range(5)
+    if kind == "no-gt-rows":
+        frames = (4, 5, 6)
+    elif kind == "absent-class-only":
+        pred = {f: [det(3.0, 0.1, 5, class_id=3)] for f in range(4)}
+    gt, pred = make_sequence(gt, native_fps=1.0), make_sequence(pred, native_fps=1.0)
+    return gt, pred, EvalWindow(frame_indices=frames, f0=1.0)
+
+
+@pytest.mark.parametrize("spec", [CD, SimilaritySpec(mode="bev_iou")], ids=["cd", "bev"])
+@pytest.mark.parametrize("kind", ["no-gt-rows", "class-without-predictions", "absent-class-only"])
+def test_degenerate_windows_match_oracle_exactly(kind, spec):
+    """A window without GT rows, a GT class without predictions and
+    predictions only of a class GT lacks score exactly as the oracle does;
+    the notes differ only by the dropped-class note, which the oracle does
+    not write."""
+    gt, pred, win = degenerate_window(kind)
+    a = class_report(gt, pred, win, spec)
+    b = oracle_metrics(gt, pred, win, spec)
+    assert a.per_class == b.per_class
+    assert a.class_average == b.class_average
+    dropped = [n for n in a.notes if n.startswith("dropped predicted classes")]
+    assert [n for n in a.notes if n not in dropped] == list(b.notes)
+    assert len(dropped) == (kind != "class-without-predictions")
+    assert (set(a.per_class), a.class_average.hota == 1.0) == {
+        "no-gt-rows": (set(), True),
+        "class-without-predictions": ({0, 1}, False),
+        "absent-class-only": ({0, 1}, False),
+    }[kind]
+
+
+def test_detection_ap_of_a_class_without_gt_rows_in_the_window():
+    """AP with no GT row to find is 1.0 without predictions and 0.0 with
+    any."""
+    gt, pred, win = degenerate_window("class-without-predictions")
+    assert detection_ap(gt, pred, win, CD, 0.5, class_id=2) == 1.0
+    assert detection_ap(gt, pred, EvalWindow((4, 5), 1.0), CD, 0.5, class_id=0) == 0.0
+    assert detection_ap(gt, gt, EvalWindow((4, 5), 1.0), CD, 0.5, class_id=0) == 1.0
+
+
 def tie_scene(spec, n_classes):
     """Exact ties everywhere, with every confidence equal: GT ids 1 and 2
     share one spot and predictions 10 and 11 one footprint; prediction 12 is
