@@ -3,7 +3,11 @@
 Configuration precedence is built-in defaults < JSON config file < command
 line flags. Exit codes: 0 success, 2 input error (missing or malformed
 files, bad arguments), 1 internal error. Identical inputs and configuration
-produce byte-identical outputs.
+produce byte-identical outputs. The CLI reads every input file (track,
+positions, config, grid-config and synth-spec files) exactly as
+``parse_tracks(path.read_bytes())`` does: ``ingest._lines`` holds the one
+decoding and line rule, and ``_reading`` turns every read error into the
+InputError that names the file.
 """
 
 from __future__ import annotations
@@ -30,6 +34,7 @@ from .fpslab import (
 from .ingest import (
     GridConfig,
     ParseError,
+    _lines,
     convert_positions,
     emit_tracks,
     estimate_velocities,
@@ -68,17 +73,29 @@ class InputError(Exception):
 
 @contextlib.contextmanager
 def _reading(path: str | Path, what: str) -> Iterator[TextIO]:
-    """``path`` open as UTF-8 text, a leading byte order mark skipped; a file
-    that cannot be opened or read, or is not UTF-8, raises InputError
-    naming it as ``what``."""
+    """``path`` open as UTF-8 text split only at LF, to be read through
+    ``ingest._lines``, so the CLI reads a file exactly as
+    ``parse_tracks(path.read_bytes())`` does. A file that cannot be opened
+    or read, is not UTF-8, or that the reader in the with block refuses (a
+    ParseError or a JSON error) raises InputError naming it as ``what``."""
     try:
-        with open(path, encoding="utf-8-sig") as fh:
+        with open(path, encoding="utf-8", newline="\n") as fh:
             yield fh
+    except ParseError as exc:
+        raise InputError(f"{path}: {exc}") from None
+    except json.JSONDecodeError as exc:
+        raise InputError(f"{what} {path}: {exc}") from None
     except FileNotFoundError:
         raise InputError(f"{what} not found: {path}") from None
     except OSError as exc:
         raise InputError(f"cannot read {what} {path}: {exc.strerror or exc}") from None
     except UnicodeDecodeError as exc:
+        # a text stream counts a bad byte's offset from its decoding chunk;
+        # the file's own bytes name its offset from the start of the file
+        try:
+            Path(path).read_bytes().decode("utf-8")
+        except UnicodeDecodeError as whole:
+            exc = whole
         raise InputError(f"{what} {path} is not UTF-8 text: {exc}") from None
 
 
@@ -96,10 +113,7 @@ def _writing(path: str | Path) -> Iterator[TextIO]:
 def _load_json(path: str, what: str) -> dict:
     """The JSON object in a file, which InputError names as ``what``."""
     with _reading(path, what) as fh:
-        try:
-            raw = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise InputError(f"{what} {path}: {exc}") from None
+        raw = json.loads("".join(_lines(fh)))
     if not isinstance(raw, dict):
         raise InputError(f"{what} {path}: expected a JSON object")
     return raw
@@ -186,10 +200,7 @@ def load_config(path: str | None) -> ToolConfig:
 
 def _load_tracks(path: str | Path, native_fps: float) -> Sequence:
     with _reading(path, "track file") as fh:
-        try:
-            return parse_tracks(fh, native_fps=native_fps, scene_name=Path(path).stem)
-        except ParseError as exc:
-            raise InputError(f"{path}: {exc}") from None
+        return parse_tracks(fh, native_fps=native_fps, scene_name=Path(path).stem)
 
 
 def _config_flag(
@@ -313,10 +324,7 @@ def cmd_convert(args: argparse.Namespace) -> int:
         except (TypeError, ValueError) as exc:
             raise InputError(f"grid config {args.grid_config}: {exc}") from None
     with _reading(args.positions, "positions file") as fh:
-        try:
-            records = parse_positions(fh)
-        except ParseError as exc:
-            raise InputError(f"{args.positions}: {exc}") from None
+        records = parse_positions(fh)
     try:
         seq = convert_positions(
             records, grid, native_fps=args.fps, scene_name=Path(args.positions).stem

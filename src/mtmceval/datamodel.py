@@ -52,13 +52,12 @@ def _int64_array(name: str, values: Iterable[int] | np.ndarray) -> np.ndarray:
     The first value that is not an integer in [-2**63, 2**63) raises
     ValueError naming it, as check_int does."""
     a = np.asarray(values)
-    if a.dtype == np.int64:
-        return a
-    if a.dtype.kind not in "iu" or (a.dtype.kind == "u" and a.max(initial=0) >= 2**63):
-        # as given: np.asarray turns [-1, 2**63] into floats and [1, "a"] into strings
+    if a.dtype != np.int64 or not isinstance(values, np.ndarray):
+        # as given: np.asarray turns [-1, 2**63] into floats, [1, "a"] into
+        # strings and [True, 5] into integers
         for v in np.asarray(values, dtype=object).ravel().tolist():
             check_int(name, v, low=_INT64_MIN)
-    return a.astype(np.int64)
+    return a.astype(np.int64, copy=False)
 
 
 def check_real(name: str, value: object, upper: float = math.inf, zero: bool = False) -> None:

@@ -305,10 +305,9 @@ def parse_positions(stream: TextInput) -> list[tuple[int, int, int]]:
         frame = _parse_int(parts[0], line_no, "frame")
         person = _parse_int(parts[1], line_no, "person_id")
         pos = _parse_int(parts[2], line_no, "position_id")
-        if frame < 0:
-            raise ParseError(line_no, "frame", "must be non-negative")
-        if pos < 0:
-            raise ParseError(line_no, "position_id", "must be non-negative")
+        for column, v in (("frame", frame), ("position_id", pos), ("person_id", person)):
+            if v < 0:
+                raise ParseError(line_no, column, "must be non-negative")
         records.append((frame, person, pos))
     return records
 

@@ -285,8 +285,6 @@ def _average_precision(data: _ClassEdges, alpha: float) -> float:
     n = data.ranked.size
     if npos == 0:
         return 1.0 if n == 0 else 0.0
-    if n == 0:
-        return 0.0
     hit = _ap_hits(data, alpha)
     cum_tp = np.cumsum(hit[data.ranked], dtype=float)
     precision = cum_tp / np.arange(1, n + 1)

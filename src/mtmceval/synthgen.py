@@ -84,6 +84,16 @@ def _check_bounds(name: str, bounds: tuple[float, float, float, float]) -> None:
         raise ValueError(f"{name} must enclose a positive area, got {bounds!r}")
 
 
+def _bounce(p: float, v: float, lo: float, hi: float) -> tuple[float, float]:
+    """Position and velocity along one axis after a reflective wall at lo
+    or hi."""
+    if p < lo:
+        return 2 * lo - p, -v
+    if p > hi:
+        return 2 * hi - p, -v
+    return p, v
+
+
 def gen_scene(
     n_objects: int,
     duration_s: float,
@@ -137,32 +147,17 @@ def gen_scene(
         positions: list[tuple[float, float, float]] = []
         for _ in range(n_frames):
             if motion == "waypoint":
-                dx, dy = wx - x, wy - y
-                dist = math.hypot(dx, dy)
-                if dist < speed * dt:
+                if math.hypot(wx - x, wy - y) < speed * dt:
                     wx = float(rng.uniform(xmin, xmax))
                     wy = float(rng.uniform(ymin, ymax))
-                    dx, dy = wx - x, wy - y
-                    dist = math.hypot(dx, dy)
+                dx, dy = wx - x, wy - y
+                dist = math.hypot(dx, dy)
                 if dist > 0:
                     vx = speed * dx / dist
                     vy = speed * dy / dist
             positions.append((x, y, math.atan2(vy, vx)))
-            x += vx * dt
-            y += vy * dt
-            # reflective walls
-            if x < xmin:
-                x = 2 * xmin - x
-                vx = -vx
-            elif x > xmax:
-                x = 2 * xmax - x
-                vx = -vx
-            if y < ymin:
-                y = 2 * ymin - y
-                vy = -vy
-            elif y > ymax:
-                y = 2 * ymax - y
-                vy = -vy
+            x, vx = _bounce(x + vx * dt, vx, xmin, xmax)
+            y, vy = _bounce(y + vy * dt, vy, ymin, ymax)
         pose[obj] = positions
 
     # rows frame by frame, objects by ascending track id within a frame

@@ -1,3 +1,5 @@
+import contextlib
+import io
 import json
 import math
 import os
@@ -8,12 +10,14 @@ from dataclasses import fields
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import mtmceval
 from mtmceval.anchors import parse_anchor_bank
 from mtmceval.cli import ToolConfig, _apply_overrides, build_parser, load_config, main
 from mtmceval.datamodel import Box3D, Detection, make_sequence
-from mtmceval.ingest import GridConfig, emit_tracks, parse_tracks
+from mtmceval.ingest import GridConfig, ParseError, emit_tracks, parse_tracks
 
 
 def write_tracks(path, n_frames=6, fps_step=0.1, n_objects=2):
@@ -391,6 +395,16 @@ def test_convert_bad_fps_exits_2(tmp_path, capsys, fps):
                  "--fps", fps])
     assert code == 2
     assert "native_fps must be finite and positive" in capsys.readouterr().err
+
+
+def test_convert_names_the_line_of_a_negative_person_id(tmp_path, capsys):
+    pos = tmp_path / "pos.csv"
+    pos.write_text("0,3,0\n1,-3,1\n")
+    out = tmp_path / "t.csv"
+    assert main(["convert", "--positions", str(pos), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err == f"error: {pos}: line 2, column 'person_id': must be non-negative\n"
+    assert not out.exists()
 
 
 def test_convert_refuses_a_negative_frame(tmp_path, capsys):
@@ -827,6 +841,60 @@ def test_files_are_utf8_whatever_the_locale(tmp_path):
         reports.append(run.stdout.decode())
     assert "café" in reports[0] and reports[0] == reports[1] == reports[2]
     assert reports[3].startswith(reports[0]) and "\nclass café: hota=" in reports[3]
+
+
+def _track_bytes(n_rows, boms, newline, bad_at):
+    """A scorable track file of ``n_rows`` frames as bytes: ``boms`` byte
+    order marks, then rows ended by ``newline``, with the invalid UTF-8 byte
+    0xff put at offset ``bad_at`` modulo the size unless it is None."""
+    text = "".join(f"{f},1,0,1.5,2.5,0.9,0.6,0.6,1.8,0.0,0.9{newline}" for f in range(n_rows))
+    data = "\ufeff".encode() * boms + text.encode()
+    if bad_at is not None:
+        at = bad_at % (len(data) + 1)
+        data = data[:at] + b"\xff" + data[at:]
+    return data
+
+
+@settings(derandomize=True, database=None, max_examples=40, deadline=None)
+@given(st.builds(_track_bytes, st.integers(1, 400), st.integers(0, 2),
+                 st.sampled_from(["\n", "\r\n", "\r"]), st.none() | st.integers(0, 2**16)))
+# the CLI once skipped a second byte order mark, split lines at a lone CR
+# and named a bad byte by its offset in the text stream's 8 KiB chunk
+@example(_track_bytes(3, 2, "\n", None))
+@example(_track_bytes(3, 0, "\r", None))
+@example(_track_bytes(400, 0, "\n", 9000))
+def test_the_cli_reads_a_track_file_as_the_library_reads_its_bytes(tmp_path_factory, data):
+    """evaluate scores a file exactly when parse_tracks(data) reads it, and
+    otherwise its error ends with the library's own message."""
+    path = tmp_path_factory.getbasetemp() / "parity.csv"
+    path.write_bytes(data)
+    try:
+        parse_tracks(data)
+        want = None
+    except (ParseError, UnicodeDecodeError) as exc:
+        want = str(exc)
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        code = main(["evaluate", "--gt", str(path), "--pred", str(path)])
+    if want is None:
+        assert code == 0, err.getvalue()
+    else:
+        assert code == 2 and err.getvalue().removesuffix("\n").endswith(want), err.getvalue()
+
+
+def test_a_json_file_is_read_as_the_library_reads_bytes(tmp_path, capsys):
+    """A config file with one byte order mark and CRLF lines is read; a
+    second mark is the JSON's first character, which JSON refuses."""
+    gt = tmp_path / "gt.csv"
+    write_tracks(gt)
+    cfg = tmp_path / "cfg.json"
+    args = ["evaluate", "--gt", str(gt), "--pred", str(gt), "--config", str(cfg)]
+    cfg.write_bytes(b'\xef\xbb\xbf{\r\n"dur_alpha": 0.5\r\n}\r\n')
+    assert main(args) == 0
+    capsys.readouterr()
+    cfg.write_bytes(b'\xef\xbb\xbf\xef\xbb\xbf{}\n')
+    assert main(args) == 2
+    assert capsys.readouterr().err.startswith(f"error: config file {cfg}: Unexpected UTF-8 BOM")
 
 
 # --- sweep-fps ----------------------------------------------------------------

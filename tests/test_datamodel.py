@@ -180,6 +180,19 @@ def test_sequences_and_detections_refuse_ids_that_are_not_int64_integers(build, 
         build()
 
 
+@pytest.mark.parametrize("build, shown", [
+    (lambda: EvalWindow([True, 5], 1.0), "True"),
+    (lambda: EvalWindow([np.True_, 3], 1.0), "np.True_"),
+    (lambda: EvalWindow((4, False), 1.0), "False"),
+    (lambda: Sequence(((True, (_det(),)), (2, (_det(),))), 1.0), "True"),
+])
+def test_a_bool_among_integer_frame_indices_is_refused(build, shown):
+    """np.asarray turns [True, 5] into an int64 array, so such a list once
+    skipped the element check and read True as frame 1."""
+    with pytest.raises(ValueError, match=rf"^{INT64_RULE.format('frame_index')}, got {shown}$"):
+        build()
+
+
 def test_negative_ids_and_frames_stay_representable():
     d = _det(track_id=-2, class_id=np.int64(-1))
     seq = Sequence(((np.int32(-3), (d,)),), 1.0)

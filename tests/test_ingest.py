@@ -253,6 +253,17 @@ def test_parse_positions_rejects_a_negative_position_id():
         parse_positions("# frame,person_id,position_id\n0,1,5\n1,2,-3\n")
 
 
+def test_parse_positions_names_the_line_of_a_negative_person_id():
+    """convert once reported a negative person_id without its line, from
+    convert_positions."""
+    with pytest.raises(
+        ParseError, match=r"^line 3, column 'person_id': must be non-negative$"
+    ):
+        parse_positions("# frame,person_id,position_id\n0,1,5\n1,-3,0\n")
+    with pytest.raises(ParseError, match=r"^line 1, column 'position_id'"):
+        parse_positions("0,-3,-1\n")
+
+
 def _input_forms(text):
     """``text`` as a str, bytes, a text stream and a binary stream, each
     without and with a leading byte order mark."""
