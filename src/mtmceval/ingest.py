@@ -3,8 +3,9 @@
 Every text reader (parse_tracks, parse_positions and
 ``anchors.parse_anchor_bank``) takes a str, bytes, a text stream or a binary
 stream, reads it as UTF-8 and skips a leading byte order mark, all in
-``_lines``. Blank lines and lines whose first non-space character is '#'
-hold no data row (an anchor bank's header is one of the latter):
+``_lines``, which splits bytes by the reader the CLI opens files with.
+Blank lines and lines whose first non-space character is '#' hold no data
+row (an anchor bank's header is one of the latter):
 ``_data_lines`` yields the others, numbered from 1 in the whole text, so an
 error names the file's own line.
 
@@ -141,14 +142,20 @@ def _parse_int(token: str, line_no: int, column: str) -> int:
 
 def _lines(stream: TextInput) -> list[str]:
     """The lines of UTF-8 text, a leading byte order mark skipped. A binary
-    stream is read as its bytes, and stays open for its caller."""
+    stream is read as its bytes, and stays open for its caller. Bytes are
+    split by the reader that ``cli._reading`` opens a file with (UTF-8 text
+    split only at LF), so the library and the CLI split lines with the same
+    code; a bad byte is named by its offset in the whole input."""
     if isinstance(stream, io.IOBase) and not isinstance(stream, io.TextIOBase):
         stream = stream.read()
     if isinstance(stream, bytes):
-        stream = stream.decode("utf-8")
-    if isinstance(stream, str):
-        stream = io.StringIO(stream)
-    lines = list(stream)
+        # decoded whole once, so that a bad byte is named by its offset in
+        # the input, not in the reader's decoding chunk
+        stream.decode("utf-8")
+        with io.TextIOWrapper(io.BytesIO(stream), encoding="utf-8", newline="\n") as fh:
+            lines = list(fh)
+    else:
+        lines = list(io.StringIO(stream) if isinstance(stream, str) else stream)
     if lines:
         lines[0] = lines[0].removeprefix("\ufeff")
     return lines

@@ -14,7 +14,10 @@ prune on both axes: a GT row is scored only against the predictions of its
 frame whose x and y both lie within the reach of a nonzero similarity
 (d_max under center_distance; under bev_iou, half the GT row's width plus
 half the widest prediction's along x, half its length plus half the longest
-prediction's along y). Edges and matrices both come from
+prediction's along y). Its blocks hold whole GT rows and come in GT-row
+order, and each block's edges are put in final (GT row, prediction row)
+order as it is built, so the edge list is the blocks joined, with no sort
+of all edges. Edges and matrices both come from
 ``pair_similarity``, which reads the per-row columns that ``_columns``
 builds once per row. At a gate alpha, a frame in which no gated row has two
 gated partners holds only forced pairs, which are taken as they are; every
@@ -185,6 +188,8 @@ def edge_list(
     GT rows of about EDGE_BLOCK pairs; the y prune drops its pairs before
     ``pair_similarity`` scores the rest, each side's ``_columns`` gathered by
     index per block, so memory stays bounded however long the window is.
+    Each block's edges are kept in final (GT row, prediction row) order, and
+    blocks come in GT-row order, so the result is the blocks joined.
     """
     # each GT row's reach along x and along y: width spans x, length spans y
     if spec.mode == "center_distance":
@@ -201,24 +206,21 @@ def edge_list(
     count = np.searchsorted(key, gt_frame + 1j * (gx + x_reach), "right") - lo
     block = (np.cumsum(count) - count) // EDGE_BLOCK
     cuts = (np.flatnonzero(np.diff(block)) + 1).tolist()
-    g_cols = _columns(gt, spec)
-    p_cols = tuple(c[by_x] for c in _columns(pred, spec))
-    py = py[by_x]
+    g_cols, p_cols = _columns(gt, spec), _columns(pred, spec)
     parts = []
     for a, b in zip([0, *cuts], [*cuts, count.size]):
         n = count[a:b]
         g = np.repeat(np.arange(a, b), n)
-        at = _ranges(lo[a:b], n)
-        near = np.flatnonzero(np.abs(np.repeat(gy[a:b], n) - py[at]) <= np.repeat(y_reach[a:b], n))
-        g, at = g[near], at[near]
-        sim = pair_similarity(tuple(c[g] for c in g_cols), tuple(c[at] for c in p_cols), spec)
+        p = by_x[_ranges(lo[a:b], n)]
+        near = np.flatnonzero(np.abs(np.repeat(gy[a:b], n) - py[p]) <= np.repeat(y_reach[a:b], n))
+        g, p = g[near], p[near]
+        sim = pair_similarity(tuple(c[g] for c in g_cols), tuple(c[p] for c in p_cols), spec)
         hit = np.flatnonzero(sim > 0)
-        parts.append((g[hit], by_x[at[hit]], sim[hit]))
+        # g is already in order; within a GT row the candidates came in x order
+        hit = hit[np.argsort(g[hit] * len(pred) + p[hit], kind="stable")]
+        parts.append((g[hit], p[hit], sim[hit]))
     g, p, sim = (np.concatenate(c) for c in zip(*parts))
-    del parts  # the blocks' copies, not kept while the edges are sorted
-    # g is already in order; within a GT row the candidates came in x order
-    order = np.argsort(g * len(pred) + p, kind="stable")
-    return EdgeList(g[order], p[order], sim[order], gt_frame, pred_frame)
+    return EdgeList(g, p, sim, gt_frame, pred_frame)
 
 
 def _lsap_from_file():

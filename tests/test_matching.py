@@ -356,6 +356,44 @@ def test_edge_list_arrays_are_the_nonzero_matrix_entries(case):
     assert edges.gt_frame is gt_frame and edges.pred_frame is pred_frame
 
 
+@pytest.mark.parametrize("spec", [BEV, SimilaritySpec(mode="center_distance", d_max=1.5)])
+def test_edge_list_keeps_its_order_across_block_boundaries(spec, monkeypatch):
+    """Each block of candidates is put in final order on its own: with a
+    block of 1, 7 or 40 candidates, the scenes of
+    test_edge_list_equals_nonzero_matrix_entries give the edges of one
+    block, bit for bit."""
+    calls = []
+
+    def in_small_blocks(*args):
+        whole = matching.edge_list(*args)
+        for block in (1, 7, 40):
+            with mock.patch.object(matching, "EDGE_BLOCK", block):
+                small = matching.edge_list(*args)
+            for name in ("gt", "pred", "sim"):
+                assert getattr(small, name).tobytes() == getattr(whole, name).tobytes(), block
+        calls.append(whole.sim.size)
+        return whole
+
+    monkeypatch.setitem(globals(), "edge_list", in_small_blocks)
+    test_edge_list_equals_nonzero_matrix_entries(spec)
+    assert len(calls) == 40 and sum(calls) > 40
+
+
+@settings(derandomize=True, database=None, max_examples=200, deadline=None)
+@given(framed_footprints())
+def test_edge_list_is_the_same_in_either_orientation(case):
+    """Swapping x with y and width with length in every footprint leaves the
+    edges as they are, (GT row, prediction row, similarity) bit for bit,
+    under either similarity."""
+    gt, pred, gt_frame, pred_frame, _ = case
+    swap = [1, 0, 3, 2]
+    for spec in (BEV, CD):
+        edges = edge_list(gt, pred, gt_frame, pred_frame, spec)
+        turned = edge_list(gt[:, swap], pred[:, swap], gt_frame, pred_frame, spec)
+        for name in ("gt", "pred", "sim"):
+            assert getattr(turned, name).tobytes() == getattr(edges, name).tobytes(), spec
+
+
 @pytest.mark.parametrize("spec", [BEV, CD])
 def test_edge_list_scores_a_queue_in_linear_work(spec, monkeypatch):
     """1,000 people queueing along x = 0, 1 m apart in y, each with a
