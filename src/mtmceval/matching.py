@@ -17,11 +17,14 @@ half the widest prediction's along x, half its length plus half the longest
 prediction's along y). Its blocks hold whole GT rows and come in GT-row
 order, and each block's edges are put in final (GT row, prediction row)
 order as it is built, so the edge list is the blocks joined, with no sort
-of all edges. Edges and matrices both come from
-``pair_similarity``, which reads the per-row columns that ``_columns``
-builds once per row. At a gate alpha, a frame in which no gated row has two
-gated partners holds only forced pairs, which are taken as they are; every
-other frame is solved on its whole gated matrix, scattered from its edges.
+of all edges. Edges and matrices both come from ``pair_similarity``, which
+scores each pair from the two rows' footprint columns (x, y, width,
+length): ``edge_list`` gathers them by index per block,
+``similarity_matrix`` broadcasts one side's against the other's, and no
+other per-row form of a footprint is built. At a gate alpha, a frame in
+which no gated row has two gated partners holds only forced pairs, which
+are taken as they are; every other frame is solved on its whole gated
+matrix, scattered from its edges.
 
 ``match_edges`` walks the whole alpha grid from a layout of the edge list
 built once: each frame's edges, matrix shape and conflict level (the largest
@@ -93,34 +96,25 @@ def _footprints(dets: list[Detection] | tuple[Detection, ...]) -> np.ndarray:
     ).reshape(-1, 4)
 
 
-def _columns(footprints: np.ndarray, spec: SimilaritySpec) -> tuple[np.ndarray, ...]:
-    """The columns ``pair_similarity`` reads, one value per footprint row (x,
-    y, width, length): x and y under center_distance; the right, left, top
-    and bottom edges and the area under bev_iou."""
-    x, y, w, l = footprints.T
-    if spec.mode == "center_distance":
-        return x, y
-    return x + w / 2, x - w / 2, y + l / 2, y - l / 2, w * l
-
-
 def pair_similarity(
     gt: tuple[np.ndarray, ...], pred: tuple[np.ndarray, ...], spec: SimilaritySpec
 ) -> np.ndarray:
-    """Similarity of each GT row with the prediction row beside it, given
-    each side's ``_columns``, the two sides broadcast against each other.
+    """Similarity of each GT footprint with the prediction footprint beside
+    it, given each side's (x, y, width, length) columns, the two sides
+    broadcast against each other.
 
     The one similarity formula: matrices and edge lists both come from it, so
-    an edge equals its matrix entry bit for bit.
+    an edge equals its matrix entry bit for bit. Under bev_iou it takes each
+    box's edges (x +- width/2, y +- length/2) and area (width * length) from
+    its footprint columns as it scores.
     """
+    (gx, gy, gw, gl), (px, py, pw, pl) = gt, pred
     if spec.mode == "center_distance":
-        (gx, gy), (px, py) = gt, pred
         return np.maximum(0.0, 1.0 - np.hypot(gx - px, gy - py) / spec.d_max)
-    (g_right, g_left, g_top, g_bottom, g_area) = gt
-    (p_right, p_left, p_top, p_bottom, p_area) = pred
-    ix = np.minimum(g_right, p_right) - np.maximum(g_left, p_left)
-    iy = np.minimum(g_top, p_top) - np.maximum(g_bottom, p_bottom)
+    ix = np.minimum(gx + gw / 2, px + pw / 2) - np.maximum(gx - gw / 2, px - pw / 2)
+    iy = np.minimum(gy + gl / 2, py + pl / 2) - np.maximum(gy - gl / 2, py - pl / 2)
     inter = np.clip(ix, 0.0, None) * np.clip(iy, 0.0, None)
-    return inter / (g_area + p_area - inter)
+    return inter / (gw * gl + pw * pl - inter)
 
 
 def similarity_matrix(
@@ -131,14 +125,14 @@ def similarity_matrix(
     """Pairwise similarities, shape (len(gt), len(pred)).
 
     Each side is a list of Detections or an (n, 4) array of footprint
-    columns x, y, width, length.
+    columns x, y, width, length; ``pair_similarity`` scores the GT columns
+    as a column vector broadcast against the prediction columns.
     """
     if not isinstance(gt, np.ndarray):
         gt = _footprints(gt)
     if not isinstance(pred, np.ndarray):
         pred = _footprints(pred)
-    rows = tuple(c[:, None] for c in _columns(gt, spec))
-    return pair_similarity(rows, _columns(pred, spec), spec)
+    return pair_similarity(gt.T[:, :, None], pred.T, spec)
 
 
 @dataclass(frozen=True)
@@ -186,8 +180,10 @@ def edge_list(
     beyond either reach has zero similarity, so the edges are those of the
     whole GT x prediction product. The x candidates come in blocks of whole
     GT rows of about EDGE_BLOCK pairs; the y prune drops its pairs before
-    ``pair_similarity`` scores the rest, each side's ``_columns`` gathered by
-    index per block, so memory stays bounded however long the window is.
+    ``pair_similarity`` scores the rest from each side's footprint columns,
+    gathered by index per block. No column is built for a whole side, so
+    beyond its inputs and edges memory follows a block however long the
+    window is.
     Each block's edges are kept in final (GT row, prediction row) order, and
     blocks come in GT-row order, so the result is the blocks joined.
     """
@@ -206,7 +202,6 @@ def edge_list(
     count = np.searchsorted(key, gt_frame + 1j * (gx + x_reach), "right") - lo
     block = (np.cumsum(count) - count) // EDGE_BLOCK
     cuts = (np.flatnonzero(np.diff(block)) + 1).tolist()
-    g_cols, p_cols = _columns(gt, spec), _columns(pred, spec)
     parts = []
     for a, b in zip([0, *cuts], [*cuts, count.size]):
         n = count[a:b]
@@ -214,7 +209,7 @@ def edge_list(
         p = by_x[_ranges(lo[a:b], n)]
         near = np.flatnonzero(np.abs(np.repeat(gy[a:b], n) - py[p]) <= np.repeat(y_reach[a:b], n))
         g, p = g[near], p[near]
-        sim = pair_similarity(tuple(c[g] for c in g_cols), tuple(c[p] for c in p_cols), spec)
+        sim = pair_similarity(tuple(c[g] for c in gt.T), tuple(c[p] for c in pred.T), spec)
         hit = np.flatnonzero(sim > 0)
         # g is already in order; within a GT row the candidates came in x order
         hit = hit[np.argsort(g[hit] * len(pred) + p[hit], kind="stable")]
@@ -502,7 +497,8 @@ def match_frame(
     """Match one frame's same-class detections at gate alpha.
 
     Inputs are canonically sorted by track_id before the solve, so the result
-    is invariant to detection order. All detections must carry track_ids.
+    is invariant to detection order. All detections must carry track_ids, and
+    a track_id given twice on one side raises ValueError naming the side.
     """
     check_real("alpha", alpha, 1.0)
     for det in list(gt) + list(pred):
@@ -510,6 +506,10 @@ def match_frame(
             raise ValueError("match_frame requires track_ids on every detection")
     gt = sorted(gt, key=lambda d: d.track_id)
     pred = sorted(pred, key=lambda d: d.track_id)
+    for dets, kind in ((gt, "ground-truth"), (pred, "predicted")):
+        twice = [a.track_id for a, b in zip(dets, dets[1:]) if a.track_id == b.track_id]
+        if twice:
+            raise ValueError(f"{kind} track_id {twice[0]} appears twice")
     edges = edge_list(
         _footprints(gt), _footprints(pred), np.zeros(len(gt), int), np.zeros(len(pred), int), spec
     )

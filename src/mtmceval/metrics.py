@@ -1,41 +1,33 @@
 """HOTA, DetA, AssA, LocA, detection AP, AvgTrackDur and report assembly.
 
 All metrics come from one pass per class over the evaluation window
-(``_class_edges``), reading column slices of the two sequences' track tables.
-``class_report`` looks up each table in the window once (``_on_window``):
-each table frame is looked up in the window's frame array, so the cost
-follows the rows, not the window's span, and the rows on window frames are
-taken in ``TrackTable.order``. As the window is sorted, that is (window
-position, class_id, track_id) order, so each class's rows need no sort of
-their own, and a repeated identity is read from the table's duplicate mask
-``TrackTable.repeat``. A table built in memory computes that order on its
-first report and keeps it; a parsed table holds it already. The pass builds
-one edge list (``matching.EdgeList``): every (GT row, prediction row) pair
-of one frame with nonzero similarity, never as per-frame matrices.
-Only the pairs within reach of each other along both x and y are scored
-(sweep and prune on both axes; the reach along y is d_max under
-center_distance, half the GT row's length plus half the longest
-prediction's under bev_iou), in blocks of GT rows. A window frame empty on
-either side holds no edge, and one empty on both sides costs nothing. It
-also ranks the predictions for AP by descending confidence, ties in row
-order: the rows are already in (frame, track id) order, which is unique
-within a class, so one sort on confidence, with each run of equal
-confidences put back in row order, gives the rank. Three consumers read
-that pass and compute nothing twice:
+(``_class_edges``), reading column slices of the two sequences' track
+tables. ``class_report`` looks up each table in the window once
+(``_on_window``): each table frame is looked up in the window's frame array,
+so the cost follows the rows, not the window's span, and the rows on window
+frames are taken in ``TrackTable.order``. As the window is sorted, that is
+(window position, class_id, track_id) order, so each class's rows need no
+sort of their own, and a repeated identity is read from the table's
+duplicate mask ``TrackTable.repeat``. A table built in memory computes that
+order on its first report and keeps it; a parsed table holds it already. The
+pass builds one edge list (``matching.EdgeList``): every (GT row, prediction
+row) pair of one frame with nonzero similarity, never as per-frame matrices
+(the ``matching`` module docstring says how ``edge_list`` finds and scores
+them). A window frame empty on either side holds no edge, and one empty on
+both sides costs nothing. It also ranks the predictions for AP by descending
+confidence, ties in row order: the rows are already in (frame, track id)
+order, which is unique within a class, so one sort on confidence, with each
+run of equal confidences put back in row order, gives the rank. Three
+consumers read that pass and compute nothing twice:
 
 - ``_score_alphas`` matches the edges over the whole alpha grid in one
   ``match_edges`` pass, which returns a mask over the edges per alpha, and
   gives HOTA, DetA, AssA and LocA per alpha, plus the matched pairs at
-  ``dur_alpha``. In a frame where no row has two gated partners every gated
-  pair is forced; these are taken for the whole window at once. A
-  conflicted frame keeps the pairs of the alpha before while all of them
-  still clear the gate and it has no more gated edges than there: its gated
-  edges are then a subset of those there, so that matching stays optimal
-  (on an exact tie, the lower alpha's choice holds). Otherwise it is solved
-  on its whole gated matrix, scattered from its edges. The (GT id,
-  prediction id) pair of each edge matched at some alpha is numbered once,
-  and each alpha's matched edges are taken as one index, so an alpha's AssA
-  counts are one bincount over them;
+  ``dur_alpha`` (the ``matching`` module docstring says which frames take
+  their forced pairs, which keep the alpha before's pairs and which are
+  solved). The (GT id, prediction id) pair of each edge matched at some
+  alpha is numbered once, and each alpha's matched edges are taken as one
+  index, so an alpha's AssA counts are one bincount over them;
 - ``_run_seconds`` counts runs of matched prediction ids over window
   positions from one sort of (dense id, position) keys: AvgTrackDur;
 - ``_average_precision`` matches predictions greedily in rank order, level
@@ -67,7 +59,7 @@ from typing import Callable
 
 import numpy as np
 
-from .datamodel import EvalWindow, Sequence, TrackTable, _runs, check_finite
+from .datamodel import EvalWindow, Sequence, TrackTable, _runs, check_finite, check_real
 from .matching import (
     EdgeList,
     FrameMatchSet,
@@ -215,8 +207,9 @@ def _run_seconds(dense: np.ndarray, positions: np.ndarray, f0: float) -> float:
     is a maximal span of consecutive window positions where one id is
     matched; the result is the sum of run lengths / (#runs * f0), 0 with no
     runs."""
-    if f0 <= 0:
+    if not 0 < f0:
         raise ValueError("f0 must be positive")
+    check_real("f0", f0)  # infinity and bools, as EvalWindow refuses them
     if dense.size == 0:
         return 0.0
     # (id, position) keys sorted, with a gap of at least two between one
@@ -329,8 +322,10 @@ def detection_ap(
 
     Predictions are ranked by descending confidence and matched greedily per
     frame, each ground-truth box consumed at most once; an exact similarity
-    tie goes to the GT with the lower track id.
+    tie goes to the GT with the lower track id. An alpha outside (0, 1]
+    raises ValueError, as in ``class_report``.
     """
+    check_real("alpha", alpha, 1.0)
     data = _class_edges(
         _on_window(gt.table, window.frames), _on_window(pred.table, window.frames), spec, class_id
     )

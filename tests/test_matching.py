@@ -177,6 +177,18 @@ def test_match_frame_requires_track_ids():
         match_frame([free], [det(0, 0, 1)], alpha=0.5, spec=BEV)
 
 
+def test_match_frame_rejects_a_track_id_given_twice():
+    """Two GT boxes with id 1 used to give the pair (1, 2) twice against two
+    predictions with id 2, and against one prediction id 1 came back both
+    matched and unmatched. The side given the id twice is named, GT first."""
+    twice = [det(0, 0, 1), det(0.1, 0, 1)]
+    for preds in ([det(0, 0, 2), det(0.1, 0, 2)], [det(0, 0, 2)]):
+        with pytest.raises(ValueError, match="^ground-truth track_id 1 appears twice$"):
+            match_frame(twice, preds, alpha=0.5, spec=BEV)
+    with pytest.raises(ValueError, match="^predicted track_id 1 appears twice$"):
+        match_frame([det(0, 0, 2)], twice, alpha=0.5, spec=BEV)
+
+
 @pytest.mark.parametrize(
     "alpha, shown", [(0.0, "0.0"), (-0.5, "-0.5"), (1.5, "1.5"), (math.nan, "nan")]
 )
@@ -419,6 +431,28 @@ def test_edge_list_scores_a_queue_in_linear_work(spec, monkeypatch):
     g, p, sim = nonzero_entries(gt, pred, frame, frame, spec)
     assert np.array_equal(edges.gt, g) and np.array_equal(edges.pred, p)
     assert edges.sim.tobytes() == sim.tobytes()
+
+
+def test_edge_list_memory_follows_its_blocks():
+    """One bev_iou edge_list call over 60,000 GT rows and about 57,000
+    predictions holds, beyond its inputs and its edges, only a block's
+    scratch: its tracemalloc peak stays under 2.2x the footprints plus the
+    edges. Whole-side similarity columns (box edges and areas) built before
+    the block loop took it to 2.7x."""
+    gt = gen_scene(20, 100.0, 30.0, (-10, -10, 10, 10), seed=1)
+    pred = degrade(gt, DegradeSpec(drop_prob=0.05, loc_noise_sigma=0.05, seed=2))
+    (g, g_frame), (p, p_frame) = (
+        (np.column_stack((t.x, t.y, t.w, t.l)), t.frame) for t in (gt.table, pred.table)
+    )
+    tracemalloc.start()
+    try:
+        edges = edge_list(g, p, g_frame, p_frame, BEV)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert edges.sim.size > g.shape[0]
+    held = g.nbytes + p.nbytes + sum(a.nbytes for a in (edges.gt, edges.pred, edges.sim))
+    assert peak < 2.2 * held
 
 
 def test_match_edges_solves_a_frame_only_when_its_pairs_fall_below_the_gate(monkeypatch):

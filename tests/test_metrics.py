@@ -156,6 +156,16 @@ def test_avg_track_dur_rejects_a_rate_that_is_not_positive(f0):
         avg_track_dur([fms(pairs=[(1, 5, 1.0)])], f0=f0)
 
 
+@pytest.mark.parametrize("f0", [math.nan, math.inf, True])
+def test_avg_track_dur_rejects_a_rate_that_eval_window_refuses(f0):
+    """NaN, infinity and bools are refused as EvalWindow refuses them; before,
+    two matched frames of one id read nan, 0.0 and 2.0 seconds."""
+    with pytest.raises(ValueError, match=rf"^f0 must be finite and positive, got {f0!r}$"):
+        EvalWindow(frame_indices=(0, 1), f0=f0)
+    with pytest.raises(ValueError, match="^f0 must be"):
+        avg_track_dur([fms(pairs=[(1, 5, 1.0)])] * 2, f0=f0)
+
+
 def test_avg_track_dur_perfect_scale():
     # perfect tracker over a 300-frame window at 1 fps with one identity
     matches = [fms(pairs=[(1, 1, 1.0)])] * 300
@@ -260,6 +270,21 @@ def test_ap_no_predictions():
     pred = make_sequence({}, native_fps=1.0)
     win = EvalWindow(frame_indices=(0,), f0=1.0)
     assert detection_ap(gt, pred, win, CD, alpha=0.5, class_id=0) == 0.0
+
+
+@pytest.mark.parametrize(
+    "alpha, shown", [(0, "0"), (-1.0, "-1.0"), (1.5, "1.5"), (math.nan, "nan"), (True, "True")]
+)
+def test_detection_ap_rejects_an_alpha_that_class_report_refuses(alpha, shown):
+    """On a one-box scene, alphas of 0 and -1 used to score AP 1.0, and 1.5,
+    NaN and True 0.0."""
+    gt = seq_from_positions({0: [(0.0, 0.0, 1)]})
+    win = EvalWindow(frame_indices=(0,), f0=1.0)
+    message = rf"^alpha must be in \(0, 1\], got {shown}$"
+    with pytest.raises(ValueError, match=message):
+        class_report(gt, gt, win, CD, alpha_grid=(0.5,), dur_alpha=alpha)
+    with pytest.raises(ValueError, match=message):
+        detection_ap(gt, gt, win, CD, alpha=alpha, class_id=0)
 
 
 def test_ap_hand_curve_with_mid_ranked_fp():
@@ -423,7 +448,7 @@ def test_class_report_computes_each_similarity_once(monkeypatch):
     win = EvalWindow(frame_indices=gt.frame_indices, f0=1.0)
 
     def columns(d, spec):
-        return tuple(c.item() for c in matching._columns(matching._footprints([d]), spec))
+        return tuple(matching._footprints([d])[0].tolist())
 
     for spec in (CD, SimilaritySpec(mode="bev_iou")):
         scored.clear()
